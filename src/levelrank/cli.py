@@ -24,14 +24,22 @@ from .weights import LevelWeight, parse_weight, tau
 PRECISION_ENV = "LEVELRANK_PRECISION"
 
 
-def _default_precision() -> int:
-    raw = os.environ.get(PRECISION_ENV)
-    if raw:
+def _precision(args) -> int:
+    """The --precision value, else the environment default, else 128 bits."""
+    if args.precision is not None:
+        bits, source = args.precision, "--precision"
+    else:
+        raw = os.environ.get(PRECISION_ENV)
+        if not raw:
+            return 128
         try:
-            return max(32, int(raw))
+            bits = int(raw)
         except ValueError:
-            pass
-    return 128
+            raise ValueError(f"{PRECISION_ENV} must be an integer, got {raw!r}") from None
+        source = PRECISION_ENV
+    if bits < 32:
+        raise ValueError(f"{source} must be at least 32 bits, got {bits}")
+    return bits
 
 
 def _emit(payload: dict, args) -> None:
@@ -85,10 +93,9 @@ def _cmd_qdim(args) -> int:
             raise ValueError(f"{w} is not a rank-{args.n} level-{args.m} weight")
         lam = w.to_partition()
     product = qdim.qdim_product_string(lam, args.n)
-    if args.precision < 32:
-        raise ValueError("precision must be at least 32 bits")
+    precision = _precision(args)
     if args.backend == "float":
-        with mpmath.workprec(args.precision):
+        with mpmath.workprec(precision):
             value = qdim.qdim_partition(lam, args.n, args.m, backend="float")
             numeric = mpmath.nstr(value, 20)
         exact_json = None
@@ -120,9 +127,9 @@ def _cmd_fuse(args) -> int:
 
 
 def _cmd_smatrix(args) -> int:
-    data = smatrix.s_matrix(args.n, args.m, precision_bits=args.precision)
+    data = smatrix.s_matrix(args.n, args.m, precision_bits=_precision(args))
     payload = data.to_json()
-    payload["unitarity_residual"] = mpmath.nstr(data.unitarity_residual(), 5)
+    payload["unitarity_residual"] = data.unitarity_residual()
     _emit(payload, args)
     if not args.json and not args.out:
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -163,9 +170,7 @@ def _cmd_mirror(args) -> int:
 
 def _cmd_verify(args) -> int:
     names = verify.default_suite_names() if args.suite == "all" else [args.suite]
-    results = verify.run_suites(
-        names, bound=args.bound, jobs=args.jobs, precision_bits=args.precision
-    )
+    results = verify.run_suites(names, bound=args.bound, jobs=args.jobs)
     failures = [r for r in results if not r.passed]
     for r in results:
         print(r.line())
@@ -188,9 +193,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="emit JSON on stdout")
         p.add_argument("--out", metavar="FILE", help="write the JSON report to FILE")
         if precision:
-            p.add_argument("--precision", type=int, default=_default_precision(),
-                           help="binary precision in bits (default 128, env "
-                                f"{PRECISION_ENV})")
+            p.add_argument("--precision", type=int, default=None,
+                           help="binary precision in bits, at least 32 (default: "
+                                f"{PRECISION_ENV}, else 128)")
 
     p = sub.add_parser("branch", help="branching table of one level-1 class")
     p.add_argument("n", type=int)
@@ -257,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=int, default=None,
                    help="sweep bound for rank and level (suite defaults otherwise)")
     p.add_argument("--jobs", type=int, default=1, help="parallel sweep degree")
-    common(p, precision=True)
+    common(p)
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -309,6 +309,9 @@ class CyclotomicNumber:
         )
 
     def __hash__(self) -> int:
+        # a rational element equals its Fraction, so it must hash like one
+        if self.is_rational():
+            return hash(Fraction(self._num[0], self._den))
         return hash((self._conductor, self._den, self._num))
 
     def __repr__(self) -> str:
@@ -351,6 +354,57 @@ def _frac_poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     a = a + [Fraction(0)] * (n - len(a))
     b = b + [Fraction(0)] * (n - len(b))
     return [x - y for x, y in zip(a, b)]
+
+
+class IntegralPacking:
+    """Integral elements of Q(zeta_N) packed into one Python int each, so
+    that deciding an identity between sums of products costs a few
+    big-integer operations.
+
+    Substituting x = 2^k maps the group ring Z[x]/(x^N - 1) homomorphically
+    onto the integers modulo R = 2^(kN) - 1, and the map is injective on
+    elements whose coefficients are below 2^(k-1) in absolute value. An
+    element F of the group ring vanishes in Q(zeta_N) exactly when Phi_N
+    divides it, that is when F * Psi vanishes in the group ring, where
+    Psi = (x^N - 1) / Phi_N. The coefficients of F * Psi are at most
+    ||F||_1 * max|Psi|, and k is chosen so that this stays below 2^(k-1)
+    whenever ||F||_1 <= ``bound``. For such F, ``is_zero`` is therefore an
+    exact decision, not a numerical one. The caller bounds ||F||_1 by the
+    sum over its products of the products of the factors' ``norm``.
+    """
+
+    def __init__(self, conductor: int, bound: int):
+        psi = _poly_div_exact([-1] + [0] * (conductor - 1) + [1],
+                              list(cyclotomic_polynomial(conductor)))
+        self._conductor = conductor
+        self._k = (bound * max(map(abs, psi))).bit_length() + 1
+        self._modulus = (1 << (self._k * conductor)) - 1
+        self._psi = self._pack(enumerate(psi))
+
+    @staticmethod
+    def norm(z: CyclotomicNumber) -> int:
+        """Sum of the absolute coefficients of an integral element."""
+        if z._den != 1:
+            raise ValueError(f"{z!r} is not integral")
+        return sum(map(abs, z._num))
+
+    def _pack(self, terms) -> int:
+        k = self._k
+        return sum(c << (k * e) for e, c in terms if c) % self._modulus
+
+    def pack(self, z: CyclotomicNumber, conjugate: bool = False) -> int:
+        """The packed form of z, or of its complex conjugate."""
+        if z._conductor != self._conductor or z._den != 1:
+            raise ValueError(f"{z!r} is not integral in conductor {self._conductor}")
+        n = self._conductor
+        if conjugate:
+            return self._pack(((n - e) % n, c) for e, c in enumerate(z._num))
+        return self._pack(enumerate(z._num))
+
+    def is_zero(self, value: int) -> bool:
+        """Whether the packed value is zero in the field (see the class
+        docstring for the norm bound this relies on)."""
+        return value * self._psi % self._modulus == 0
 
 
 # -- quantum integers --------------------------------------------------------

@@ -20,7 +20,7 @@ The surviving coefficients are the fusion multiplicities.
 
 from __future__ import annotations
 
-from .cyclotomic import MPMATH_LOCK, CyclotomicNumber, conductor_for
+from .cyclotomic import CyclotomicNumber, conductor_for
 from .partitions import Partition
 from .qdim import qdim_weight
 from .symfunc import lr_expand
@@ -193,12 +193,15 @@ def rotation_check(a: LevelWeight) -> bool:
 class VerlindeVerdict:
     """Comparison of the combinatorial fusion rules against the S-matrix."""
 
-    def __init__(self, n: int, m: int, agrees: bool, max_residual, failure=None):
+    # the relation is decided exactly, so no numerical residual is left
+    max_residual = 0
+
+    def __init__(self, n: int, m: int, agrees: bool, checked: int, failure=None):
         self.n = n
         self.m = m
         self.agrees = agrees
-        self.max_residual = max_residual
-        self.failure = failure  # (a, b, c, combinatorial, numeric) when set
+        self.checked = checked
+        self.failure = failure  # (a, b, d, lhs, rhs) when set
 
     def __bool__(self) -> bool:
         return self.agrees
@@ -207,50 +210,48 @@ class VerlindeVerdict:
         status = "agree" if self.agrees else f"DISAGREE at {self.failure}"
         return (
             f"VerlindeVerdict(n={self.n}, m={self.m}: {status}, "
-            f"max residual {self.max_residual})"
+            f"{self.checked} exact identities checked)"
         )
 
 
-def verlinde_check(n: int, m: int, precision_bits: int = 128, tolerance: float = 1e-6) -> VerlindeVerdict:
-    """Check every fusion coefficient against the Verlinde sum
+def verlinde_check(n: int, m: int) -> VerlindeVerdict:
+    """Check every fusion coefficient against the S-matrix through the
+    exact relation, for all a <= b and all d,
 
-        N_ab^c = sum_d S_ad S_bd conj(S_cd) / S_0d.
+        sum_c N_ab^c M_cd M_0d = M_ad M_bd,
 
-    Raises when a sum is farther than ``tolerance`` from every integer, which
-    signals a numeric or algorithmic defect rather than a disagreement.
+    with M the unnormalized S-matrix in the cyclotomic field. This is
+    N_a S = S diag(S_ad / S_0d), which is equivalent to Verlinde's formula
+    N_ab^c = sum_d S_ad S_bd conj(S_cd) / S_0d because M is invertible
+    (``s_matrix`` proves M M^dagger = n (n+m)^(n-1) I) and no M_0d is zero.
+    A mismatch is returned as the counterexample (a, b, d, lhs, rhs).
     """
-    import mpmath
-
     from .smatrix import s_matrix
 
-    data = s_matrix(n, m, precision_bits=precision_bits)
-    weights = data.weights
-    S = data.entries
+    data = s_matrix(n, m)
+    weights, M = data.weights, data.exact
     size = len(weights)
-    max_residual = mpmath.mpf(0)
-    with MPMATH_LOCK, mpmath.workprec(precision_bits):
-        for ia in range(size):
-            for ib in range(ia, size):
-                dec = fuse(weights[ia], weights[ib])
-                for ic in range(size):
-                    total = mpmath.mpc(0)
-                    for d in range(size):
-                        total += S[ia][d] * S[ib][d] * mpmath.conj(S[ic][d]) / S[0][d]
-                    nearest = int(mpmath.nint(total.real))
-                    residual = abs(total - nearest)
-                    max_residual = max(max_residual, residual)
-                    if residual > tolerance:
-                        raise ArithmeticError(
-                            f"Verlinde sum {total} for {weights[ia]} x {weights[ib]} "
-                            f"-> {weights[ic]} is not near an integer"
-                        )
-                    if nearest != dec.multiplicity(weights[ic]):
-                        return VerlindeVerdict(
-                            n, m, False, max_residual,
-                            (weights[ia], weights[ib], weights[ic],
-                             dec.multiplicity(weights[ic]), nearest),
-                        )
-    return VerlindeVerdict(n, m, True, max_residual)
+    for d in range(size):
+        if M[0][d].is_zero():
+            raise ArithmeticError(f"M_0d vanishes at d = {weights[d]}")
+    index = {w: i for i, w in enumerate(weights)}
+    products = [
+        (ia, ib, [(index[c], k) for c, k in fuse(weights[ia], weights[ib]).terms.items()])
+        for ia in range(size) for ib in range(ia, size)
+    ]
+    most = max(sum(k for _, k in terms) for _, _, terms in products)
+    packing, P = data.pack(most + 1)
+    checked = 0
+    for ia, ib, terms in products:
+        for d in range(size):
+            fused = sum(k * P[c][d] for c, k in terms)
+            if not packing.is_zero(P[0][d] * fused - P[ia][d] * P[ib][d]):
+                lhs = M[0][d] * sum((M[c][d] * k for c, k in terms),
+                                    CyclotomicNumber.zero(M[0][d].conductor))
+                failure = (weights[ia], weights[ib], weights[d], lhs, M[ia][d] * M[ib][d])
+                return VerlindeVerdict(n, m, False, checked, failure)
+            checked += 1
+    return VerlindeVerdict(n, m, True, checked)
 
 
 def grading_violations(n: int, m: int) -> list[tuple[LevelWeight, LevelWeight, LevelWeight]]:

@@ -3,16 +3,21 @@
 Weights are embedded in orthogonal coordinates as their partition plus the
 staircase (n-1, ..., 1, 0), with the inner product of two coordinate vectors
 taken after subtracting the mean (this matches the trace-form normalization
-in which roots have squared length 2). The unnormalized matrix is
+in which roots have squared length 2). The unnormalized matrix is the
+Kac-Peterson sum
 
-    M_ab = sum over permutations w of sign(w) exp(-2 pi i <w(y_a), y_b> / (n+m))
+    M_ab = sum over permutations w of sign(w) exp(-2 pi i <w(y_a), y_b> / (n+m)).
 
-which is proportional to the unitary S-matrix; the scalar is fixed by making
-rows unit norm and the vacuum-vacuum entry real positive. For ranks above 5
-the permutation sum is evaluated as a determinant instead.
+Every mean-free inner product has denominator n, so each term is a power of
+zeta = exp(2 pi i / (n (n+m))). Each entry of the upper triangle (M is
+symmetric) is therefore built once as an integer histogram of exponents
+modulo n(n+m), and M is kept exactly in the cyclotomic field of that
+conductor. Unitarity is the exact identity M M^dagger = n (n+m)^(n-1) I.
+The S-matrix is M divided by the square root of n (n+m)^(n-1) and by the
+phase of the vacuum-vacuum entry.
 
-Central charges and conformal weights are exact rationals; only the matrix
-itself is floating point, at a configurable binary precision.
+Central charges, conformal weights and M are exact; only the displayed
+entries of S are floating point, at a configurable binary precision.
 """
 
 from __future__ import annotations
@@ -20,15 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
+from operator import mul
 
 import mpmath
 
-from .cyclotomic import MPMATH_LOCK
+from .cyclotomic import MPMATH_LOCK, CyclotomicNumber, IntegralPacking
 from .weights import LevelWeight, enumerate_weights
-
-
-class PrecisionError(ArithmeticError):
-    """Raised when the requested precision cannot certify unitarity."""
 
 
 def central_charge(n: int, m: int, k: int = 1) -> tuple[Fraction, Fraction]:
@@ -68,12 +70,14 @@ def conformal_weight(a: LevelWeight) -> Fraction:
 
 @dataclass
 class SMatrixData:
-    """S-matrix with its index order, exact central charge and twists."""
+    """S-matrix with its index order, the exact unnormalized matrix M, exact
+    central charge and twists."""
 
     n: int
     m: int
     weights: tuple[LevelWeight, ...]
     entries: list  # list of rows of mpmath mpc
+    exact: list = field(repr=False)  # rows of CyclotomicNumber, conductor n(n+m)
     precision_bits: int
     central_charge: Fraction
     conformal_weights: dict = field(repr=False, default_factory=dict)
@@ -81,21 +85,32 @@ class SMatrixData:
     def index(self, a: LevelWeight) -> int:
         return self.weights.index(a)
 
-    def unitarity_residual(self):
-        """max |(S S^dagger - I)_{ab}| at the stored precision."""
+    def pack(self, products: int, constant: int = 0) -> tuple[IntegralPacking, list]:
+        """M packed for exact zero tests of sums of at most ``products``
+        products of two entries plus an integer of size at most
+        ``constant``; returns the packing and the packed rows."""
+        norm = max(IntegralPacking.norm(z) for row in self.exact for z in row)
+        packing = IntegralPacking(self.n * (self.n + self.m), products * norm * norm + constant)
+        return packing, [[packing.pack(z) for z in row] for row in self.exact]
+
+    def unitarity_residual(self) -> int:
+        """Decide M M^dagger = n (n+m)^(n-1) I exactly, which makes the
+        normalized entries unitary. Returns 0 when the identity holds and
+        raises ArithmeticError naming the first entry (a, b) where it
+        fails."""
         size = len(self.weights)
-        S = self.entries
-        with MPMATH_LOCK, mpmath.workprec(self.precision_bits):
-            worst = mpmath.mpf(0)
-            for i in range(size):
-                for j in range(size):
-                    acc = mpmath.mpc(0)
-                    for k in range(size):
-                        acc += S[i][k] * mpmath.conj(S[j][k])
-                    if i == j:
-                        acc -= 1
-                    worst = max(worst, abs(acc))
-        return worst
+        scale = self.n * (self.n + self.m) ** (self.n - 1)
+        packing, rows = self.pack(size, scale)
+        conj = [[packing.pack(z, conjugate=True) for z in row] for row in self.exact]
+        for a in range(size):  # M M^dagger is Hermitian: the upper triangle decides
+            for b in range(a, size):
+                total = sum(map(mul, rows[a], conj[b]))
+                if not packing.is_zero(total - scale if a == b else total):
+                    raise ArithmeticError(
+                        f"M M^dagger differs from {scale} I at "
+                        f"({self.weights[a]}, {self.weights[b]})"
+                    )
+        return 0
 
     def to_json(self) -> dict:
         with MPMATH_LOCK, mpmath.workprec(self.precision_bits):
@@ -123,54 +138,51 @@ def s_matrix(n: int, m: int, precision_bits: int = 128) -> SMatrixData:
     if precision_bits < 32:
         raise ValueError("precision must be at least 32 bits")
     weights = enumerate_weights(n, m)
-    coords = [_coordinates(a) for a in weights]
     kappa = n + m
+    conductor = n * kappa
     size = len(weights)
+    exact = [[None] * size for _ in range(size)]
+    raw = [[None] * size for _ in range(size)]
     with MPMATH_LOCK, mpmath.workprec(precision_bits + 32):
-        raw = [[_kp_entry(coords[i], coords[j], kappa, n) for j in range(size)]
-               for i in range(size)]
-        # normalize: unit row norm, vacuum-vacuum entry real positive
-        norm = mpmath.sqrt(sum(abs(z) ** 2 for z in raw[0]))
-        phase = raw[0][0] / abs(raw[0][0])
-        scale = norm * phase
+        roots = [mpmath.expjpi(mpmath.mpf(2 * e) / conductor) for e in range(conductor)]
+        for (i, j), hist in _exponent_histograms(
+                n, [_coordinates(a) for a in weights], conductor).items():
+            exact[i][j] = exact[j][i] = CyclotomicNumber(conductor, hist)
+            raw[i][j] = raw[j][i] = mpmath.fsum(c * roots[e] for e, c in enumerate(hist) if c)
+        # normalize: unit rows (the exact row norm), vacuum-vacuum entry real positive
+        scale = mpmath.sqrt(n * kappa ** (n - 1)) * raw[0][0] / abs(raw[0][0])
         entries = [[z / scale for z in row] for row in raw]
     data = SMatrixData(
         n=n,
         m=m,
         weights=weights,
         entries=entries,
+        exact=exact,
         precision_bits=precision_bits,
         central_charge=category_central_charge(n, m),
         conformal_weights={a: conformal_weight(a) for a in weights},
     )
-    residual = data.unitarity_residual()
-    if residual > mpmath.mpf(2) ** (-(precision_bits // 2)):
-        raise PrecisionError(
-            f"unitarity residual {residual} too large for {precision_bits} bits"
-        )
+    data.unitarity_residual()
     return data
 
 
-def _kp_entry(ya: tuple[int, ...], yb: tuple[int, ...], kappa: int, n: int):
-    correction = Fraction(sum(ya) * sum(yb), n)
-    if n <= 5:
-        total = mpmath.mpc(0)
-        for perm in permutations(range(n)):
-            sign = _perm_sign(perm)
-            ip = sum(ya[perm[i]] * yb[i] for i in range(n)) - correction
-            total += sign * mpmath.expjpi(mpmath.mpf(-2) * _frac_to_mpf(ip) / kappa)
-        return total
-    # determinant form of the alternating sum
-    mat = mpmath.matrix(n, n)
-    for i in range(n):
-        for j in range(n):
-            mat[i, j] = mpmath.expjpi(mpmath.mpf(-2 * ya[i] * yb[j]) / kappa)
-    det = mpmath.det(mat)
-    return det * mpmath.expjpi(mpmath.mpf(2) * _frac_to_mpf(correction) / kappa)
-
-
-def _frac_to_mpf(q: Fraction):
-    return mpmath.mpf(q.numerator) / q.denominator
+def _exponent_histograms(n: int, coords: list[tuple[int, ...]], conductor: int) -> dict:
+    """Upper triangle of M: entry e of the (i, j) histogram is the signed
+    count of permutations w with -n <w(y_i), y_j> = e modulo the conductor,
+    so that M_ij = sum_e hist[e] zeta^e."""
+    signed = [(_perm_sign(p), p) for p in permutations(range(n))]
+    out = {}
+    for i, ya in enumerate(coords):
+        permuted = [(sign, [ya[k] for k in p]) for sign, p in signed]
+        sa = sum(ya)
+        for j in range(i, len(coords)):
+            yb = coords[j]
+            shift = sa * sum(yb)  # n times the mean correction
+            hist = [0] * conductor
+            for sign, pa in permuted:
+                hist[(shift - n * sum(map(mul, pa, yb))) % conductor] += sign
+            out[i, j] = hist
+    return out
 
 
 def _perm_sign(perm: tuple[int, ...]) -> int:

@@ -188,14 +188,12 @@ def suite_level1(bound: int = 10, jobs: int = 1) -> list[CheckResult]:
 
 def suite_verlinde(
     cases: tuple[tuple[int, int], ...] = ((2, 2), (2, 3), (3, 2), (2, 4), (3, 3)),
-    precision_bits: int = 128,
-    tolerance: float = 1e-6,
     jobs: int = 1,
 ) -> list[CheckResult]:
-    """Combinatorial fusion against the S-matrix sums."""
+    """Combinatorial fusion against the exact S-matrix relation."""
 
     def check_pair(n: int, m: int) -> CheckResult:
-        v = fusion.verlinde_check(n, m, precision_bits=precision_bits, tolerance=tolerance)
+        v = fusion.verlinde_check(n, m)
         return CheckResult("verlinde", f"n={n} m={m}", bool(v), repr(v))
 
     return _run_tasks([lambda n=n, m=m: check_pair(n, m) for n, m in cases], jobs)
@@ -354,8 +352,7 @@ _BOUNDED = {"tau", "branch", "exhaustion", "cauchy", "rotation", "level1",
             "cc", "cardinality", "twist", "grading"}
 
 
-def run_suites(names: list[str], bound: int | None = None, jobs: int = 1,
-               precision_bits: int = 128) -> list[CheckResult]:
+def run_suites(names: list[str], bound: int | None = None, jobs: int = 1) -> list[CheckResult]:
     results: list[CheckResult] = []
     for name in names:
         if name not in SUITES:
@@ -364,8 +361,6 @@ def run_suites(names: list[str], bound: int | None = None, jobs: int = 1,
         kwargs: dict = {"jobs": jobs}
         if name in _BOUNDED and bound is not None:
             kwargs["bound"] = bound
-        if name == "verlinde":
-            kwargs["precision_bits"] = precision_bits
         results.extend(fn(**kwargs))
     return results
 

@@ -182,6 +182,20 @@ def test_precision_env_var(capsys, monkeypatch):
     assert json.loads(out)["precision_bits"] == 64
 
 
+@pytest.mark.parametrize("value", ["many", "16"])
+def test_bad_precision_env_var_exits_2(capsys, monkeypatch, value):
+    monkeypatch.setenv("LEVELRANK_PRECISION", value)
+    code, _, err = run(capsys, "smatrix", "2", "1")
+    assert code == 2
+    assert "LEVELRANK_PRECISION" in err
+
+
+def test_verify_has_no_precision_option():
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "golden", "--precision", "64"])
+    assert err.value.code == 2
+
+
 def test_qdim_float_precision_validated(capsys):
     code, _, err = run(capsys, "qdim", "2", "2", "[1,1]", "--backend", "float",
                        "--precision", "16")

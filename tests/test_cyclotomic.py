@@ -6,6 +6,7 @@ import pytest
 
 from levelrank.cyclotomic import (
     CyclotomicNumber,
+    IntegralPacking,
     conductor_for,
     cyclotomic_polynomial,
     euler_phi,
@@ -69,6 +70,31 @@ def test_rational_coercion():
     x = CyclotomicNumber.from_rational(10, Fraction(3, 4))
     assert x + 1 == CyclotomicNumber.from_rational(10, Fraction(7, 4))
     assert (2 * x).as_rational() == Fraction(3, 2)
+
+
+def test_rational_elements_hash_like_their_value():
+    one = CyclotomicNumber.one(8)
+    assert one == 1 and hash(one) == hash(1)
+    assert len({one, 1}) == 1
+    x = CyclotomicNumber.from_rational(10, Fraction(3, 4))
+    assert {Fraction(3, 4): "found"}[x] == "found"
+    assert hash(CyclotomicNumber.zeta(8)) == hash(CyclotomicNumber.zeta(8, 9))
+
+
+def test_integral_packing_decides_products_exactly():
+    rng = random.Random(11)
+    for N in (8, 12, 28, 54):
+        xs = [CyclotomicNumber(N, [rng.randint(-5, 5) for _ in range(euler_phi(N))])
+              for _ in range(4)]
+        norm = max(IntegralPacking.norm(x) for x in xs)
+        packing = IntegralPacking(N, 2 * norm * norm + 1)
+        for x, y in zip(xs, xs[1:]):
+            product = packing.pack(x) * packing.pack(y)
+            assert packing.is_zero(product - packing.pack(x * y))
+            assert not packing.is_zero(product - packing.pack(x * y + 1))
+            assert packing.is_zero(packing.pack(x, conjugate=True) - packing.pack(x.conjugate()))
+    with pytest.raises(ValueError):
+        IntegralPacking.norm(CyclotomicNumber(8, (1, 1), 2))
 
 
 def test_qint_basics():

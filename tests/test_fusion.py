@@ -106,11 +106,35 @@ def test_vacuum_row_coefficients():
             assert fusion_coefficient(v, b, c) == (1 if b == c else 0)
 
 
-@pytest.mark.parametrize("n,m", [(2, 2), (2, 3), (3, 2)])
+@pytest.mark.parametrize("n,m", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 3), (3, 4)])
 def test_verlinde(n, m):
     verdict = verlinde_check(n, m)
     assert verdict.agrees, verdict
     assert verdict.max_residual < 1e-6
+
+
+def test_verlinde_reports_a_wrong_coefficient(monkeypatch):
+    """One fusion coefficient off by one is a counterexample naming its
+    pair, not an exception."""
+    import levelrank.fusion as fusion_module
+
+    a, b = LevelWeight((1, 1, 0)), LevelWeight((1, 0, 1))
+    bumped = LevelWeight((0, 1, 1))
+
+    def wrong_fuse(x, y):
+        dec = fuse(x, y)
+        if {x, y} == {a, b}:
+            terms = dict(dec.terms)
+            terms[bumped] = terms.get(bumped, 0) + 1
+            return Decomposition(x.rank, x.level, terms)
+        return dec
+
+    monkeypatch.setattr(fusion_module, "fuse", wrong_fuse)
+    verdict = verlinde_check(3, 2)
+    assert not verdict.agrees
+    x, y, d, lhs, rhs = verdict.failure
+    assert {x, y} == {a, b}
+    assert lhs != rhs
 
 
 def test_decomposition_rejects_bad_terms():

@@ -2,10 +2,12 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from levelrank.cyclotomic import CyclotomicNumber
 from levelrank.qdim import qdim_weight
 from levelrank.smatrix import (
-    PrecisionError,
     SMatrixData,
     category_central_charge,
     central_charge,
@@ -106,6 +108,26 @@ def test_determinant_path_matches_permutation_path():
         for idx in range(6):
             ratio = data.entries[0][idx] / data.entries[0][0]
             assert abs(ratio - 1) < 1e-25  # all level-1 objects are invertible
+
+
+@settings(max_examples=6, deadline=None)
+@given(n=st.integers(2, 4), m=st.integers(1, 4))
+@example(n=6, m=1)
+@example(n=6, m=2)
+def test_exact_matrix_is_symmetric_and_unitary(n, m):
+    """M = M^T and M M^dagger = n (n+m)^(n-1) I, by plain field arithmetic."""
+    data = s_matrix(n, m)
+    M = data.exact
+    size = len(M)
+    scale = n * (n + m) ** (n - 1)
+    conj = [[z.conjugate() for z in row] for row in M]
+    for a in range(size):
+        for b in range(size):
+            assert M[a][b] == M[b][a]
+            total = sum((M[a][c] * conj[b][c] for c in range(size)),
+                        CyclotomicNumber.zero(n * (n + m)))
+            assert total == (scale if a == b else 0)
+    assert data.unitarity_residual() == 0
 
 
 def test_precision_validation():
