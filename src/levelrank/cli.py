@@ -5,7 +5,8 @@ Weight literals are comma-separated components in square brackets, for
 example [1,0,0,1,1,0]; partition literals use parentheses, (3,1).
 
 Exit status: 0 on success or a fully verified sweep, 1 when a verification
-finds a counterexample, 2 on usage errors.
+finds a counterexample, 2 on usage errors, 3 on an internal error (any other
+exception, reported with its traceback).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 
 import mpmath
 
@@ -276,6 +278,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, KeyError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a crash must not read as a counterexample
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

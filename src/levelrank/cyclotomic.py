@@ -410,6 +410,7 @@ class IntegralPacking:
 # -- quantum integers --------------------------------------------------------
 
 _qint_cache: dict[tuple[int, int], CyclotomicNumber] = {}
+_qint_inverse_cache: dict[tuple[int, int], CyclotomicNumber] = {}
 
 
 def conductor_for(n: int, m: int) -> int:
@@ -438,6 +439,17 @@ def qint(i: int, n: int, m: int) -> CyclotomicNumber:
         coeffs[(i - 1 - 2 * j) % N] += 1
     value = CyclotomicNumber(N, coeffs)
     return _qint_cache.setdefault(key, value)
+
+
+def qint_inverse(i: int, n: int, m: int) -> CyclotomicNumber:
+    """1 / qint(i, n, m), inverted once per conductor and index and cached
+    like ``qint``. Raises ZeroDivisionError when n + m divides i."""
+    N = conductor_for(n, m)
+    key = (N, i % N)
+    cached = _qint_inverse_cache.get(key)
+    if cached is not None:
+        return cached
+    return _qint_inverse_cache.setdefault(key, qint(i, n, m).inverse())
 
 
 def qint_real(i: int, n: int, m: int):

@@ -9,16 +9,27 @@ with quantum integers taken for the pair (n, m). Category and graded totals
 are sums of squared dimensions. Everything is exact by default; a floating
 backend evaluates the same products as sine ratios at the current mpmath
 precision.
+
+The exact route cancels before it multiplies. With kappa = n + m, every
+content index n + c and every hook lies in 1 .. kappa - 1, where [k] is
+nonzero and [kappa - k] = [k] holds exactly; each index is therefore folded
+to min(k, kappa - k). Equal indices then cancel between numerator and
+denominator, and [1] = 1 is dropped. What is left of the numerator is
+multiplied out, and each denominator factor contributes the cached inverse
+``qint_inverse(k)``, inverted once per conductor and index, so no product is
+ever inverted. ``qdim_product_string`` shows the same cancellation on the
+literal indices, without the folding.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from typing import Iterable
 
 import mpmath
 
-from .cyclotomic import CyclotomicNumber, conductor_for, qint, qint_real
+from .cyclotomic import CyclotomicNumber, conductor_for, qint, qint_inverse, qint_real
 from .partitions import Partition
 from .weights import LevelWeight, enumerate_graded, enumerate_weights
 
@@ -35,6 +46,18 @@ def hook_content_factors(lam: Partition, n: int) -> tuple[list[int], list[int]]:
     return nums, dens
 
 
+def _cancel(nums: Iterable[int], dens: Iterable[int]) -> tuple[Counter, Counter]:
+    """Numerator and denominator index multisets with equal indices cancelled
+    and [1] = 1 dropped."""
+    num_count, den_count = Counter(nums), Counter(dens)
+    common = num_count & den_count
+    num_count -= common
+    den_count -= common
+    num_count.pop(1, None)
+    den_count.pop(1, None)
+    return num_count, den_count
+
+
 def qdim_partition(lam: Partition, n: int, m: int, backend: str = "exact"):
     """Quantum dimension of the simple object labelled by ``lam``."""
     if not lam.fits_in(n, m):
@@ -47,14 +70,16 @@ def qdim_partition(lam: Partition, n: int, m: int, backend: str = "exact"):
     cached = _qdim_cache.get(key)
     if cached is not None:
         return cached
+    kappa = n + m
     nums, dens = hook_content_factors(lam, n)
-    num = CyclotomicNumber.one(conductor_for(n, m))
-    for k in nums:
-        num = num * qint(k, n, m)
-    den = CyclotomicNumber.one(conductor_for(n, m))
-    for k in dens:
-        den = den * qint(k, n, m)
-    value = num / den
+    num_count, den_count = _cancel(
+        (min(k, kappa - k) for k in nums), (min(k, kappa - k) for k in dens)
+    )
+    value = CyclotomicNumber.one(conductor_for(n, m))
+    for k in num_count.elements():
+        value = value * qint(k, n, m)
+    for k in den_count.elements():
+        value = value * qint_inverse(k, n, m)
     return _qdim_cache.setdefault(key, value)
 
 
@@ -78,26 +103,25 @@ def qdim_weight(a: LevelWeight, backend: str = "exact"):
     return qdim_partition(a.to_partition(), a.rank, a.level, backend=backend)
 
 
-def graded_dim(n: int, m: int, i: int, backend: str = "exact"):
-    """Sum of squared dimensions over the weights of degree i mod n."""
-    if backend == "float":
-        return sum(qdim_weight(a, "float") ** 2 for a in enumerate_graded(n, m, i))
-    total = CyclotomicNumber.zero(conductor_for(n, m))
-    for a in enumerate_graded(n, m, i):
-        d = qdim_weight(a)
+def _squared_total(weights: Iterable[LevelWeight], n: int, m: int, backend: str):
+    """Sum of squared dimensions of ``weights``: a ``CyclotomicNumber`` for the
+    exact backend, an mpmath real for the float one. Squares are taken as
+    ``d * d``: ``CyclotomicNumber.__pow__`` spends three products on one."""
+    total = CyclotomicNumber.zero(conductor_for(n, m)) if backend == "exact" else 0
+    for a in weights:
+        d = qdim_weight(a, backend)
         total = total + d * d
     return total
+
+
+def graded_dim(n: int, m: int, i: int, backend: str = "exact"):
+    """Sum of squared dimensions over the weights of degree i mod n."""
+    return _squared_total(enumerate_graded(n, m, i), n, m, backend)
 
 
 def category_dim(n: int, m: int, backend: str = "exact"):
     """Sum of squared dimensions over all rank-n level-m weights."""
-    if backend == "float":
-        return sum(qdim_weight(a, "float") ** 2 for a in enumerate_weights(n, m))
-    total = CyclotomicNumber.zero(conductor_for(n, m))
-    for a in enumerate_weights(n, m):
-        d = qdim_weight(a)
-        total = total + d * d
-    return total
+    return _squared_total(enumerate_weights(n, m), n, m, backend)
 
 
 @dataclass
@@ -129,9 +153,7 @@ class DimensionReport:
 
 def dimension_report(n: int, m: int) -> DimensionReport:
     dims = {a: qdim_weight(a) for a in enumerate_weights(n, m)}
-    total = CyclotomicNumber.zero(conductor_for(n, m))
-    for d in dims.values():
-        total = total + d * d
+    total = category_dim(n, m)
     graded = {i: graded_dim(n, m, i) for i in range(n)}
     return DimensionReport(n=n, m=m, dims=dims, total=total, graded=graded)
 
@@ -140,13 +162,7 @@ def qdim_product_string(lam: Partition, n: int) -> str:
     """The hook-content product with matching factors cancelled, e.g.
     ``[7][5]^2``. Only literally equal indices are cancelled, so the string
     shows the same indices a hand computation would keep."""
-    nums, dens = hook_content_factors(lam, n)
-    num_count = Counter(nums)
-    den_count = Counter(dens)
-    common = num_count & den_count
-    num_count -= common
-    den_count -= common
-    den_count.pop(1, None)  # [1] = 1
+    num_count, den_count = _cancel(*hook_content_factors(lam, n))
 
     def fmt(counter: Counter) -> str:
         pieces = []

@@ -200,3 +200,17 @@ def test_qdim_float_precision_validated(capsys):
     code, _, err = run(capsys, "qdim", "2", "2", "[1,1]", "--backend", "float",
                        "--precision", "16")
     assert code == 2
+
+
+@pytest.mark.parametrize("error", [ArithmeticError, AssertionError])
+def test_internal_error_exits_3(capsys, monkeypatch, error):
+    """A crash inside a check is an internal error, not a counterexample."""
+    from levelrank import fusion
+
+    def broken(n, m):
+        raise error("M_0d vanished")
+
+    monkeypatch.setattr(fusion, "verlinde_check", broken)
+    code, _, err = run(capsys, "verify", "verlinde")
+    assert code == 3
+    assert err.splitlines()[-1] == f"internal error: {error.__name__}: M_0d vanished"

@@ -11,6 +11,7 @@ from levelrank.cyclotomic import (
     cyclotomic_polynomial,
     euler_phi,
     qint,
+    qint_inverse,
     qint_real,
 )
 
@@ -196,3 +197,19 @@ def test_concurrent_cache_fills():
         values = list(pool.map(lambda i: qint(i % 9, 4, 5), range(64)))
     for i, v in enumerate(values):
         assert v == qint(i % 9, 4, 5)
+
+
+@pytest.mark.parametrize("n,m", [(2, 2), (3, 4), (5, 3), (7, 7)])
+def test_qint_reflection(n, m):
+    """[k] = [n+m-k] exactly for 1 <= k < n+m."""
+    for k in range(1, n + m):
+        assert qint(k, n, m) == qint(n + m - k, n, m)
+
+
+def test_qint_inverse_cached_and_exact():
+    for k in range(1, 9):
+        inv = qint_inverse(k, 4, 5)
+        assert inv * qint(k, 4, 5) == 1
+        assert qint_inverse(k, 4, 5) is inv
+    with pytest.raises(ZeroDivisionError):
+        qint_inverse(9, 4, 5)

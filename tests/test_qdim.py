@@ -1,7 +1,10 @@
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from levelrank.cyclotomic import qint
+from levelrank import cyclotomic, qdim
+from levelrank.cyclotomic import CyclotomicNumber, conductor_for, qint
 from levelrank.partitions import Partition, enumerate_rectangle
 from levelrank.qdim import (
     category_dim,
@@ -138,3 +141,46 @@ def test_dimension_report_consistency():
 def test_product_string_golden():
     assert qdim_product_string(Partition((4, 3, 1)), 4) == "[7][5]^2"
     assert qdim_product_string(Partition(), 3) == "1"
+
+
+def field_product(lam, n, m):
+    """The hook-content product by plain field arithmetic, with no folding,
+    no cancellation and one division at the end."""
+    num = CyclotomicNumber.one(conductor_for(n, m))
+    den = CyclotomicNumber.one(conductor_for(n, m))
+    for i, j in lam.cells():
+        num = num * qint(n + lam.content(i, j), n, m)
+        den = den * qint(lam.hook_length(i, j), n, m)
+    return num / den
+
+
+@pytest.mark.parametrize("n,m", [(3, 4), (4, 4), (5, 3), (6, 2)])
+def test_cancelled_route_matches_field_product(n, m):
+    for lam in enumerate_rectangle(n, m):
+        assert qdim_partition(lam, n, m) == field_product(lam, n, m), lam
+
+
+@settings(max_examples=8, deadline=None)
+@given(n=st.integers(2, 5), m=st.integers(1, 5), data=st.data())
+def test_cancelled_route_matches_field_product_property(n, m, data):
+    lam = data.draw(st.sampled_from(enumerate_rectangle(n, m)))
+    assert qdim_partition(lam, n, m) == field_product(lam, n, m)
+
+
+def test_cold_box_inverts_each_quantum_integer_once(monkeypatch):
+    """A cold (5, 4) box inverts at most one quantum integer per folded
+    index 2 .. (n+m)//2, however many partitions share it."""
+    n, m = 5, 4
+    monkeypatch.setattr(qdim, "_qdim_cache", {})
+    monkeypatch.setattr(cyclotomic, "_qint_inverse_cache", {})
+    calls = []
+    original = CyclotomicNumber.inverse
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(CyclotomicNumber, "inverse", counting)
+    for lam in enumerate_rectangle(n, m):
+        qdim_partition(lam, n, m)
+    assert 0 < len(calls) <= (n + m) // 2

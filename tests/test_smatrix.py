@@ -100,8 +100,8 @@ def test_simple_current_row_symmetry(n, m):
                 assert abs(lhs - rhs) < 1e-25
 
 
-def test_determinant_path_matches_permutation_path():
-    # rank 6 exercises the determinant evaluation; level 1 keeps it small
+def test_rank_six_level_one_dimension_ratios_are_one():
+    # rank 6 (720 Weyl permutations per entry); level 1 keeps it small
     data = s_matrix(6, 1)
     assert data.unitarity_residual() < 1e-10
     with mpmath.workprec(128):
