@@ -171,8 +171,10 @@ def _cmd_mirror(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.bound is not None and args.bound < 2:
+        raise ValueError(f"--bound must be at least 2, got {args.bound}")
     names = verify.default_suite_names() if args.suite == "all" else [args.suite]
-    results = verify.run_suites(names, bound=args.bound, jobs=args.jobs)
+    results = verify.run_suites(names, bound=args.bound)
     failures = [r for r in results if not r.passed]
     for r in results:
         print(r.line())
@@ -262,8 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a named verification suite (or 'all')")
     p.add_argument("suite", choices=sorted(verify.SUITES) + ["all"])
     p.add_argument("--bound", type=int, default=None,
-                   help="sweep bound for rank and level (suite defaults otherwise)")
-    p.add_argument("--jobs", type=int, default=1, help="parallel sweep degree")
+                   help="sweep bound for rank and level, at least 2 (suite defaults otherwise)")
     common(p)
     p.set_defaults(func=_cmd_verify)
 

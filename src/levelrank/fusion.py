@@ -23,6 +23,7 @@ from __future__ import annotations
 from .cyclotomic import CyclotomicNumber, conductor_for
 from .partitions import Partition
 from .qdim import qdim_weight
+from .smatrix import perm_sign
 from .symfunc import lr_expand
 from .weights import LevelWeight, enumerate_weights, from_partition
 
@@ -116,21 +117,7 @@ def _sort_sign(seq: list[int]) -> int:
     """Sign of the permutation that sorts ``seq`` into decreasing order
     (callers guarantee distinct entries up to wall detection; ties here get
     resolved arbitrarily and are caught by the duplicate check afterwards)."""
-    indexed = sorted(range(len(seq)), key=lambda k: -seq[k])
-    sign = 1
-    seen = [False] * len(seq)
-    for start in range(len(seq)):
-        if seen[start]:
-            continue
-        length = 0
-        k = start
-        while not seen[k]:
-            seen[k] = True
-            k = indexed[k]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    return perm_sign(sorted(range(len(seq)), key=lambda k: -seq[k]))
 
 
 def fuse(a: LevelWeight, b: LevelWeight) -> Decomposition:

@@ -22,6 +22,7 @@ entries of S are floating point, at a configurable binary precision.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
@@ -170,7 +171,7 @@ def _exponent_histograms(n: int, coords: list[tuple[int, ...]], conductor: int) 
     """Upper triangle of M: entry e of the (i, j) histogram is the signed
     count of permutations w with -n <w(y_i), y_j> = e modulo the conductor,
     so that M_ij = sum_e hist[e] zeta^e."""
-    signed = [(_perm_sign(p), p) for p in permutations(range(n))]
+    signed = [(perm_sign(p), p) for p in permutations(range(n))]
     out = {}
     for i, ya in enumerate(coords):
         permuted = [(sign, [ya[k] for k in p]) for sign, p in signed]
@@ -185,7 +186,8 @@ def _exponent_histograms(n: int, coords: list[tuple[int, ...]], conductor: int) 
     return out
 
 
-def _perm_sign(perm: tuple[int, ...]) -> int:
+def perm_sign(perm: Sequence[int]) -> int:
+    """Sign of a permutation of 0..len-1, from the parity of its even cycles."""
     sign = 1
     seen = [False] * len(perm)
     for start in range(len(perm)):

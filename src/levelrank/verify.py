@@ -1,15 +1,15 @@
 """Named verification suites over configurable sweep bounds.
 
 Each suite returns a list of CheckResult records; a suite passes when every
-record does. Sweeps are embarrassingly parallel and can fan out over a
-thread pool; results are assembled in task order, so output is deterministic
-regardless of completion order.
+record does. A suite sweeps its cases in order, one after another, so the
+output is deterministic. Suites with a ``bound`` parameter take the
+``--bound`` override of ``levelrank verify``; the rest have fixed case lists.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -32,22 +32,26 @@ class CheckResult:
         return f"[{mark}] {self.suite}: {self.name}{extra}"
 
 
-def _run_tasks(tasks: Iterable[Callable[[], CheckResult]], jobs: int = 1) -> list[CheckResult]:
-    tasks = list(tasks)
-    if jobs <= 1:
-        return [t() for t in tasks]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(lambda t: t(), tasks))
-
-
 def _pairs(bound: int) -> list[tuple[int, int]]:
     return [(n, m) for n in range(2, bound + 1) for m in range(2, bound + 1)]
+
+
+def _verdicts(
+    suite: str, cases: Iterable[tuple[int, int]], check: Callable[[int, int], object]
+) -> list[CheckResult]:
+    """One record per case from the verdict ``check(n, m)``: it passes when
+    the verdict is truthy, and its repr is the detail."""
+    results = []
+    for n, m in cases:
+        v = check(n, m)
+        results.append(CheckResult(suite, f"n={n} m={m}", bool(v), repr(v)))
+    return results
 
 
 # -- suites ---------------------------------------------------------------------
 
 
-def suite_tau(bound: int = 6, jobs: int = 1) -> list[CheckResult]:
+def suite_tau(bound: int = 6) -> list[CheckResult]:
     """Bijectivity and involutivity of the duality map, independence of the
     partition preimage, compatibility with duals and with rotation."""
 
@@ -81,12 +85,10 @@ def suite_tau(bound: int = 6, jobs: int = 1) -> list[CheckResult]:
                 return CheckResult("tau", f"degree-rotation n={n} m={m}", False, str(a))
         return CheckResult("tau", f"n={n} m={m} all classes", True)
 
-    return _run_tasks(
-        [lambda n=n, m=m: check_pair(n, m) for n, m in _pairs(bound)], jobs
-    )
+    return [check_pair(n, m) for n, m in _pairs(bound)]
 
 
-def suite_exhaustion(bound: int = 5, jobs: int = 1) -> list[CheckResult]:
+def suite_exhaustion(bound: int = 5) -> list[CheckResult]:
     """Exact dimension exhaustion of every branching table."""
 
     def check_pair(n: int, m: int) -> CheckResult:
@@ -96,12 +98,10 @@ def suite_exhaustion(bound: int = 5, jobs: int = 1) -> list[CheckResult]:
                 return CheckResult("exhaustion", f"n={n} m={m} i={i}", False, repr(v))
         return CheckResult("exhaustion", f"n={n} m={m} all i exact", True)
 
-    return _run_tasks(
-        [lambda n=n, m=m: check_pair(n, m) for n, m in _pairs(bound)], jobs
-    )
+    return [check_pair(n, m) for n, m in _pairs(bound)]
 
 
-def suite_branch(bound: int = 4, jobs: int = 1) -> list[CheckResult]:
+def suite_branch(bound: int = 4) -> list[CheckResult]:
     """Structural facts about the tables: multiplicity-freeness, degree
     bookkeeping of right factors, presence of every partition-route pair, and
     the two invertible-object pairs."""
@@ -133,12 +133,10 @@ def suite_branch(bound: int = 4, jobs: int = 1) -> list[CheckResult]:
             return CheckResult("branch", f"sigma pair m n={n} m={m}", False)
         return CheckResult("branch", f"n={n} m={m} structure", True)
 
-    return _run_tasks(
-        [lambda n=n, m=m: check_pair(n, m) for n, m in _pairs(bound)], jobs
-    )
+    return [check_pair(n, m) for n, m in _pairs(bound)]
 
 
-def suite_cauchy(bound: int = 3, jobs: int = 1) -> list[CheckResult]:
+def suite_cauchy(bound: int = 3) -> list[CheckResult]:
     """Exact polynomial skew Cauchy identity, for all n, m up to the bound
     (capped at 3) in every degree, plus the wide rectangle (2, 4)."""
     cases = [(n, m) for n, m in _pairs(min(bound, 3))]
@@ -152,10 +150,10 @@ def suite_cauchy(bound: int = 3, jobs: int = 1) -> list[CheckResult]:
                 return CheckResult("cauchy", f"n={n} m={m} i={i}", False, repr(v))
         return CheckResult("cauchy", f"n={n} m={m} all degrees exact", True)
 
-    return _run_tasks([lambda n=n, m=m: check_pair(n, m) for n, m in cases], jobs)
+    return [check_pair(n, m) for n, m in cases]
 
 
-def suite_rotation(bound: int = 4, jobs: int = 1) -> list[CheckResult]:
+def suite_rotation(bound: int = 4) -> list[CheckResult]:
     """Fusing with the invertible object rotates the highest weight."""
 
     def check_pair(n: int, m: int) -> CheckResult:
@@ -164,12 +162,10 @@ def suite_rotation(bound: int = 4, jobs: int = 1) -> list[CheckResult]:
                 return CheckResult("rotation", f"n={n} m={m}", False, str(a))
         return CheckResult("rotation", f"n={n} m={m} all weights", True)
 
-    return _run_tasks(
-        [lambda n=n, m=m: check_pair(n, m) for n, m in _pairs(bound)], jobs
-    )
+    return [check_pair(n, m) for n, m in _pairs(bound)]
 
 
-def suite_level1(bound: int = 10, jobs: int = 1) -> list[CheckResult]:
+def suite_level1(bound: int = 10) -> list[CheckResult]:
     """Cyclic fusion of the level-1 objects and total dimension N."""
 
     def check_rank(N: int) -> CheckResult:
@@ -183,23 +179,17 @@ def suite_level1(bound: int = 10, jobs: int = 1) -> list[CheckResult]:
             return CheckResult("level1", f"N={N} total dimension", False, repr(total))
         return CheckResult("level1", f"N={N} cyclic fusion and dimension", True)
 
-    return _run_tasks([lambda N=N: check_rank(N) for N in range(2, bound + 1)], jobs)
+    return [check_rank(N) for N in range(2, bound + 1)]
 
 
 def suite_verlinde(
     cases: tuple[tuple[int, int], ...] = ((2, 2), (2, 3), (3, 2), (2, 4), (3, 3)),
-    jobs: int = 1,
 ) -> list[CheckResult]:
     """Combinatorial fusion against the exact S-matrix relation."""
-
-    def check_pair(n: int, m: int) -> CheckResult:
-        v = fusion.verlinde_check(n, m)
-        return CheckResult("verlinde", f"n={n} m={m}", bool(v), repr(v))
-
-    return _run_tasks([lambda n=n, m=m: check_pair(n, m) for n, m in cases], jobs)
+    return _verdicts("verlinde", cases, fusion.verlinde_check)
 
 
-def suite_cc(bound: int = 50, jobs: int = 1) -> list[CheckResult]:
+def suite_cc(bound: int = 50) -> list[CheckResult]:
     """Exact equality of the two central charges at level 1, and the
     detected inequality at level 2."""
     results = []
@@ -224,18 +214,12 @@ def suite_cc(bound: int = 50, jobs: int = 1) -> list[CheckResult]:
 
 def suite_equivalence(
     cases: tuple[tuple[int, int], ...] = ((2, 3), (3, 2), (2, 4), (2, 5)),
-    jobs: int = 1,
 ) -> list[CheckResult]:
     """Fusion coefficients are preserved by the degree-zero transport."""
-
-    def check_pair(n: int, m: int) -> CheckResult:
-        v = branching.verify_equivalence_fusion(n, m)
-        return CheckResult("equivalence", f"n={n} m={m}", bool(v), repr(v))
-
-    return _run_tasks([lambda n=n, m=m: check_pair(n, m) for n, m in cases], jobs)
+    return _verdicts("equivalence", cases, branching.verify_equivalence_fusion)
 
 
-def suite_mirror(jobs: int = 1) -> list[CheckResult]:
+def suite_mirror() -> list[CheckResult]:
     """Transport of the two-summand algebra object of rank 2 level 10, with
     its exactly integral transported conformal weight."""
     a = LevelWeight((4, 6))
@@ -253,16 +237,13 @@ def suite_mirror(jobs: int = 1) -> list[CheckResult]:
 
 def suite_traceform(
     cases: tuple[tuple[int, int], ...] = ((2, 2), (2, 3), (3, 2), (3, 3)),
-    jobs: int = 1,
 ) -> list[CheckResult]:
-    def check_pair(n: int, m: int) -> CheckResult:
-        v = branching.verify_trace_form(n, m)
-        return CheckResult("traceform", f"n={n} m={m}", bool(v), repr(v))
-
-    return _run_tasks([lambda n=n, m=m: check_pair(n, m) for n, m in cases], jobs)
+    """The trace form of sl(nm) restricts to m and n times those of sl(n) and
+    sl(m) on the embedded blocks, with vanishing cross terms."""
+    return _verdicts("traceform", cases, branching.verify_trace_form)
 
 
-def suite_cardinality(bound: int = 8, jobs: int = 1) -> list[CheckResult]:
+def suite_cardinality(bound: int = 8) -> list[CheckResult]:
     """Weight counts match the binomial formula; rectangle counts too."""
     results = []
     ok = True
@@ -279,19 +260,12 @@ def suite_cardinality(bound: int = 8, jobs: int = 1) -> list[CheckResult]:
     return results
 
 
-def suite_twist(bound: int = 4, jobs: int = 1) -> list[CheckResult]:
+def suite_twist(bound: int = 4) -> list[CheckResult]:
     """Exact pairing of conformal weights across the duality."""
-
-    def check_pair(n: int, m: int) -> CheckResult:
-        v = smatrix.twist_pairing_check(n, m)
-        return CheckResult("twist", f"n={n} m={m}", bool(v), repr(v))
-
-    return _run_tasks(
-        [lambda n=n, m=m: check_pair(n, m) for n, m in _pairs(bound)], jobs
-    )
+    return _verdicts("twist", _pairs(bound), smatrix.twist_pairing_check)
 
 
-def suite_grading(bound: int = 4, jobs: int = 1) -> list[CheckResult]:
+def suite_grading(bound: int = 4) -> list[CheckResult]:
     """Fusion respects the degree grading."""
 
     def check_pair(n: int, m: int) -> CheckResult:
@@ -300,12 +274,10 @@ def suite_grading(bound: int = 4, jobs: int = 1) -> list[CheckResult]:
             "grading", f"n={n} m={m}", not bad, f"{len(bad)} violations" if bad else ""
         )
 
-    return _run_tasks(
-        [lambda n=n, m=m: check_pair(n, m) for n, m in _pairs(bound)], jobs
-    )
+    return [check_pair(n, m) for n, m in _pairs(bound)]
 
 
-def suite_golden(jobs: int = 1) -> list[CheckResult]:
+def suite_golden() -> list[CheckResult]:
     """Hand-checkable values: the 10-summand degree-zero table of (3, 6), the
     class-13 pair, and the hook-content product of (4,3,1) at rank 4."""
     results = []
@@ -347,21 +319,19 @@ SUITES: dict[str, Callable[..., list[CheckResult]]] = {
     "grading": suite_grading,
 }
 
-# sweeps that honour a --bound override; the rest have fixed case lists
-_BOUNDED = {"tau", "branch", "exhaustion", "cauchy", "rotation", "level1",
-            "cc", "cardinality", "twist", "grading"}
 
-
-def run_suites(names: list[str], bound: int | None = None, jobs: int = 1) -> list[CheckResult]:
+def run_suites(names: list[str], bound: int | None = None) -> list[CheckResult]:
+    """Run the named suites in order; ``bound`` overrides the sweep bound of
+    every suite that has a ``bound`` parameter."""
     results: list[CheckResult] = []
     for name in names:
         if name not in SUITES:
             raise KeyError(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
         fn = SUITES[name]
-        kwargs: dict = {"jobs": jobs}
-        if name in _BOUNDED and bound is not None:
-            kwargs["bound"] = bound
-        results.extend(fn(**kwargs))
+        if bound is not None and "bound" in inspect.signature(fn).parameters:
+            results.extend(fn(bound=bound))
+        else:
+            results.extend(fn())
     return results
 
 

@@ -114,22 +114,6 @@ def from_partition(lam: Partition, n: int, m: int) -> LevelWeight:
     return LevelWeight(comps)
 
 
-def to_partition(a: LevelWeight) -> Partition:
-    return a.to_partition()
-
-
-def degree(a: LevelWeight) -> int:
-    return a.degree()
-
-
-def rotate(a: LevelWeight, power: int = 1) -> LevelWeight:
-    return a.rotate(power)
-
-
-def dual(a: LevelWeight) -> LevelWeight:
-    return a.dual()
-
-
 def tau(a: LevelWeight, i: int) -> LevelWeight:
     """The duality image of ``a`` in the class of degree ``i``.
 
@@ -139,17 +123,9 @@ def tau(a: LevelWeight, i: int) -> LevelWeight:
     partition of ``a``; the exponent is an exact integer. The result depends
     on i only modulo n*m.
     """
-    n, m = a.rank, a.level
-    if m < 2:
+    if a.level < 2:
         raise ValueError("tau needs level at least 2 (the target rank)")
-    i = i % (n * m)
-    lam = a.to_partition()
-    if (i - lam.size) % n != 0:
-        raise ValueError(
-            f"degree mismatch: weight has degree {a.degree()} (mod {n}), got i={i}"
-        )
-    power = (i - lam.size) // n
-    return from_partition(lam.transpose(), m, n).rotate(power)
+    return tau_from_partition(a.to_partition(), a.rank, a.level, i)
 
 
 def tau_from_partition(lam: Partition, n: int, m: int, i: int) -> LevelWeight:
@@ -158,7 +134,7 @@ def tau_from_partition(lam: Partition, n: int, m: int, i: int) -> LevelWeight:
         raise ValueError(f"{lam!r} does not fit in a {m} x {n} rectangle")
     i = i % (n * m)
     if (i - lam.size) % n != 0:
-        raise ValueError(f"|lam| = {lam.size} is not congruent to {i} mod {n}")
+        raise ValueError(f"degree mismatch: |lam| = {lam.size} is not congruent to i={i} mod {n}")
     power = (i - lam.size) // n
     return from_partition(lam.transpose(), m, n).rotate(power)
 

@@ -151,9 +151,25 @@ def test_verify_suite_passes(capsys):
 
 
 def test_verify_all_small_bound(capsys):
-    code, out, _ = run(capsys, "verify", "all", "--bound", "2", "--jobs", "2")
+    code, out, _ = run(capsys, "verify", "all", "--bound", "2")
     assert code == 0
     assert "[FAIL]" not in out
+
+
+def test_verify_has_no_jobs_option():
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "all", "--jobs", "2"])
+    assert err.value.code == 2
+
+
+@pytest.mark.parametrize("suite", ["exhaustion", "cardinality", "golden"])
+@pytest.mark.parametrize("bound", ["1", "0", "-3"])
+def test_verify_bound_below_two_exits_2(capsys, suite, bound):
+    """A bound below 2 would sweep nothing and pass vacuously."""
+    code, out, err = run(capsys, "verify", suite, "--bound", bound)
+    assert code == 2
+    assert "--bound" in err
+    assert out == ""
 
 
 def test_unknown_suite_exits_2(capsys):

@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 
 from levelrank.fusion import (
@@ -8,6 +10,7 @@ from levelrank.fusion import (
     grading_violations,
     rotation_check,
     verlinde_check,
+    _sort_sign,
 )
 from levelrank.qdim import qdim_weight
 from levelrank.weights import LevelWeight, enumerate_weights, from_partition
@@ -161,3 +164,10 @@ def test_concurrent_fusion_cache():
         results = list(pool.map(lambda p: fuse(*p), pairs))
     for (a, b), dec in zip(pairs, results):
         assert dec == fuse(a, b)
+
+
+def test_sort_sign_is_the_parity_of_the_inversions():
+    for size in range(6):
+        for seq in permutations(range(size)):
+            inversions = sum(seq[i] < seq[j] for i in range(size) for j in range(i + 1, size))
+            assert _sort_sign(list(seq)) == (-1) ** inversions, seq
