@@ -21,6 +21,7 @@ from .partitions import Partition, ascii_diagram, enumerate_rectangle, hooks_and
 from .qdim import category_dim, dimension_report, graded_dim, qdim_partition, qdim_weight
 from .smatrix import SMatrixData, central_charge, conformal_weight, s_matrix
 from .symfunc import SymPolynomial, lr_expand, schur, verify_skew_cauchy
+from .verdict import Verdict
 from .weights import LevelWeight, enumerate_graded, enumerate_weights, from_partition, tau
 
 __version__ = "0.1.0"
@@ -33,6 +34,7 @@ __all__ = [
     "Partition",
     "SMatrixData",
     "SymPolynomial",
+    "Verdict",
     "ascii_diagram",
     "branch",
     "category_dim",

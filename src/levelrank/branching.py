@@ -20,6 +20,7 @@ from .cyclotomic import CyclotomicNumber, conductor_for
 from .fusion import fuse
 from .partitions import Partition
 from .qdim import graded_dim, qdim_weight
+from .verdict import Verdict
 from .weights import LevelWeight, enumerate_graded, tau
 
 
@@ -80,47 +81,26 @@ def etale_vacuum_algebra(n: int, m: int) -> BranchingTable:
     return branch(n, m, 0)
 
 
-@dataclass
-class ExhaustionVerdict:
-    """Exact comparison of the paired dimension sum against the graded total."""
-
-    n: int
-    m: int
-    i: int
-    paired_sum: CyclotomicNumber
-    graded_total: CyclotomicNumber
-
-    @property
-    def holds(self) -> bool:
-        return self.paired_sum == self.graded_total
-
-    def __bool__(self) -> bool:
-        return self.holds
-
-    def difference(self) -> CyclotomicNumber:
-        return self.paired_sum - self.graded_total
-
-    def __repr__(self) -> str:
-        status = "exact" if self.holds else f"off by {self.difference()!r}"
-        return f"ExhaustionVerdict(n={self.n}, m={self.m}, i={self.i}: {status})"
-
-
-def verify_exhaustion(n: int, m: int, i: int) -> ExhaustionVerdict:
+def verify_exhaustion(n: int, m: int, i: int) -> Verdict:
     """Check, with exact cyclotomic arithmetic, that the summands of the
     branching table exhaust the graded dimension:
 
         sum over a of degree i of qdim(a) * qdim(tau_i(a)) = graded total.
 
     The left factor is computed in the rank-n category and the right factor
-    in the rank-m category; both live in the conductor-2(n+m) field.
+    in the rank-m category; both live in the conductor-2(n+m) field. A
+    failure carries the counterexample (paired_sum, graded_total).
     """
     table = branch(n, m, i)
     total = CyclotomicNumber.zero(conductor_for(n, m))
     for a, b in table.pairs:
         total = total + qdim_weight(a) * qdim_weight(b)
-    return ExhaustionVerdict(
-        n=n, m=m, i=i, paired_sum=total, graded_total=graded_dim(n, m, i)
-    )
+    graded = graded_dim(n, m, i)
+    name = f"n={n} m={m} i={i}"
+    if total == graded:
+        return Verdict("exhaustion", name, True, detail="exact")
+    return Verdict("exhaustion", name, False, counterexample=(total, graded),
+                   detail=f"off by {total - graded!r}")
 
 
 # -- the degree-zero equivalence ------------------------------------------------
@@ -134,24 +114,10 @@ def transport(a: LevelWeight) -> LevelWeight:
     return tau(a, 0).dual()
 
 
-@dataclass
-class EquivalenceVerdict:
-    n: int
-    m: int
-    checked: int
-    failure: tuple | None  # (a, b, c, lhs, rhs) when set
-
-    def __bool__(self) -> bool:
-        return self.failure is None
-
-    def __repr__(self) -> str:
-        status = f"{self.checked} triples agree" if self else f"fails at {self.failure}"
-        return f"EquivalenceVerdict(n={self.n}, m={self.m}: {status})"
-
-
-def verify_equivalence_fusion(n: int, m: int) -> EquivalenceVerdict:
+def verify_equivalence_fusion(n: int, m: int) -> Verdict:
     """Fusion coefficients of degree-zero triples must match across the
-    rank/level swap composed with duals: N_{a b}^c = N_{T(a) T(b)}^{T(c)}."""
+    rank/level swap composed with duals: N_{a b}^c = N_{T(a) T(b)}^{T(c)}.
+    A failure carries the counterexample (a, b, c, lhs, rhs)."""
     degree_zero = enumerate_graded(n, m, 0)
     images = {a: transport(a) for a in degree_zero}
     checked = 0
@@ -164,8 +130,12 @@ def verify_equivalence_fusion(n: int, m: int) -> EquivalenceVerdict:
                 rhs = dec_t.multiplicity(images[c])
                 checked += 1
                 if lhs != rhs:
-                    return EquivalenceVerdict(n, m, checked, (a, b, c, lhs, rhs))
-    return EquivalenceVerdict(n, m, checked, None)
+                    return Verdict(
+                        "equivalence", f"n={n} m={m}", False, checked, (a, b, c, lhs, rhs),
+                        f"N_ab^c = {lhs} but {rhs} after transport at a={a} b={b} c={c}",
+                    )
+    return Verdict("equivalence", f"n={n} m={m}", True, checked,
+                   detail=f"{checked} triples agree")
 
 
 def mirror_transport(summands: list[LevelWeight]) -> list[LevelWeight]:
@@ -202,21 +172,6 @@ def etale_necessary_conditions(summands: list[LevelWeight]) -> dict[str, bool]:
 
 
 # -- trace form -----------------------------------------------------------------
-
-
-@dataclass
-class TraceFormVerdict:
-    n: int
-    m: int
-    checked: int
-    failure: tuple | None
-
-    def __bool__(self) -> bool:
-        return self.failure is None
-
-    def __repr__(self) -> str:
-        status = f"{self.checked} pairings verified" if self else f"fails at {self.failure}"
-        return f"TraceFormVerdict(n={self.n}, m={self.m}: {status})"
 
 
 def _matmul(A, B):
@@ -275,37 +230,26 @@ def _embed_right(Y, n, m):
     return _kron(_identity(n), Y)
 
 
-def verify_trace_form(n: int, m: int) -> TraceFormVerdict:
+def verify_trace_form(n: int, m: int) -> Verdict:
     """On the embedding (X, Y) -> X kron I + I kron Y of traceless blocks
     into the n*m by n*m matrices, the big trace form restricts to m times the
     small form on the first block, n times on the second, with vanishing
-    cross terms. Checked over full spanning sets in exact rationals."""
+    cross terms. Checked over full spanning sets in exact rationals. A
+    failure carries the counterexample (block, X, Y, lhs, rhs)."""
     if n < 2 or m < 2:
         raise ValueError("need n, m at least 2")
-    left = _sl_basis(n)
-    right = _sl_basis(m)
+    left = [(X, _embed_left(X, n, m)) for X in _sl_basis(n)]
+    right = [(Y, _embed_right(Y, n, m)) for Y in _sl_basis(m)]
     checked = 0
-    for X in left:
-        iX = _embed_left(X, n, m)
-        for Xp in left:
-            lhs = _trace(_matmul(iX, _embed_left(Xp, n, m)))
-            rhs = m * _trace(_matmul(X, Xp))
-            checked += 1
-            if lhs != rhs:
-                return TraceFormVerdict(n, m, checked, ("left", X, Xp, lhs, rhs))
-    for Y in right:
-        iY = _embed_right(Y, n, m)
-        for Yp in right:
-            lhs = _trace(_matmul(iY, _embed_right(Yp, n, m)))
-            rhs = n * _trace(_matmul(Y, Yp))
-            checked += 1
-            if lhs != rhs:
-                return TraceFormVerdict(n, m, checked, ("right", Y, Yp, lhs, rhs))
-    for X in left:
-        iX = _embed_left(X, n, m)
-        for Y in right:
-            lhs = _trace(_matmul(iX, _embed_right(Y, n, m)))
-            checked += 1
-            if lhs != 0:
-                return TraceFormVerdict(n, m, checked, ("cross", X, Y, lhs, 0))
-    return TraceFormVerdict(n, m, checked, None)
+    for block, xs, ys, scale in (("left", left, left, m), ("right", right, right, n),
+                                 ("cross", left, right, 0)):
+        for X, iX in xs:
+            for Y, iY in ys:
+                lhs = _trace(_matmul(iX, iY))
+                rhs = scale * _trace(_matmul(X, Y)) if scale else 0
+                checked += 1
+                if lhs != rhs:
+                    return Verdict("traceform", f"n={n} m={m}", False, checked,
+                                   (block, X, Y, lhs, rhs), f"{block} block: {lhs} != {rhs}")
+    return Verdict("traceform", f"n={n} m={m}", True, checked,
+                   detail=f"{checked} pairings verified")

@@ -175,13 +175,13 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"--bound must be at least 2, got {args.bound}")
     names = verify.default_suite_names() if args.suite == "all" else [args.suite]
     results = verify.run_suites(names, bound=args.bound)
-    failures = [r for r in results if not r.passed]
-    for r in results:
-        print(r.line())
-    print(f"{len(results) - len(failures)}/{len(results)} checks passed")
+    failures = [r for r in results if not r.holds]
     if args.json or args.out:
-        _emit({"results": [r.__dict__ for r in results],
-               "passed": not failures}, args)
+        _emit({"results": [r.to_json() for r in results], "passed": not failures}, args)
+    if not args.json:
+        for r in results:
+            print(r.line())
+        print(f"{len(results) - len(failures)}/{len(results)} checks passed")
     return 1 if failures else 0
 
 

@@ -25,6 +25,7 @@ from .partitions import Partition
 from .qdim import qdim_weight
 from .smatrix import perm_sign
 from .symfunc import lr_expand
+from .verdict import Verdict
 from .weights import LevelWeight, enumerate_weights, from_partition
 
 _fusion_cache: dict[tuple[int, int], dict] = {}
@@ -177,31 +178,7 @@ def rotation_check(a: LevelWeight) -> bool:
     return dec.is_simple() and dec.multiplicity(a.rotate(1)) == 1
 
 
-class VerlindeVerdict:
-    """Comparison of the combinatorial fusion rules against the S-matrix."""
-
-    # the relation is decided exactly, so no numerical residual is left
-    max_residual = 0
-
-    def __init__(self, n: int, m: int, agrees: bool, checked: int, failure=None):
-        self.n = n
-        self.m = m
-        self.agrees = agrees
-        self.checked = checked
-        self.failure = failure  # (a, b, d, lhs, rhs) when set
-
-    def __bool__(self) -> bool:
-        return self.agrees
-
-    def __repr__(self) -> str:
-        status = "agree" if self.agrees else f"DISAGREE at {self.failure}"
-        return (
-            f"VerlindeVerdict(n={self.n}, m={self.m}: {status}, "
-            f"{self.checked} exact identities checked)"
-        )
-
-
-def verlinde_check(n: int, m: int) -> VerlindeVerdict:
+def verlinde_check(n: int, m: int) -> Verdict:
     """Check every fusion coefficient against the S-matrix through the
     exact relation, for all a <= b and all d,
 
@@ -235,10 +212,14 @@ def verlinde_check(n: int, m: int) -> VerlindeVerdict:
             if not packing.is_zero(P[0][d] * fused - P[ia][d] * P[ib][d]):
                 lhs = M[0][d] * sum((M[c][d] * k for c, k in terms),
                                     CyclotomicNumber.zero(M[0][d].conductor))
-                failure = (weights[ia], weights[ib], weights[d], lhs, M[ia][d] * M[ib][d])
-                return VerlindeVerdict(n, m, False, checked, failure)
+                a, b, w = weights[ia], weights[ib], weights[d]
+                return Verdict(
+                    "verlinde", f"n={n} m={m}", False, checked, (a, b, w, lhs, M[ia][d] * M[ib][d]),
+                    f"disagree at a={a} b={b} d={w} after {checked} exact identities",
+                )
             checked += 1
-    return VerlindeVerdict(n, m, True, checked)
+    return Verdict("verlinde", f"n={n} m={m}", True, checked,
+                   detail=f"{checked} exact identities checked")
 
 
 def grading_violations(n: int, m: int) -> list[tuple[LevelWeight, LevelWeight, LevelWeight]]:

@@ -31,6 +31,7 @@ from operator import mul
 import mpmath
 
 from .cyclotomic import MPMATH_LOCK, CyclotomicNumber, IntegralPacking
+from .verdict import Verdict
 from .weights import LevelWeight, enumerate_weights
 
 
@@ -207,34 +208,21 @@ def perm_sign(perm: Sequence[int]) -> int:
 # -- exact twist identities ----------------------------------------------------
 
 
-class TwistVerdict:
-    """Exact check that paired conformal weights add to the level-1 value."""
-
-    def __init__(self, n: int, m: int, failures: list):
-        self.n = n
-        self.m = m
-        self.failures = failures
-
-    def __bool__(self) -> bool:
-        return not self.failures
-
-    def __repr__(self) -> str:
-        status = "holds" if self else f"{len(self.failures)} failures"
-        return f"TwistVerdict(n={self.n}, m={self.m}: {status})"
-
-
-def twist_pairing_check(n: int, m: int) -> TwistVerdict:
+def twist_pairing_check(n: int, m: int) -> Verdict:
     """For every class i and weight a of degree i, the conformal weights of a
     and of its duality image must sum to i(nm - i)/(2nm) modulo 1, the
     conformal weight of the i-th level-1 object. Checked with exact
-    rationals."""
+    rationals; a failure carries the first counterexample (i, a, total,
+    target)."""
     from .weights import enumerate_graded, tau
 
-    failures = []
+    checked = 0
     for i in range(n * m):
         target = Fraction(i * (n * m - i), 2 * n * m)
         for a in enumerate_graded(n, m, i):
             total = conformal_weight(a) + conformal_weight(tau(a, i))
+            checked += 1
             if (total - target).denominator != 1:
-                failures.append((i, a, total, target))
-    return TwistVerdict(n, m, failures)
+                return Verdict("twist", f"n={n} m={m}", False, checked, (i, a, total, target),
+                               f"h(a) + h(tau(a)) = {total} at i={i} a={a}, want {target} mod 1")
+    return Verdict("twist", f"n={n} m={m}", True, checked, detail=f"{checked} pairings exact")

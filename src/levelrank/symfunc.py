@@ -13,6 +13,7 @@ from functools import cache
 from itertools import combinations
 
 from .partitions import Partition
+from .verdict import Verdict
 
 
 class SymPolynomial:
@@ -231,28 +232,11 @@ def schur_expand(poly: SymPolynomial) -> dict[Partition, int]:
 # -- skew Cauchy ---------------------------------------------------------------
 
 
-class CauchyVerdict:
-    """Outcome of one skew Cauchy comparison; truthy when the two sides agree."""
-
-    def __init__(self, n: int, m: int, i: int, difference: SymPolynomial):
-        self.n = n
-        self.m = m
-        self.i = i
-        self.difference = difference
-        self.holds = difference.is_zero()
-
-    def __bool__(self) -> bool:
-        return self.holds
-
-    def __repr__(self) -> str:
-        status = "holds" if self.holds else f"fails ({len(self.difference.terms)} stray terms)"
-        return f"CauchyVerdict(n={self.n}, m={self.m}, i={self.i}: {status})"
-
-
-def verify_skew_cauchy(n: int, m: int, i: int) -> CauchyVerdict:
+def verify_skew_cauchy(n: int, m: int, i: int) -> Verdict:
     """Compare e_i evaluated at the n*m products x_a y_b against the sum of
     s_lam(x) s_lam^t(y) over partitions of i inside the m x n rectangle,
-    as polynomials in n + m variables (x first, then y)."""
+    as polynomials in n + m variables (x first, then y). A failure carries
+    the difference polynomial as its counterexample."""
     if not (0 <= i <= n * m):
         raise ValueError(f"need 0 <= i <= {n * m}, got {i}")
     k = n + m
@@ -281,4 +265,8 @@ def verify_skew_cauchy(n: int, m: int, i: int) -> CauchyVerdict:
                 terms[ex + ey] = terms.get(ex + ey, 0) + cx * cy
         rhs = rhs + SymPolynomial(k, terms)
 
-    return CauchyVerdict(n, m, i, lhs - rhs)
+    difference = lhs - rhs
+    if difference.is_zero():
+        return Verdict("cauchy", f"n={n} m={m} i={i}", True, detail="exact")
+    return Verdict("cauchy", f"n={n} m={m} i={i}", False, counterexample=difference,
+                   detail=f"{len(difference.terms)} stray terms")

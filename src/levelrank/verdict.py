@@ -1,0 +1,46 @@
+"""The one result record of every check.
+
+Library checks (exhaustion, skew Cauchy, Verlinde, the degree-zero
+equivalence, the trace form, the twist pairing) and every case of a
+``levelrank verify`` suite return a ``Verdict``: whether the identity holds,
+how many identities were checked, and the first counterexample found.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """Outcome of one case of the ``suite`` named by ``verify.SUITES``;
+    truthy when the identity holds. ``counterexample`` is the first failure
+    (None when it holds) and ``detail`` a short note for the printed line."""
+
+    suite: str
+    name: str
+    holds: bool
+    checked: int = 1
+    counterexample: object = None
+    detail: str = ""
+
+    def __bool__(self) -> bool:
+        return self.holds
+
+    def line(self) -> str:
+        mark = "PASS" if self.holds else "FAIL"
+        extra = f"  ({self.detail})" if self.detail else ""
+        return f"[{mark}] {self.suite}: {self.name}{extra}"
+
+    def to_json(self) -> dict:
+        """Field by field; the counterexample as its repr, since it may hold
+        weights or cyclotomic numbers."""
+        cx = self.counterexample
+        return {
+            "suite": self.suite,
+            "name": self.name,
+            "holds": self.holds,
+            "checked": self.checked,
+            "detail": self.detail,
+            "counterexample": None if cx is None else repr(cx),
+        }

@@ -1,195 +1,188 @@
 """Named verification suites over configurable sweep bounds.
 
-Each suite returns a list of CheckResult records; a suite passes when every
-record does. A suite sweeps its cases in order, one after another, so the
-output is deterministic. Suites with a ``bound`` parameter take the
-``--bound`` override of ``levelrank verify``; the rest have fixed case lists.
+Each suite returns a list of ``Verdict`` records, one per case, and passes
+when every record holds. Six suites are built from a library check that
+already returns a ``Verdict`` labelled with the suite and the case:
+exhaustion (``branching.verify_exhaustion``), cauchy
+(``symfunc.verify_skew_cauchy``), verlinde (``fusion.verlinde_check``),
+equivalence (``branching.verify_equivalence_fusion``), traceform
+(``branching.verify_trace_form``) and twist
+(``smatrix.twist_pairing_check``). The last four return one check per case
+as it is. Exhaustion and cauchy run one check per class or degree and
+return the first failing verdict as it is, or one passing record counting
+the identities checked. A suite looks its check up on the module at call
+time, so a replaced check is the one that runs. The other nine suites build
+their records in place.
+
+A suite sweeps its cases in order, one after another, so the output is
+deterministic. Suites with a ``bound`` parameter take the ``--bound``
+override of ``levelrank verify``; the rest have fixed case lists.
 """
 
 from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from . import branching, fusion, qdim, smatrix, symfunc, weights
 from .cyclotomic import qint
 from .partitions import Partition, enumerate_rectangle
+from .verdict import Verdict
 from .weights import LevelWeight, enumerate_graded, enumerate_weights, tau
-
-
-@dataclass
-class CheckResult:
-    suite: str
-    name: str
-    passed: bool
-    detail: str = ""
-
-    def line(self) -> str:
-        mark = "PASS" if self.passed else "FAIL"
-        extra = f"  ({self.detail})" if self.detail else ""
-        return f"[{mark}] {self.suite}: {self.name}{extra}"
 
 
 def _pairs(bound: int) -> list[tuple[int, int]]:
     return [(n, m) for n in range(2, bound + 1) for m in range(2, bound + 1)]
 
 
-def _verdicts(
-    suite: str, cases: Iterable[tuple[int, int]], check: Callable[[int, int], object]
-) -> list[CheckResult]:
-    """One record per case from the verdict ``check(n, m)``: it passes when
-    the verdict is truthy, and its repr is the detail."""
-    results = []
-    for n, m in cases:
-        v = check(n, m)
-        results.append(CheckResult(suite, f"n={n} m={m}", bool(v), repr(v)))
-    return results
+def _first_failure(verdicts: Iterable[Verdict], suite: str, name: str) -> Verdict:
+    """The first failing verdict as it is, else one passing record ``name``
+    that counts every identity checked."""
+    checked = 0
+    for v in verdicts:
+        if not v:
+            return v
+        checked += v.checked
+    return Verdict(suite, name, True, checked, detail=f"{checked} identities checked")
 
 
 # -- suites ---------------------------------------------------------------------
 
 
-def suite_tau(bound: int = 6) -> list[CheckResult]:
+def suite_tau(bound: int = 6) -> list[Verdict]:
     """Bijectivity and involutivity of the duality map, independence of the
     partition preimage, compatibility with duals and with rotation."""
 
-    def check_pair(n: int, m: int) -> CheckResult:
+    def check_pair(n: int, m: int) -> Verdict:
         for i in range(n * m):
             cls = enumerate_graded(n, m, i)
             images = [tau(a, i) for a in cls]
             target = enumerate_graded(m, n, i)
             if sorted(w.components for w in images) != sorted(w.components for w in target):
-                return CheckResult("tau", f"bijection n={n} m={m} i={i}", False)
+                return Verdict("tau", f"bijection n={n} m={m} i={i}", False)
             for a, b in zip(cls, images):
                 if b.degree() != i % m:
-                    return CheckResult("tau", f"degree n={n} m={m} i={i}", False, str(a))
+                    return Verdict("tau", f"degree n={n} m={m} i={i}", False, detail=str(a))
                 if tau(b, i) != a:
-                    return CheckResult("tau", f"involution n={n} m={m} i={i}", False, str(a))
+                    return Verdict("tau", f"involution n={n} m={m} i={i}", False, detail=str(a))
         # preimage independence: any partition preimage gives the same image
         for lam in enumerate_rectangle(n, m):
             a = weights.from_partition(lam, n, m)
             for i in range(lam.size % n, n * m, n):
                 if weights.tau_from_partition(lam, n, m, i) != tau(a, i):
-                    return CheckResult(
-                        "tau", f"preimage n={n} m={m}", False, f"lam={lam.parts} i={i}"
+                    return Verdict(
+                        "tau", f"preimage n={n} m={m}", False, detail=f"lam={lam.parts} i={i}"
                     )
         # duals commute with the degree-zero map
         for a in enumerate_graded(n, m, 0):
             if tau(a.dual(), 0) != tau(a, 0).dual():
-                return CheckResult("tau", f"dual-commute n={n} m={m}", False, str(a))
+                return Verdict("tau", f"dual-commute n={n} m={m}", False, detail=str(a))
         # degree shifts by the level under rotation
         for a in enumerate_weights(n, m):
             if a.rotate(1).degree() != (a.degree() + m) % n:
-                return CheckResult("tau", f"degree-rotation n={n} m={m}", False, str(a))
-        return CheckResult("tau", f"n={n} m={m} all classes", True)
+                return Verdict("tau", f"degree-rotation n={n} m={m}", False, detail=str(a))
+        return Verdict("tau", f"n={n} m={m} all classes", True)
 
     return [check_pair(n, m) for n, m in _pairs(bound)]
 
 
-def suite_exhaustion(bound: int = 5) -> list[CheckResult]:
+def suite_exhaustion(bound: int = 5) -> list[Verdict]:
     """Exact dimension exhaustion of every branching table."""
 
-    def check_pair(n: int, m: int) -> CheckResult:
-        for i in range(n * m):
-            v = branching.verify_exhaustion(n, m, i)
-            if not v:
-                return CheckResult("exhaustion", f"n={n} m={m} i={i}", False, repr(v))
-        return CheckResult("exhaustion", f"n={n} m={m} all i exact", True)
-
-    return [check_pair(n, m) for n, m in _pairs(bound)]
+    return [
+        _first_failure((branching.verify_exhaustion(n, m, i) for i in range(n * m)),
+                       "exhaustion", f"n={n} m={m} all i exact")
+        for n, m in _pairs(bound)
+    ]
 
 
-def suite_branch(bound: int = 4) -> list[CheckResult]:
+def suite_branch(bound: int = 4) -> list[Verdict]:
     """Structural facts about the tables: multiplicity-freeness, degree
     bookkeeping of right factors, presence of every partition-route pair, and
     the two invertible-object pairs."""
 
-    def check_pair(n: int, m: int) -> CheckResult:
+    def check_pair(n: int, m: int) -> Verdict:
         for i in range(n * m):
             table = branching.branch(n, m, i)
             lefts, rights = table.left_weights(), table.right_weights()
             if len(set(lefts)) != len(lefts) or len(set(rights)) != len(rights):
-                return CheckResult("branch", f"multiplicity-free n={n} m={m} i={i}", False)
+                return Verdict("branch", f"multiplicity-free n={n} m={m} i={i}", False)
             if any(b.degree() != i % m for b in rights):
-                return CheckResult("branch", f"right degrees n={n} m={m} i={i}", False)
+                return Verdict("branch", f"right degrees n={n} m={m} i={i}", False)
         for lam in enumerate_rectangle(n, m):
             a = weights.from_partition(lam, n, m)
             for i in range(lam.size % n, n * m, n):
                 pair = (a, weights.tau_from_partition(lam, n, m, i))
                 if pair not in branching.branch(n, m, i):
-                    return CheckResult(
+                    return Verdict(
                         "branch", f"partition route n={n} m={m}", False,
-                        f"lam={lam.parts} i={i}",
+                        detail=f"lam={lam.parts} i={i}",
                     )
         sigma_pair_n = (LevelWeight.vacuum(n, m),
                         weights.from_partition(Partition((n,)), m, n))
         if sigma_pair_n not in branching.branch(n, m, n % (n * m)):
-            return CheckResult("branch", f"sigma pair n={n} m={m}", False)
+            return Verdict("branch", f"sigma pair n={n} m={m}", False)
         sigma_pair_m = (weights.from_partition(Partition((m,)), n, m),
                         LevelWeight.vacuum(m, n))
         if sigma_pair_m not in branching.branch(n, m, m % (n * m)):
-            return CheckResult("branch", f"sigma pair m n={n} m={m}", False)
-        return CheckResult("branch", f"n={n} m={m} structure", True)
+            return Verdict("branch", f"sigma pair m n={n} m={m}", False)
+        return Verdict("branch", f"n={n} m={m} structure", True)
 
     return [check_pair(n, m) for n, m in _pairs(bound)]
 
 
-def suite_cauchy(bound: int = 3) -> list[CheckResult]:
+def suite_cauchy(bound: int = 3) -> list[Verdict]:
     """Exact polynomial skew Cauchy identity, for all n, m up to the bound
     (capped at 3) in every degree, plus the wide rectangle (2, 4)."""
     cases = [(n, m) for n, m in _pairs(min(bound, 3))]
     if (2, 4) not in cases:
         cases.append((2, 4))
 
-    def check_pair(n: int, m: int) -> CheckResult:
-        for i in range(n * m + 1):
-            v = symfunc.verify_skew_cauchy(n, m, i)
-            if not v:
-                return CheckResult("cauchy", f"n={n} m={m} i={i}", False, repr(v))
-        return CheckResult("cauchy", f"n={n} m={m} all degrees exact", True)
-
-    return [check_pair(n, m) for n, m in cases]
+    return [
+        _first_failure((symfunc.verify_skew_cauchy(n, m, i) for i in range(n * m + 1)),
+                       "cauchy", f"n={n} m={m} all degrees exact")
+        for n, m in cases
+    ]
 
 
-def suite_rotation(bound: int = 4) -> list[CheckResult]:
+def suite_rotation(bound: int = 4) -> list[Verdict]:
     """Fusing with the invertible object rotates the highest weight."""
 
-    def check_pair(n: int, m: int) -> CheckResult:
+    def check_pair(n: int, m: int) -> Verdict:
         for a in enumerate_weights(n, m):
             if not fusion.rotation_check(a):
-                return CheckResult("rotation", f"n={n} m={m}", False, str(a))
-        return CheckResult("rotation", f"n={n} m={m} all weights", True)
+                return Verdict("rotation", f"n={n} m={m}", False, detail=str(a))
+        return Verdict("rotation", f"n={n} m={m} all weights", True)
 
     return [check_pair(n, m) for n, m in _pairs(bound)]
 
 
-def suite_level1(bound: int = 10) -> list[CheckResult]:
+def suite_level1(bound: int = 10) -> list[Verdict]:
     """Cyclic fusion of the level-1 objects and total dimension N."""
 
-    def check_rank(N: int) -> CheckResult:
+    def check_rank(N: int) -> Verdict:
         for i in range(N):
             for j in range(N):
                 dec = fusion.fuse(LevelWeight.fundamental(N, i), LevelWeight.fundamental(N, j))
                 if dec.terms != {LevelWeight.fundamental(N, (i + j) % N): 1}:
-                    return CheckResult("level1", f"N={N} fusion", False, f"i={i} j={j}")
+                    return Verdict("level1", f"N={N} fusion", False, detail=f"i={i} j={j}")
         total = qdim.category_dim(N, 1)
         if total != N:
-            return CheckResult("level1", f"N={N} total dimension", False, repr(total))
-        return CheckResult("level1", f"N={N} cyclic fusion and dimension", True)
+            return Verdict("level1", f"N={N} total dimension", False, detail=repr(total))
+        return Verdict("level1", f"N={N} cyclic fusion and dimension", True)
 
     return [check_rank(N) for N in range(2, bound + 1)]
 
 
 def suite_verlinde(
     cases: tuple[tuple[int, int], ...] = ((2, 2), (2, 3), (3, 2), (2, 4), (3, 3)),
-) -> list[CheckResult]:
+) -> list[Verdict]:
     """Combinatorial fusion against the exact S-matrix relation."""
-    return _verdicts("verlinde", cases, fusion.verlinde_check)
+    return [fusion.verlinde_check(n, m) for n, m in cases]
 
 
-def suite_cc(bound: int = 50) -> list[CheckResult]:
+def suite_cc(bound: int = 50) -> list[Verdict]:
     """Exact equality of the two central charges at level 1, and the
     detected inequality at level 2."""
     results = []
@@ -198,15 +191,15 @@ def suite_cc(bound: int = 50) -> list[CheckResult]:
             ambient, pair = smatrix.central_charge(n, m, 1)
             if ambient != pair or ambient != n * m - 1:
                 results.append(
-                    CheckResult("cc", f"level 1 n={n} m={m}", False, f"{ambient} vs {pair}")
+                    Verdict("cc", f"level 1 n={n} m={m}", False, detail=f"{ambient} vs {pair}")
                 )
     ambient2, pair2 = smatrix.central_charge(2, 2, 2)
     results.append(
-        CheckResult(
+        Verdict(
             "cc",
             f"level-1 equality for all n,m <= {bound}; level-2 inequality",
             not results and ambient2 != pair2,
-            f"k=2 gives {ambient2} vs {pair2}",
+            detail=f"k=2 gives {ambient2} vs {pair2}",
         )
     )
     return results
@@ -214,12 +207,12 @@ def suite_cc(bound: int = 50) -> list[CheckResult]:
 
 def suite_equivalence(
     cases: tuple[tuple[int, int], ...] = ((2, 3), (3, 2), (2, 4), (2, 5)),
-) -> list[CheckResult]:
+) -> list[Verdict]:
     """Fusion coefficients are preserved by the degree-zero transport."""
-    return _verdicts("equivalence", cases, branching.verify_equivalence_fusion)
+    return [branching.verify_equivalence_fusion(n, m) for n, m in cases]
 
 
-def suite_mirror() -> list[CheckResult]:
+def suite_mirror() -> list[Verdict]:
     """Transport of the two-summand algebra object of rank 2 level 10, with
     its exactly integral transported conformal weight."""
     a = LevelWeight((4, 6))
@@ -229,21 +222,22 @@ def suite_mirror() -> list[CheckResult]:
     h = smatrix.conformal_weight(expected)
     conds = branching.etale_necessary_conditions(out)
     return [
-        CheckResult("mirror", "rank-2 level-10 transport", ok_weights, str([str(w) for w in out])),
-        CheckResult("mirror", "transported conformal weight is 2", h == 2, f"h={h}"),
-        CheckResult("mirror", "necessary algebra conditions", all(conds.values()), str(conds)),
+        Verdict("mirror", "rank-2 level-10 transport", ok_weights,
+                detail=str([str(w) for w in out])),
+        Verdict("mirror", "transported conformal weight is 2", h == 2, detail=f"h={h}"),
+        Verdict("mirror", "necessary algebra conditions", all(conds.values()), detail=str(conds)),
     ]
 
 
 def suite_traceform(
     cases: tuple[tuple[int, int], ...] = ((2, 2), (2, 3), (3, 2), (3, 3)),
-) -> list[CheckResult]:
+) -> list[Verdict]:
     """The trace form of sl(nm) restricts to m and n times those of sl(n) and
     sl(m) on the embedded blocks, with vanishing cross terms."""
-    return _verdicts("traceform", cases, branching.verify_trace_form)
+    return [branching.verify_trace_form(n, m) for n, m in cases]
 
 
-def suite_cardinality(bound: int = 8) -> list[CheckResult]:
+def suite_cardinality(bound: int = 8) -> list[Verdict]:
     """Weight counts match the binomial formula; rectangle counts too."""
     results = []
     ok = True
@@ -251,33 +245,33 @@ def suite_cardinality(bound: int = 8) -> list[CheckResult]:
         for m in range(1, bound + 1):
             if len(enumerate_weights(n, m)) != math.comb(n + m - 1, n - 1):
                 ok = False
-                results.append(CheckResult("cardinality", f"weights n={n} m={m}", False))
+                results.append(Verdict("cardinality", f"weights n={n} m={m}", False))
             if len(enumerate_rectangle(n, m)) != math.comb(n + m, n):
                 ok = False
-                results.append(CheckResult("cardinality", f"partitions n={n} m={m}", False))
+                results.append(Verdict("cardinality", f"partitions n={n} m={m}", False))
     if ok:
-        results.append(CheckResult("cardinality", f"all n,m <= {bound} binomial counts", True))
+        results.append(Verdict("cardinality", f"all n,m <= {bound} binomial counts", True))
     return results
 
 
-def suite_twist(bound: int = 4) -> list[CheckResult]:
+def suite_twist(bound: int = 4) -> list[Verdict]:
     """Exact pairing of conformal weights across the duality."""
-    return _verdicts("twist", _pairs(bound), smatrix.twist_pairing_check)
+    return [smatrix.twist_pairing_check(n, m) for n, m in _pairs(bound)]
 
 
-def suite_grading(bound: int = 4) -> list[CheckResult]:
+def suite_grading(bound: int = 4) -> list[Verdict]:
     """Fusion respects the degree grading."""
 
-    def check_pair(n: int, m: int) -> CheckResult:
+    def check_pair(n: int, m: int) -> Verdict:
         bad = fusion.grading_violations(n, m)
-        return CheckResult(
-            "grading", f"n={n} m={m}", not bad, f"{len(bad)} violations" if bad else ""
+        return Verdict(
+            "grading", f"n={n} m={m}", not bad, detail=f"{len(bad)} violations" if bad else ""
         )
 
     return [check_pair(n, m) for n, m in _pairs(bound)]
 
 
-def suite_golden() -> list[CheckResult]:
+def suite_golden() -> list[Verdict]:
     """Hand-checkable values: the 10-summand degree-zero table of (3, 6), the
     class-13 pair, and the hook-content product of (4,3,1) at rank 4."""
     results = []
@@ -290,18 +284,18 @@ def suite_golden() -> list[CheckResult]:
     }
     got = {(a.parts, b.parts) for a, b in table.partition_pairs()}
     results.append(
-        CheckResult("golden", "ten summands at n=3 m=6 i=0", got == expected and len(table) == 10)
+        Verdict("golden", "ten summands at n=3 m=6 i=0", got == expected and len(table) == 10)
     )
     t13 = branching.branch(3, 6, 13)
     pair = (LevelWeight((3, 2, 1)), LevelWeight((1, 0, 0, 1, 1, 0)))
-    results.append(CheckResult("golden", "class-13 pair at n=3 m=6", pair in t13))
+    results.append(Verdict("golden", "class-13 pair at n=3 m=6", pair in t13))
     value = qdim.qdim_partition(Partition((4, 3, 1)), 4, 4)
     expect = qint(7, 4, 4) * qint(5, 4, 4) * qint(5, 4, 4)
-    results.append(CheckResult("golden", "hook-content product [7][5]^2", value == expect))
+    results.append(Verdict("golden", "hook-content product [7][5]^2", value == expect))
     return results
 
 
-SUITES: dict[str, Callable[..., list[CheckResult]]] = {
+SUITES: dict[str, Callable[..., list[Verdict]]] = {
     "golden": suite_golden,
     "tau": suite_tau,
     "branch": suite_branch,
@@ -320,10 +314,10 @@ SUITES: dict[str, Callable[..., list[CheckResult]]] = {
 }
 
 
-def run_suites(names: list[str], bound: int | None = None) -> list[CheckResult]:
+def run_suites(names: list[str], bound: int | None = None) -> list[Verdict]:
     """Run the named suites in order; ``bound`` overrides the sweep bound of
     every suite that has a ``bound`` parameter."""
-    results: list[CheckResult] = []
+    results: list[Verdict] = []
     for name in names:
         if name not in SUITES:
             raise KeyError(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")

@@ -1,5 +1,6 @@
 import pytest
 
+from levelrank import Verdict, branching
 from levelrank.branching import (
     branch,
     etale_necessary_conditions,
@@ -10,6 +11,8 @@ from levelrank.branching import (
     verify_exhaustion,
     verify_trace_form,
 )
+from levelrank.cli import main
+from levelrank.fusion import Decomposition, fuse
 from levelrank.partitions import Partition
 from levelrank.qdim import qdim_weight
 from levelrank.weights import LevelWeight, enumerate_graded, tau
@@ -94,7 +97,7 @@ def test_branch_json_schema():
 def test_exhaustion_three_six_zero():
     v = verify_exhaustion(3, 6, 0)
     assert v.holds
-    assert v.paired_sum == v.graded_total
+    assert v.holds and v.counterexample is None
 
 
 @pytest.mark.parametrize("n,m", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4)])
@@ -103,9 +106,18 @@ def test_exhaustion_sweep(n, m):
         assert verify_exhaustion(n, m, i)
 
 
-def test_exhaustion_verdict_reports_difference():
+def test_exhaustion_reports_a_wrong_graded_total(monkeypatch, capsys):
+    """A graded total off by one is a counterexample (paired_sum,
+    graded_total), not an exception, and the suite prints its case."""
+    true_graded = branching.graded_dim
+    monkeypatch.setattr(branching, "graded_dim", lambda n, m, i: true_graded(n, m, i) + 1)
     v = verify_exhaustion(2, 3, 1)
-    assert v.difference().is_zero()
+    assert isinstance(v, Verdict) and v.holds is False
+    paired, graded = v.counterexample
+    assert paired == true_graded(2, 3, 1)
+    assert graded - paired == 1
+    assert main(["verify", "exhaustion", "--bound", "2"]) == 1
+    assert "[FAIL] exhaustion: n=2 m=2 i=0  (" in capsys.readouterr().out
 
 
 def test_transport_golden():
@@ -133,6 +145,31 @@ def test_equivalence_on_fusion_coefficients(n, m):
     verdict = verify_equivalence_fusion(n, m)
     assert verdict, verdict
     assert verdict.checked == len(enumerate_graded(n, m, 0)) ** 3
+
+
+def test_equivalence_reports_a_wrong_coefficient(monkeypatch, capsys):
+    """An extra vacuum summand in every rank-2 product breaks
+    N_ab^c = N_T(a)T(b)^T(c) at c = vacuum; the counterexample is
+    (a, b, c, lhs, rhs)."""
+
+    def wrong_fuse(x, y):
+        dec = fuse(x, y)
+        if x.rank != 2:
+            return dec
+        vacuum = LevelWeight.vacuum(2, x.level)
+        terms = dict(dec.terms)
+        terms[vacuum] = terms.get(vacuum, 0) + 1
+        return Decomposition(2, x.level, terms)
+
+    monkeypatch.setattr(branching, "fuse", wrong_fuse)
+    v = verify_equivalence_fusion(2, 3)
+    assert isinstance(v, Verdict) and v.holds is False
+    a, b, c, lhs, rhs = v.counterexample
+    assert c == LevelWeight.vacuum(2, 3)
+    assert lhs == rhs + 1 == fuse(a, b).multiplicity(c) + 1
+    assert 1 <= v.checked <= len(enumerate_graded(2, 3, 0)) ** 3
+    assert main(["verify", "equivalence"]) == 1
+    assert "[FAIL] equivalence: n=2 m=3  (" in capsys.readouterr().out
 
 
 def test_mirror_transport_golden():
@@ -174,6 +211,21 @@ def test_trace_form(n, m):
     # two blocks of (n^2-1)^2 resp. (m^2-1)^2 pairs plus the cross terms
     expected = (n * n - 1) ** 2 + (m * m - 1) ** 2 + (n * n - 1) * (m * m - 1)
     assert verdict.checked == expected
+
+
+def test_trace_form_reports_a_wrong_embedding(monkeypatch, capsys):
+    """Doubling the left embedding quadruples the big trace form on the
+    first block; the counterexample is (block, X, Y, lhs, rhs)."""
+    embed = branching._embed_left
+    monkeypatch.setattr(branching, "_embed_left",
+                        lambda X, n, m: [[2 * x for x in row] for row in embed(X, n, m)])
+    v = verify_trace_form(2, 3)
+    assert isinstance(v, Verdict) and v.holds is False
+    block, X, Y, lhs, rhs = v.counterexample
+    assert block == "left"
+    assert rhs != 0 and lhs == 4 * rhs
+    assert main(["verify", "traceform"]) == 1
+    assert "[FAIL] traceform: n=2 m=2  (left block" in capsys.readouterr().out
 
 
 def test_trace_form_validation():

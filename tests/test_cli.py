@@ -150,6 +150,35 @@ def test_verify_suite_passes(capsys):
     assert "3/3 checks passed" in out
 
 
+def test_verify_json_is_only_the_report(capsys):
+    code, out, _ = run(capsys, "verify", "golden", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["passed"] is True
+    assert [r["name"] for r in payload["results"]] == [
+        "ten summands at n=3 m=6 i=0", "class-13 pair at n=3 m=6", "hook-content product [7][5]^2",
+    ]
+    for r in payload["results"]:
+        assert set(r) == {"suite", "name", "holds", "checked", "detail", "counterexample"}
+        assert r["suite"] == "golden" and r["holds"] is True and r["counterexample"] is None
+
+
+def test_verify_json_serializes_a_counterexample(capsys, monkeypatch):
+    """A failing record carries cyclotomic numbers; they serialize as their
+    repr."""
+    from levelrank import branching
+
+    graded = branching.graded_dim
+    monkeypatch.setattr(branching, "graded_dim", lambda n, m, i: graded(n, m, i) + 1)
+    code, out, _ = run(capsys, "verify", "exhaustion", "--bound", "2", "--json")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["passed"] is False
+    (first,) = payload["results"]
+    assert first["name"] == "n=2 m=2 i=0" and first["holds"] is False
+    assert first["counterexample"] == repr((graded(2, 2, 0), graded(2, 2, 0) + 1))
+
+
 def test_verify_all_small_bound(capsys):
     code, out, _ = run(capsys, "verify", "all", "--bound", "2")
     assert code == 0

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from levelrank import Verdict, smatrix
+from levelrank.cli import main
 from levelrank.cyclotomic import CyclotomicNumber
 from levelrank.qdim import qdim_weight
 from levelrank.smatrix import (
@@ -15,7 +17,7 @@ from levelrank.smatrix import (
     s_matrix,
     twist_pairing_check,
 )
-from levelrank.weights import LevelWeight, enumerate_weights
+from levelrank.weights import LevelWeight, enumerate_graded, enumerate_weights
 
 
 def matmul(A, B):
@@ -172,6 +174,28 @@ def test_conformal_weight_goldens():
 @pytest.mark.parametrize("n,m", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 3), (3, 4), (4, 4), (2, 4), (4, 2)])
 def test_twist_pairing_exact(n, m):
     assert twist_pairing_check(n, m)
+
+
+def test_twist_pairing_reports_the_first_failure(monkeypatch, capsys):
+    """Shifting every rank-2 level-3 conformal weight by 1/2 breaks the
+    pairing at the first weight of class 0; the check stops there and names
+    (i, a, total, target)."""
+    weight = smatrix.conformal_weight
+
+    def shifted(a):
+        return weight(a) + (Fraction(1, 2) if (a.rank, a.level) == (2, 3) else 0)
+
+    monkeypatch.setattr(smatrix, "conformal_weight", shifted)
+    v = twist_pairing_check(2, 3)
+    assert isinstance(v, Verdict) and v.holds is False
+    i, a, total, target = v.counterexample
+    assert (i, a, target) == (0, enumerate_graded(2, 3, 0)[0], 0)
+    assert (total - target).denominator == 2
+    assert v.checked == 1
+    assert main(["verify", "twist", "--bound", "3"]) == 1
+    out = capsys.readouterr().out
+    assert "[PASS] twist: n=2 m=2  (" in out
+    assert "[FAIL] twist: n=2 m=3  (" in out
 
 
 def test_json_payload():

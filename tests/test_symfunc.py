@@ -2,6 +2,8 @@ from math import prod
 
 import pytest
 
+from levelrank import Verdict, symfunc
+from levelrank.cli import main
 from levelrank.partitions import Partition, enumerate_rectangle
 from levelrank.symfunc import (
     SymPolynomial,
@@ -157,6 +159,23 @@ def test_skew_cauchy_two_by_two_explicit():
 def test_skew_cauchy_full_range(n, m):
     for i in range(n * m + 1):
         assert verify_skew_cauchy(n, m, i), (n, m, i)
+
+
+def test_skew_cauchy_reports_the_difference(monkeypatch, capsys):
+    """Doubling every non-constant Schur polynomial leaves degree 0 intact
+    and breaks degree 1; the counterexample is the difference lhs - rhs."""
+    true_schur = symfunc.schur
+    monkeypatch.setattr(symfunc, "schur",
+                        lambda lam, k: true_schur(lam, k).scale(2 if lam.size else 1))
+    assert verify_skew_cauchy(2, 2, 0).holds
+    v = verify_skew_cauchy(2, 2, 1)
+    assert isinstance(v, Verdict) and v.holds is False
+    diff = v.counterexample
+    assert isinstance(diff, SymPolynomial) and not diff.is_zero()
+    # e_1(x y) - 4 s_1(x) s_1(y) = -3 times the sum of the four x_a y_b
+    assert diff.terms == {(1, 0, 1, 0): -3, (1, 0, 0, 1): -3, (0, 1, 1, 0): -3, (0, 1, 0, 1): -3}
+    assert main(["verify", "cauchy", "--bound", "2"]) == 1
+    assert "[FAIL] cauchy: n=2 m=2 i=1  (" in capsys.readouterr().out
 
 
 def test_skew_cauchy_bounds():

@@ -3,7 +3,9 @@ from itertools import permutations
 
 import pytest
 
-from levelrank import verify
+import levelrank
+from levelrank import Verdict, verify
+from levelrank.weights import LevelWeight
 
 NAMES = (
     "golden", "tau", "branch", "exhaustion", "cauchy", "rotation", "level1",
@@ -30,7 +32,7 @@ def test_bounded_suites_are_those_with_a_bound_parameter():
 def test_bounded_suite_checks_something_at_bound_2(name):
     results = verify.SUITES[name](bound=2)
     assert results
-    assert all(isinstance(r, verify.CheckResult) and r.passed for r in results)
+    assert all(isinstance(r, Verdict) and r.holds for r in results)
 
 
 def test_run_suites_passes_bound_only_to_bounded_suites():
@@ -41,7 +43,7 @@ def test_run_suites_passes_bound_only_to_bounded_suites():
 
 def test_run_suites_reads_the_registry_at_call_time(monkeypatch):
     def fake():
-        return [verify.CheckResult("golden", "replaced", True)]
+        return [Verdict("golden", "replaced", True)]
 
     monkeypatch.setitem(verify.SUITES, "golden", fake)
     assert verify.run_suites(["golden"]) == fake()
@@ -54,13 +56,47 @@ def test_verdict_suites_look_up_their_check_at_call_time(monkeypatch):
 
     def fake(n, m):
         seen.append((n, m))
-        return (n, m) != (2, 3)
+        holds = (n, m) != (2, 3)
+        return Verdict("twist", f"n={n} m={m}", holds, detail=str(holds))
 
     monkeypatch.setattr(smatrix, "twist_pairing_check", fake)
     results = verify.suite_twist(bound=3)
     assert seen == [(2, 2), (2, 3), (3, 2), (3, 3)]
-    assert [r.passed for r in results] == [True, False, True, True]
+    assert [r.holds for r in results] == [True, False, True, True]
     assert results[1].line() == "[FAIL] twist: n=2 m=3  (False)"
+
+
+@pytest.mark.parametrize("check, args, suite, name", [
+    ("branching.verify_exhaustion", (2, 3, 1), "exhaustion", "n=2 m=3 i=1"),
+    ("symfunc.verify_skew_cauchy", (2, 3, 1), "cauchy", "n=2 m=3 i=1"),
+    ("fusion.verlinde_check", (2, 3), "verlinde", "n=2 m=3"),
+    ("branching.verify_equivalence_fusion", (2, 3), "equivalence", "n=2 m=3"),
+    ("branching.verify_trace_form", (2, 3), "traceform", "n=2 m=3"),
+    ("smatrix.twist_pairing_check", (2, 3), "twist", "n=2 m=3"),
+])
+def test_library_checks_return_a_verdict_of_their_suite(check, args, suite, name):
+    module, fn = check.split(".")
+    v = getattr(getattr(levelrank, module), fn)(*args)
+    assert isinstance(v, Verdict)
+    assert v.suite == suite and v.suite in verify.SUITES
+    assert v.name == name
+    assert bool(v) is v.holds is True
+    assert v.counterexample is None and v.checked >= 1
+
+
+def test_verlinde_counts_at_the_default_cases():
+    assert [r.checked for r in verify.suite_verlinde()] == [18, 40, 126, 75, 550]
+
+
+def test_verdict_line_and_json():
+    failing = Verdict("twist", "n=2 m=3", False, 4, (0, LevelWeight((3, 0)), 1, 2), "why")
+    assert not failing
+    assert failing.line() == "[FAIL] twist: n=2 m=3  (why)"
+    assert Verdict("golden", "g", True).line() == "[PASS] golden: g"
+    assert failing.to_json() == {
+        "suite": "twist", "name": "n=2 m=3", "holds": False, "checked": 4,
+        "detail": "why", "counterexample": "(0, LevelWeight(3, 0), 1, 2)",
+    }
 
 
 def test_unknown_suite_raises_key_error():
