@@ -44,6 +44,14 @@ def _precision(args) -> int:
     return bits
 
 
+def _weight(text: str, args) -> LevelWeight:
+    """Parse a weight literal and require the command's rank n and level m."""
+    w = parse_weight(text)
+    if w.rank != args.n or w.level != args.m:
+        raise ValueError(f"{w} is not a rank-{args.n} level-{args.m} weight")
+    return w
+
+
 def _emit(payload: dict, args) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True)
     if getattr(args, "out", None):
@@ -72,9 +80,7 @@ def _cmd_branch(args) -> int:
 
 
 def _cmd_tau(args) -> int:
-    a = parse_weight(args.weight)
-    if a.rank != args.n or a.level != args.m:
-        raise ValueError(f"{a} is not a rank-{args.n} level-{args.m} weight")
+    a = _weight(args.weight, args)
     image = tau(a, args.i)
     if args.json or args.out:
         _emit({"input": list(a.components), "i": args.i,
@@ -90,10 +96,7 @@ def _cmd_qdim(args) -> int:
     else:
         if not args.weight:
             raise ValueError("give a weight literal or --partition")
-        w = parse_weight(args.weight)
-        if w.rank != args.n or w.level != args.m:
-            raise ValueError(f"{w} is not a rank-{args.n} level-{args.m} weight")
-        lam = w.to_partition()
+        lam = _weight(args.weight, args).to_partition()
     product = qdim.qdim_product_string(lam, args.n)
     precision = _precision(args)
     if args.backend == "float":
@@ -114,11 +117,8 @@ def _cmd_qdim(args) -> int:
 
 
 def _cmd_fuse(args) -> int:
-    a = parse_weight(args.a)
-    b = parse_weight(args.b)
-    for w in (a, b):
-        if w.rank != args.n or w.level != args.m:
-            raise ValueError(f"{w} is not a rank-{args.n} level-{args.m} weight")
+    a = _weight(args.a, args)
+    b = _weight(args.b, args)
     dec = fusion.fuse(a, b)
     if args.json or args.out:
         _emit({"a": list(a.components), "b": list(b.components),
@@ -156,7 +156,7 @@ def _cmd_etale(args) -> int:
 
 
 def _cmd_mirror(args) -> int:
-    summands = [parse_weight(tok) for tok in args.weights]
+    summands = [_weight(tok, args) for tok in args.weights]
     out = branching.mirror_transport(summands)
     conditions = branching.etale_necessary_conditions(out)
     if args.json or args.out:

@@ -30,12 +30,6 @@ MPMATH_LOCK = threading.RLock()
 _phi_cache: dict[int, tuple[int, ...]] = {}
 
 
-def _poly_trim(coeffs: list[int]) -> list[int]:
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
 def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
     """Quotient of integer polynomials known to divide exactly (den monic)."""
     num = list(num)

@@ -204,7 +204,7 @@ def test_mirror_transport_validation():
         mirror_transport([LevelWeight.vacuum(2, 2), LevelWeight.vacuum(2, 2)])
 
 
-@pytest.mark.parametrize("n,m", [(2, 2), (2, 3), (3, 2), (3, 3)])
+@pytest.mark.parametrize("n,m", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 4), (5, 3), (6, 6)])
 def test_trace_form(n, m):
     verdict = verify_trace_form(n, m)
     assert verdict, verdict
@@ -218,7 +218,7 @@ def test_trace_form_reports_a_wrong_embedding(monkeypatch, capsys):
     first block; the counterexample is (block, X, Y, lhs, rhs)."""
     embed = branching._embed_left
     monkeypatch.setattr(branching, "_embed_left",
-                        lambda X, n, m: [[2 * x for x in row] for row in embed(X, n, m)])
+                        lambda X, n, m: {k: 2 * v for k, v in embed(X, n, m).items()})
     v = verify_trace_form(2, 3)
     assert isinstance(v, Verdict) and v.holds is False
     block, X, Y, lhs, rhs = v.counterexample
@@ -226,6 +226,42 @@ def test_trace_form_reports_a_wrong_embedding(monkeypatch, capsys):
     assert rhs != 0 and lhs == 4 * rhs
     assert main(["verify", "traceform"]) == 1
     assert "[FAIL] traceform: n=2 m=2  (left block" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("n,m", [(2, 3), (3, 2), (3, 3)])
+def test_embeddings_match_a_dense_kronecker_oracle(n, m):
+    """The sparse X kron I and I kron Y equal the dense Kronecker products
+    entry by entry; the trace identity alone would not notice a consistent
+    relabelling of the big matrix's indices."""
+
+    def dense(S, size):
+        return [[S.get((i, j), 0) for j in range(size)] for i in range(size)]
+
+    def kron(A, B):
+        return [[a * b for a in row_a for b in row_b] for row_a in A for row_b in B]
+
+    def check(sparse, expected):
+        assert dense(sparse, n * m) == expected
+        # no stored zeros and no entry outside the n*m by n*m range
+        assert len(sparse) == sum(v != 0 for row in expected for v in row)
+
+    eye_n = dense({(i, i): 1 for i in range(n)}, n)
+    eye_m = dense({(i, i): 1 for i in range(m)}, m)
+    for X in branching._sl_basis(n):
+        check(branching._embed_left(X, n, m), kron(dense(X, n), eye_m))
+    for Y in branching._sl_basis(m):
+        check(branching._embed_right(Y, n, m), kron(eye_n, dense(Y, m)))
+
+
+def test_verify_traceform_stdout(capsys):
+    assert main(["verify", "traceform"]) == 0
+    assert capsys.readouterr().out == (
+        "[PASS] traceform: n=2 m=2  (27 pairings verified)\n"
+        "[PASS] traceform: n=2 m=3  (97 pairings verified)\n"
+        "[PASS] traceform: n=3 m=2  (97 pairings verified)\n"
+        "[PASS] traceform: n=3 m=3  (192 pairings verified)\n"
+        "4/4 checks passed\n"
+    )
 
 
 def test_trace_form_validation():

@@ -135,6 +135,18 @@ def test_mirror_missing_vacuum_exits_2(capsys):
     assert "vacuum" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("5", "7", "[2,0]", "[0,2]"),  # both summands of the wrong rank and level
+    ("2", "10", "[10,0]", "[2,2]"),  # right rank, wrong level
+    ("2", "10", "[10,0]", "[4,6,0]"),  # right level, wrong rank
+])
+def test_mirror_wrong_rank_or_level_exits_2(capsys, argv):
+    code, out, err = run(capsys, "mirror", *argv)
+    assert code == 2
+    assert out == ""
+    assert f"is not a rank-{argv[0]} level-{argv[1]} weight" in err
+
+
 def test_out_writes_file(tmp_path, capsys):
     target = tmp_path / "table.json"
     code, _, _ = run(capsys, "branch", "2", "2", "0", "--out", str(target))

@@ -1,6 +1,8 @@
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levelrank.partitions import (
     Partition,
@@ -130,3 +132,12 @@ def test_parse_partition():
     assert parse_partition("()") == Partition()
     with pytest.raises(ValueError):
         parse_partition("(a,b)")
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(1, 12), max_size=7))
+def test_parse_partition_round_trips_literal(parts):
+    lam = Partition(sorted(parts, reverse=True))
+    assert parse_partition("(" + ",".join(str(p) for p in lam.parts) + ")") == lam
+    # the tuple form `levelrank branch` prints, e.g. (3,) or (3, 1)
+    assert parse_partition(str(lam.parts)) == lam

@@ -1,6 +1,8 @@
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levelrank.partitions import Partition, enumerate_rectangle
 from levelrank.weights import (
@@ -163,3 +165,10 @@ def test_parse_weight():
         parse_weight("[]")
     with pytest.raises(ValueError):
         parse_weight("[1,x]")
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(0, 12), min_size=2, max_size=7))
+def test_parse_weight_round_trips_str(components):
+    w = LevelWeight(components)
+    assert parse_weight(str(w)) == w
