@@ -13,7 +13,10 @@ The product of two weights is computed in three steps:
    a repeated coordinate, or spread exactly n + m, sit on a wall and are
    dropped. The quadratic invariant sum of squares strictly decreases at each
    reflection, so the loop terminates;
-3. un-shift, strip full columns, and accumulate the signed multiplicities.
+3. read the weight off each folded y = (y_0 > ... > y_{n-1}) directly, as
+   a_0 = n + m - 1 - (y_0 - y_{n-1}) and a_i = y_{i-1} - y_i - 1 (what
+   un-shifting, stripping full columns and ``from_partition`` would give),
+   and accumulate the signed multiplicities.
 
 The surviving coefficients are the fusion multiplicities.
 """
@@ -87,11 +90,11 @@ class Decomposition:
         return f"Decomposition({body or '0'})"
 
 
-def _fold_into_alcove(shifted: list[int], kappa: int) -> tuple[int, tuple[int, ...]] | None:
+def _fold_into_alcove(shifted: list[int], kappa: int) -> tuple[int, LevelWeight] | None:
     """Fold staircase-shifted coordinates into the fundamental alcove.
 
-    Returns (sign, sorted coordinates) or None when the vector lies on a
-    wall. The alcove condition is strictly decreasing coordinates with
+    Returns (sign, weight of the folded vector) or None when the vector lies
+    on a wall. The alcove condition is strictly decreasing coordinates with
     first minus last strictly below kappa.
     """
     y = list(shifted)
@@ -105,7 +108,8 @@ def _fold_into_alcove(shifted: list[int], kappa: int) -> tuple[int, tuple[int, .
             return None
         spread = y[0] - y[-1]
         if spread < kappa:
-            return sign, tuple(y)
+            gaps = [y[i - 1] - y[i] - 1 for i in range(1, len(y))]
+            return sign, LevelWeight([kappa - 1 - spread] + gaps)
         if spread == kappa:
             return None
         # reflect in the affine wall: swap the extreme coordinates and move
@@ -134,19 +138,13 @@ def fuse(a: LevelWeight, b: LevelWeight) -> Decomposition:
     if hit is not None:
         return Decomposition(n, m, hit)
 
-    kappa = n + m
-    staircase = [n - 1 - i for i in range(n)]
     out: dict[LevelWeight, int] = {}
     for nu, coeff in lr_expand(a.to_partition(), b.to_partition(), nvars=n).items():
         padded = nu.padded(n)
-        folded = _fold_into_alcove([padded[i] + staircase[i] for i in range(n)], kappa)
+        folded = _fold_into_alcove([padded[i] + n - 1 - i for i in range(n)], n + m)
         if folded is None:
             continue
-        sign, y = folded
-        lam_parts = [y[i] - staircase[i] for i in range(n)]
-        floor = lam_parts[-1]
-        lam = Partition([p - floor for p in lam_parts])
-        w = from_partition(lam, n, m)
+        sign, w = folded
         out[w] = out.get(w, 0) + sign * coeff
 
     out = {w: c for w, c in out.items() if c}

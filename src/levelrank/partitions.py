@@ -37,6 +37,13 @@ class Partition:
             raise ValueError(f"parts must be weakly decreasing, got {tuple(parts)}")
         self._parts = tuple(cleaned)
 
+    @classmethod
+    def _unchecked(cls, parts: tuple[int, ...]) -> "Partition":
+        """From a tuple of ints known to be positive and weakly decreasing."""
+        lam = object.__new__(cls)
+        lam._parts = parts
+        return lam
+
     @property
     def parts(self) -> tuple[int, ...]:
         return self._parts
@@ -65,11 +72,11 @@ class Partition:
 
     def transpose(self) -> "Partition":
         """Reflect the diagram across the main diagonal."""
-        cols = [0] * self.width
-        for p in self._parts:
-            for j in range(p):
-                cols[j] += 1
-        return Partition(cols)
+        p = self._parts + (0,)
+        cols: list[int] = []
+        for i in range(len(self._parts), 0, -1):  # columns p[i] .. p[i-1] - 1 have i cells
+            cols += [i] * (p[i - 1] - p[i])
+        return Partition._unchecked(tuple(cols))
 
     def fits_in(self, n: int, m: int) -> bool:
         """True when the diagram has at most ``n`` rows and ``m`` columns."""

@@ -3,8 +3,9 @@ identity checked as an exact polynomial identity.
 
 Polynomials are sparse: a map from exponent tuples to integer coefficients.
 Schur polynomials are built by direct semistandard-tableau enumeration; the
-LR rule is implemented independently by enumerating ballot sequences of
-horizontal strips, so products can be cross-checked two ways.
+LR rule is implemented independently, by adding horizontal strips with the
+ballot condition and merging equal partial tableau states, so products can
+be cross-checked two ways.
 """
 
 from __future__ import annotations
@@ -129,86 +130,80 @@ def elementary(k: int, degree: int) -> SymPolynomial:
 
 # -- Littlewood-Richardson ----------------------------------------------------
 
-_lr_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], dict] = {}
+_lr_cache: dict[tuple[tuple[int, ...], tuple[int, ...], int | None], dict[Partition, int]] = {}
 
 
 def lr_expand(lam: Partition, mu: Partition, nvars: int | None = None) -> dict[Partition, int]:
     """Littlewood-Richardson expansion of the product of two Schur functions.
 
-    Returns the multiplicities of each partition nu appearing in the product,
-    computed by enumerating ballot sequences of horizontal strips (one strip
-    per row of ``mu`` added to ``lam``). When ``nvars`` is given, partitions
-    with more than ``nvars`` rows are dropped, matching the expansion of the
-    product in that many variables.
+    Returns the multiplicity of each partition nu in the product. The rows of
+    the factor with fewer rows are added to the other as horizontal strips
+    under the ballot condition; partial tableaux that agree in shape and in
+    their last strip are merged and extended once. When ``nvars`` is given,
+    no strip places a box in row ``nvars`` or below, which keeps exactly the
+    partitions of at most ``nvars`` rows: the product in that many variables.
     """
-    key = (lam.parts, mu.parts)
-    if mu.size > lam.size:
-        key = (mu.parts, lam.parts)  # coefficients are symmetric
-    full = _lr_cache.get(key)
-    if full is None:
-        full = _lr_expand_full(Partition(key[0]), Partition(key[1]))
-        full = _lr_cache.setdefault(key, full)
-    if nvars is None:
-        return dict(full)
-    return {nu: c for nu, c in full.items() if nu.height <= nvars}
+    if nvars is not None and nvars < 0:
+        raise ValueError(f"nvars must be non-negative, got {nvars}")
+    if (len(mu), mu.size, mu.parts) > (len(lam), lam.size, lam.parts):
+        lam, mu = mu, lam  # coefficients are symmetric; one strip per row of mu
+    key = (lam.parts, mu.parts, nvars)
+    hit = _lr_cache.get(key)
+    if hit is None:
+        cap = len(lam) + len(mu) if nvars is None else nvars
+        hit = _lr_cache.setdefault(key, _lr_strip_states(lam.parts, mu.parts, cap))
+    return dict(hit)
 
 
-def _lr_expand_full(lam: Partition, mu: Partition) -> dict[Partition, int]:
-    result: dict[Partition, int] = {}
-    mu_parts = mu.parts
-    if not mu_parts:
-        return {lam: 1}
+def _lr_strip_states(lam: tuple[int, ...], mu: tuple[int, ...], cap: int) -> dict[Partition, int]:
+    """c^nu_{lam,mu} for every nu of at most ``cap`` rows. After the strip of
+    label k a state is (shape, boxes labelled k per row), mapped to the number
+    of partial LR tableaux that reach it; after the last strip, the shape."""
+    if max(len(lam), len(mu)) > cap:  # nu contains both lam and mu
+        return {}
+    if not mu:
+        return {Partition._unchecked(lam): 1}
+    states: dict = {(lam, ()): 1}
+    for k, budget in enumerate(mu):
+        last = k == len(mu) - 1
+        grown: dict = {}
+        for (shape, prev), mult in states.items():
+            for new_shape, counts in _strips(shape, prev, k > 0, budget, cap):
+                state = new_shape if last else (new_shape, counts)
+                grown[state] = grown.get(state, 0) + mult
+        states = grown
+    return {Partition._unchecked(shape): c for shape, c in states.items()}
 
-    def add_strips(entry: int, shape: tuple[int, ...], prev_counts: tuple[int, ...]) -> None:
-        # place mu_parts[entry] boxes labelled entry+1 as a horizontal strip;
-        # prev_counts[r] = number of boxes labelled `entry` in row r
-        budget = mu_parts[entry]
-        nrows = len(shape)
 
-        def per_row(r: int, remaining: int, cum_prev: int, cum_cur: int,
-                    shape_acc: list[int], counts_acc: list[int]) -> None:
-            if remaining == 0:
-                new_shape = tuple(shape_acc) + shape[len(shape_acc):]
-                new_counts = tuple(counts_acc) + (0,) * (len(new_shape) - len(counts_acc))
-                finish(new_shape, new_counts)
-                return
-            if r > nrows:
-                return
-            old = shape[r] if r < nrows else 0
-            above_old = shape[r - 1] if r >= 1 else None
-            hi = remaining
-            if above_old is not None:
-                hi = min(hi, above_old - old)  # strip: stay within the row above
-            if entry > 0:
-                # ballot: entry+1 count in rows <= r cannot exceed the
-                # entry count in rows <= r-1
-                hi = min(hi, cum_prev - cum_cur)
-            prev_here = prev_counts[r] if r < len(prev_counts) else 0
-            for c in range(hi, -1, -1):
-                if old == 0 and c == 0:
-                    # no box here and none can appear lower down
-                    if remaining:
-                        return
-                per_row(
-                    r + 1,
-                    remaining - c,
-                    cum_prev + prev_here,
-                    cum_cur + c,
-                    shape_acc + [old + c],
-                    counts_acc + [c],
-                )
+def _strips(shape: tuple[int, ...], prev: tuple[int, ...], ballot: bool, budget: int,
+            cap: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every horizontal strip of ``budget`` boxes added to ``shape`` in rows
+    below ``cap``, as (new shape, boxes added per row up to the last one).
+    No row grows past the old length of the row above; with ``ballot``, the
+    boxes in rows <= r may not outnumber ``prev``'s in rows <= r - 1."""
+    rows = min(len(shape) + 1, cap)
+    old = shape + (0,)
+    floor = old[rows - 1]
+    out = []
 
-        def finish(new_shape: tuple[int, ...], new_counts: tuple[int, ...]) -> None:
-            if entry + 1 == len(mu_parts):
-                nu = Partition(new_shape)
-                result[nu] = result.get(nu, 0) + 1
-            else:
-                add_strips(entry + 1, new_shape, new_counts)
+    def place(r: int, remaining: int, slack: int, grown: tuple, counts: tuple) -> None:
+        if remaining == 0:
+            out.append((grown + shape[r:], counts))
+            return
+        hi = remaining
+        if r and old[r - 1] - old[r] < hi:
+            hi = old[r - 1] - old[r]
+        if ballot:
+            if slack < hi:
+                hi = slack
+            slack += prev[r] if r < len(prev) else 0
+        lo = remaining - old[r] + floor  # the rows below r hold old[r] - floor more
+        for c in range(hi, lo - 1 if lo > 0 else -1, -1):
+            place(r + 1, remaining - c, slack - c, grown + (old[r] + c,), counts + (c,))
 
-        per_row(0, budget, 0, 0, [], [])
-
-    add_strips(0, lam.parts, ())
-    return result
+    if not ballot or budget <= sum(prev[:rows - 1]):
+        place(0, budget, 0, (), ())
+    return out
 
 
 def schur_expand(poly: SymPolynomial) -> dict[Partition, int]:

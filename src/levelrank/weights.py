@@ -12,6 +12,7 @@ weight (m - lam_1 + lam_n, lam_1 - lam_2, ..., lam_{n-1} - lam_n).
 from __future__ import annotations
 
 from functools import cache
+from itertools import accumulate
 from math import comb
 
 from .partitions import Partition
@@ -62,13 +63,8 @@ class LevelWeight:
 
     def to_partition(self) -> Partition:
         """Partial sums of the tail components; height at most rank - 1."""
-        a = self._components
-        parts = []
-        acc = 0
-        for c in reversed(a[1:]):
-            acc += c
-            parts.append(acc)
-        return Partition(tuple(reversed(parts)))
+        sums = list(accumulate(self._components[:0:-1]))  # a_{n-1}, a_{n-1} + a_{n-2}, ...
+        return Partition._unchecked(tuple(s for s in reversed(sums) if s))
 
     def degree(self) -> int:
         """Size of the associated partition modulo the rank."""

@@ -1,9 +1,11 @@
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
+from levelrank import fusion, symfunc
 from levelrank.fusion import (
     Decomposition,
+    _fold_into_alcove,
     fuse,
     fuse_decompositions,
     fusion_coefficient,
@@ -170,3 +172,42 @@ def test_sort_sign_is_the_parity_of_the_inversions():
         for seq in permutations(range(size)):
             inversions = sum(seq[i] < seq[j] for i in range(size) for j in range(i + 1, size))
             assert _sort_sign(list(seq)) == (-1) ** inversions, seq
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+@pytest.mark.parametrize("m", range(1, 6))
+def test_alcove_weight_matches_the_partition_route(n, m):
+    """Every strictly decreasing y in 0..n+m-1 is an alcove point (its spread
+    is below n+m), which folding leaves in place; the weight read off it
+    must agree with un-shifting, stripping full columns and from_partition."""
+    kappa = n + m
+    seen = set()
+    for chosen in combinations(range(kappa), n):
+        y = sorted(chosen, reverse=True)
+        lam_parts = [y[i] - (n - 1 - i) for i in range(n)]
+        lam = Partition([p - lam_parts[-1] for p in lam_parts])
+        sign, w = _fold_into_alcove(y, kappa)
+        assert (sign, w) == (1, from_partition(lam, n, m)), y
+        seen.add(w)
+    assert seen == set(enumerate_weights(n, m))
+
+
+@pytest.mark.parametrize("n,m", [(3, 3), (4, 2)])
+def test_fuse_expands_each_unordered_pair_once(n, m, monkeypatch):
+    """From cold caches, fusing every ordered pair calls lr_expand once per
+    unordered pair: the second order of a pair is a fusion-cache hit."""
+    monkeypatch.setattr(fusion, "_fusion_cache", {})
+    monkeypatch.setattr(symfunc, "_lr_cache", {})
+    calls = []
+    true_lr_expand = fusion.lr_expand
+
+    def counted(lam, mu, nvars=None):
+        calls.append((lam, mu))
+        return true_lr_expand(lam, mu, nvars)
+
+    monkeypatch.setattr(fusion, "lr_expand", counted)
+    ws = enumerate_weights(n, m)
+    for a in ws:
+        for b in ws:
+            fuse(a, b)
+    assert len(calls) == len(ws) * (len(ws) + 1) // 2

@@ -141,3 +141,33 @@ def test_parse_partition_round_trips_literal(parts):
     assert parse_partition("(" + ",".join(str(p) for p in lam.parts) + ")") == lam
     # the tuple form `levelrank branch` prints, e.g. (3,) or (3, 1)
     assert parse_partition(str(lam.parts)) == lam
+
+
+def test_unchecked_call_sites_match_the_validating_constructor():
+    """LR output, LevelWeight.to_partition and transpose build partitions
+    without re-validating them; each must equal what Partition(...) builds
+    from the same data, for every partition in the 5 x 5 box."""
+    from levelrank.symfunc import lr_expand
+    from levelrank.weights import from_partition
+
+    def same(built: Partition, reference: Partition) -> bool:
+        return (built == reference and hash(built) == hash(reference)
+                and type(built.parts) is tuple and all(type(p) is int for p in built.parts))
+
+    box = Partition((1,))
+    for lam in enumerate_rectangle(5, 5):
+        for nu in lr_expand(lam, box):
+            added = [(i, nu.part(i) - lam.part(i)) for i in range(nu.height)
+                     if nu.part(i) != lam.part(i)]
+            assert len(added) == 1 and added[0][1] == 1, (lam, nu)
+            grown = list(lam.parts) + [0]
+            grown[added[0][0]] += 1
+            assert same(nu, Partition(grown)), (lam, nu)
+        (alone,) = lr_expand(lam, Partition())
+        assert same(alone, Partition(list(lam.parts))), lam
+        # a 6-part weight holds any partition of at most 5 rows without a full column
+        w = from_partition(lam, 6, 5)
+        tail = w.components[1:]
+        sums = [sum(tail[i:]) for i in range(len(tail))]  # trailing zeros included
+        assert same(w.to_partition(), Partition(sums)), lam
+        assert same(lam.transpose(), reflect_cells(lam)), lam

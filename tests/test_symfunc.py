@@ -1,6 +1,8 @@
 from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levelrank import Verdict, symfunc
 from levelrank.cli import main
@@ -90,6 +92,13 @@ def test_lr_height_restriction():
     assert cut == {nu: c for nu, c in full.items() if nu.height <= 3}
 
 
+def test_lr_rejects_negative_nvars():
+    with pytest.raises(ValueError, match="nvars"):
+        lr_expand(Partition((1,)), Partition((1,)), nvars=-1)
+    assert lr_expand(Partition(), Partition(), nvars=0) == {Partition(): 1}
+    assert lr_expand(Partition((1,)), Partition(), nvars=0) == {}
+
+
 def test_lr_with_empty():
     lam = Partition((3, 2))
     assert lr_expand(lam, Partition()) == {lam: 1}
@@ -108,6 +117,54 @@ def test_lr_agrees_with_polynomial_oracle_exhaustive():
                 continue
             oracle = schur_expand(schur(lam, k) * schur(mu, k))
             assert lr_expand(lam, mu, nvars=k) == oracle, (lam, mu)
+
+
+# (lam, mu, k): small partitions and a row cap k below |lam| + |mu| (the
+# exhaustive oracle test only uses k = |lam| + |mu|, which caps nothing).
+_partitions = st.lists(st.integers(1, 4), max_size=4).map(
+    lambda parts: Partition(sorted(parts, reverse=True)))
+_capped_pairs = st.tuples(_partitions, _partitions).filter(
+    lambda pair: 2 <= pair[0].size + pair[1].size <= 7).flatmap(
+    lambda pair: st.tuples(st.just(pair[0]), st.just(pair[1]),
+                           st.integers(1, min(4, pair[0].size + pair[1].size - 1))))
+
+
+@settings(max_examples=15, deadline=None)
+@given(_capped_pairs)
+def test_lr_capped_agrees_with_polynomial_oracle(case):
+    lam, mu, k = case
+    assert lr_expand(lam, mu, nvars=k) == schur_expand(schur(lam, k) * schur(mu, k))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_capped_pairs)
+def test_lr_dimension_identity(case):
+    lam, mu, k = case
+
+    def dim(p: Partition) -> int:
+        return weyl_dimension(p, k) if p.height <= k else 0
+
+    expansion = lr_expand(lam, mu, nvars=k)
+    assert sum(c * dim(nu) for nu, c in expansion.items()) == dim(lam) * dim(mu)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_capped_pairs)
+def test_lr_symmetric_in_its_factors(case):
+    # lr_expand puts both orders under one cache key, so compare the strip
+    # rule itself with either factor added as strips
+    lam, mu, k = case
+    for cap in (k, lam.height + mu.height):
+        assert (symfunc._lr_strip_states(lam.parts, mu.parts, cap)
+                == symfunc._lr_strip_states(mu.parts, lam.parts, cap)), cap
+
+
+@settings(max_examples=25, deadline=None)
+@given(_capped_pairs)
+def test_lr_capped_equals_filtered(case):
+    lam, mu, k = case
+    full = lr_expand(lam, mu)
+    assert lr_expand(lam, mu, nvars=k) == {nu: c for nu, c in full.items() if nu.height <= k}
 
 
 def test_lr_transpose_symmetry():
