@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
+from functools import cache
 from math import gcd
 from typing import Iterable
 
@@ -25,9 +26,6 @@ import mpmath
 # floating-point evaluation in the package serializes on this lock; the
 # exact arithmetic never needs it.
 MPMATH_LOCK = threading.RLock()
-
-# first-writer-wins cache of cyclotomic polynomials, safe for concurrent fills
-_phi_cache: dict[int, tuple[int, ...]] = {}
 
 
 def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
@@ -44,21 +42,17 @@ def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
     return q
 
 
+@cache
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients of the n-th cyclotomic polynomial, ascending, monic."""
-    poly = _phi_cache.get(n)
-    if poly is not None:
-        return poly
     if n == 1:
-        computed = (-1, 1)
-    else:
-        # (x^n - 1) / product of all lower cyclotomic polynomials at divisors
-        acc = [-1] + [0] * (n - 1) + [1]
-        for d in range(1, n):
-            if n % d == 0:
-                acc = _poly_div_exact(acc, list(cyclotomic_polynomial(d)))
-        computed = tuple(acc)
-    return _phi_cache.setdefault(n, computed)
+        return (-1, 1)
+    # (x^n - 1) / product of all lower cyclotomic polynomials at divisors
+    acc = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            acc = _poly_div_exact(acc, list(cyclotomic_polynomial(d)))
+    return tuple(acc)
 
 
 def euler_phi(n: int) -> int:
@@ -403,12 +397,10 @@ class IntegralPacking:
 
 # -- quantum integers --------------------------------------------------------
 
-_qint_cache: dict[tuple[int, int], CyclotomicNumber] = {}
-_qint_inverse_cache: dict[tuple[int, int], CyclotomicNumber] = {}
-
-
 def conductor_for(n: int, m: int) -> int:
     """Conductor 2(n+m) of the field housing the (n, m) quantum integers."""
+    if n + m < 2:
+        raise ValueError("n + m must be at least 2")
     return 2 * (n + m)
 
 
@@ -420,30 +412,29 @@ def qint(i: int, n: int, m: int) -> CyclotomicNumber:
     which avoids any division. Periodic in i with period 2(n+m), and odd:
     qint(-i) = -qint(i).
     """
-    if n + m < 2:
-        raise ValueError("n + m must be at least 2")
     N = conductor_for(n, m)
-    i = i % N
-    key = (N, i)
-    cached = _qint_cache.get(key)
-    if cached is not None:
-        return cached
-    coeffs = [0] * N
-    for j in range(i):
-        coeffs[(i - 1 - 2 * j) % N] += 1
-    value = CyclotomicNumber(N, coeffs)
-    return _qint_cache.setdefault(key, value)
+    return _qint(N, i % N)
 
 
 def qint_inverse(i: int, n: int, m: int) -> CyclotomicNumber:
     """1 / qint(i, n, m), inverted once per conductor and index and cached
     like ``qint``. Raises ZeroDivisionError when n + m divides i."""
     N = conductor_for(n, m)
-    key = (N, i % N)
-    cached = _qint_inverse_cache.get(key)
-    if cached is not None:
-        return cached
-    return _qint_inverse_cache.setdefault(key, qint(i, n, m).inverse())
+    return _qint_inverse(N, i % N)
+
+
+@cache
+def _qint(N: int, i: int) -> CyclotomicNumber:
+    """qint at conductor N and index 0 <= i < N."""
+    coeffs = [0] * N
+    for j in range(i):
+        coeffs[(i - 1 - 2 * j) % N] += 1
+    return CyclotomicNumber(N, coeffs)
+
+
+@cache
+def _qint_inverse(N: int, i: int) -> CyclotomicNumber:
+    return _qint(N, i).inverse()
 
 
 def qint_real(i: int, n: int, m: int):

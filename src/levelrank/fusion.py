@@ -23,6 +23,8 @@ The surviving coefficients are the fusion multiplicities.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .cyclotomic import CyclotomicNumber, conductor_for
 from .partitions import Partition
 from .qdim import qdim_weight
@@ -30,8 +32,6 @@ from .smatrix import perm_sign
 from .symfunc import lr_expand
 from .verdict import Verdict
 from .weights import LevelWeight, enumerate_weights, from_partition
-
-_fusion_cache: dict[tuple[int, int], dict] = {}
 
 
 class Decomposition:
@@ -129,15 +129,14 @@ def fuse(a: LevelWeight, b: LevelWeight) -> Decomposition:
     """Fusion product of two simple objects of equal rank and level."""
     if a.rank != b.rank or a.level != b.level:
         raise ValueError("operands must share rank and level")
-    n, m = a.rank, a.level
-    cache = _fusion_cache.setdefault((n, m), {})
-    key = (a.components, b.components)
-    if key[0] < key[1]:
-        key = (key[1], key[0])  # fusion is commutative
-    hit = cache.get(key)
-    if hit is not None:
-        return Decomposition(n, m, hit)
+    if a.components < b.components:
+        a, b = b, a  # fusion is commutative
+    return Decomposition(a.rank, a.level, _fuse_terms(a, b))
 
+
+@cache
+def _fuse_terms(a: LevelWeight, b: LevelWeight) -> dict[LevelWeight, int]:
+    n, m = a.rank, a.level
     out: dict[LevelWeight, int] = {}
     for nu, coeff in lr_expand(a.to_partition(), b.to_partition(), nvars=n).items():
         padded = nu.padded(n)
@@ -150,8 +149,7 @@ def fuse(a: LevelWeight, b: LevelWeight) -> Decomposition:
     out = {w: c for w, c in out.items() if c}
     if any(c < 0 for c in out.values()):
         raise AssertionError(f"negative fusion multiplicity for {a} x {b}: {out}")
-    cache[key] = out
-    return Decomposition(n, m, out)
+    return out
 
 
 def fusion_coefficient(a: LevelWeight, b: LevelWeight, c: LevelWeight) -> int:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable
 
 import mpmath
@@ -32,8 +33,6 @@ import mpmath
 from .cyclotomic import CyclotomicNumber, conductor_for, qint, qint_inverse, qint_real
 from .partitions import Partition
 from .weights import LevelWeight, enumerate_graded, enumerate_weights
-
-_qdim_cache: dict[tuple[tuple[int, ...], int, int], CyclotomicNumber] = {}
 
 
 def hook_content_factors(lam: Partition, n: int) -> tuple[list[int], list[int]]:
@@ -60,16 +59,19 @@ def _cancel(nums: Iterable[int], dens: Iterable[int]) -> tuple[Counter, Counter]
 
 def qdim_partition(lam: Partition, n: int, m: int, backend: str = "exact"):
     """Quantum dimension of the simple object labelled by ``lam``."""
+    if n < 2:
+        raise ValueError("rank must be at least 2")
     if not lam.fits_in(n, m):
         raise ValueError(f"{lam!r} does not fit in a {m} x {n} rectangle")
     if backend == "float":
         return _qdim_float(lam, n, m)
     if backend != "exact":
         raise ValueError(f"unknown backend {backend!r}")
-    key = (lam.parts, n, m)
-    cached = _qdim_cache.get(key)
-    if cached is not None:
-        return cached
+    return _qdim_exact(lam, n, m)
+
+
+@cache
+def _qdim_exact(lam: Partition, n: int, m: int) -> CyclotomicNumber:
     kappa = n + m
     nums, dens = hook_content_factors(lam, n)
     num_count, den_count = _cancel(
@@ -80,7 +82,7 @@ def qdim_partition(lam: Partition, n: int, m: int, backend: str = "exact"):
         value = value * qint(k, n, m)
     for k in den_count.elements():
         value = value * qint_inverse(k, n, m)
-    return _qdim_cache.setdefault(key, value)
+    return value
 
 
 def _qdim_float(lam: Partition, n: int, m: int):
@@ -116,7 +118,14 @@ def _squared_total(weights: Iterable[LevelWeight], n: int, m: int, backend: str)
 
 def graded_dim(n: int, m: int, i: int, backend: str = "exact"):
     """Sum of squared dimensions over the weights of degree i mod n."""
+    if backend == "exact":
+        return _graded_dim_exact(n, m, i % n)
     return _squared_total(enumerate_graded(n, m, i), n, m, backend)
+
+
+@cache
+def _graded_dim_exact(n: int, m: int, i: int) -> CyclotomicNumber:
+    return _squared_total(enumerate_graded(n, m, i), n, m, "exact")
 
 
 def category_dim(n: int, m: int, backend: str = "exact"):

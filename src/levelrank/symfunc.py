@@ -130,9 +130,6 @@ def elementary(k: int, degree: int) -> SymPolynomial:
 
 # -- Littlewood-Richardson ----------------------------------------------------
 
-_lr_cache: dict[tuple[tuple[int, ...], tuple[int, ...], int | None], dict[Partition, int]] = {}
-
-
 def lr_expand(lam: Partition, mu: Partition, nvars: int | None = None) -> dict[Partition, int]:
     """Littlewood-Richardson expansion of the product of two Schur functions.
 
@@ -147,14 +144,11 @@ def lr_expand(lam: Partition, mu: Partition, nvars: int | None = None) -> dict[P
         raise ValueError(f"nvars must be non-negative, got {nvars}")
     if (len(mu), mu.size, mu.parts) > (len(lam), lam.size, lam.parts):
         lam, mu = mu, lam  # coefficients are symmetric; one strip per row of mu
-    key = (lam.parts, mu.parts, nvars)
-    hit = _lr_cache.get(key)
-    if hit is None:
-        cap = len(lam) + len(mu) if nvars is None else nvars
-        hit = _lr_cache.setdefault(key, _lr_strip_states(lam.parts, mu.parts, cap))
-    return dict(hit)
+    cap = len(lam) + len(mu) if nvars is None else nvars
+    return dict(_lr_strip_states(lam.parts, mu.parts, cap))
 
 
+@cache
 def _lr_strip_states(lam: tuple[int, ...], mu: tuple[int, ...], cap: int) -> dict[Partition, int]:
     """c^nu_{lam,mu} for every nu of at most ``cap`` rows. After the strip of
     label k a state is (shape, boxes labelled k per row), mapped to the number

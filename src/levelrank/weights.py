@@ -163,10 +163,16 @@ def enumerate_weights(n: int, m: int) -> tuple[LevelWeight, ...]:
     return result
 
 
-@cache
 def enumerate_graded(n: int, m: int, i: int) -> tuple[LevelWeight, ...]:
     """The weights of rank n, level m whose degree is i mod n."""
-    return tuple(a for a in enumerate_weights(n, m) if a.degree() == i % n)
+    if n < 2:
+        raise ValueError("rank must be at least 2")
+    return _graded(n, m, i % n)
+
+
+@cache
+def _graded(n: int, m: int, i: int) -> tuple[LevelWeight, ...]:
+    return tuple(a for a in enumerate_weights(n, m) if a.degree() == i)
 
 
 def parse_weight(text: str) -> LevelWeight:

@@ -82,6 +82,14 @@ def test_qdim_without_argument_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("n,m", [("0", "3"), ("0", "0")])
+def test_qdim_rank_below_two_exits_2(capsys, n, m):
+    code, out, err = run(capsys, "qdim", n, m, "--partition", "()")
+    assert code == 2
+    assert out == ""
+    assert "rank must be at least 2" in err
+
+
 def test_fuse(capsys):
     code, out, _ = run(capsys, "fuse", "2", "2", "[1,1]", "[1,1]")
     assert code == 0

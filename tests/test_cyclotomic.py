@@ -191,8 +191,8 @@ def test_concurrent_cache_fills():
 
     import levelrank.cyclotomic as cyc
 
-    cyc._phi_cache.clear()
-    cyc._qint_cache.clear()
+    cyc.cyclotomic_polynomial.cache_clear()
+    cyc._qint.cache_clear()
     with ThreadPoolExecutor(max_workers=8) as pool:
         values = list(pool.map(lambda i: qint(i % 9, 4, 5), range(64)))
     for i, v in enumerate(values):

@@ -196,8 +196,8 @@ def test_alcove_weight_matches_the_partition_route(n, m):
 def test_fuse_expands_each_unordered_pair_once(n, m, monkeypatch):
     """From cold caches, fusing every ordered pair calls lr_expand once per
     unordered pair: the second order of a pair is a fusion-cache hit."""
-    monkeypatch.setattr(fusion, "_fusion_cache", {})
-    monkeypatch.setattr(symfunc, "_lr_cache", {})
+    fusion._fuse_terms.cache_clear()
+    symfunc._lr_strip_states.cache_clear()
     calls = []
     true_lr_expand = fusion.lr_expand
 

@@ -1,0 +1,101 @@
+"""Memo tables: every one is a ``functools.cache`` on a canonical key, its
+results are safe to mutate, and clearing them all changes no verdict."""
+
+import pkgutil
+from importlib import import_module
+
+import levelrank
+from levelrank import fusion, verify
+from levelrank.cyclotomic import conductor_for, qint
+from levelrank.fusion import fuse
+from levelrank.partitions import Partition
+from levelrank.qdim import graded_dim
+from levelrank.symfunc import lr_expand
+from levelrank.weights import LevelWeight, enumerate_graded
+
+MEMO_TABLES = {
+    "cyclotomic.cyclotomic_polynomial",
+    "cyclotomic._qint",
+    "cyclotomic._qint_inverse",
+    "fusion._fuse_terms",
+    "partitions.enumerate_rectangle",
+    "qdim._graded_dim_exact",
+    "qdim._qdim_exact",
+    "symfunc._lr_strip_states",
+    "symfunc.schur",
+    "weights._graded",
+    "weights.enumerate_weights",
+}
+
+
+def _modules():
+    return [levelrank] + [import_module(f"levelrank.{info.name}")
+                          for info in pkgutil.iter_modules(levelrank.__path__)]
+
+
+def _memo_tables():
+    """Every cached function defined in the package, by module-qualified name."""
+    found = {}
+    for mod in _modules():
+        for name, value in vars(mod).items():
+            if hasattr(value, "cache_clear") and value.__module__ == mod.__name__:
+                found[f"{mod.__name__.rsplit('.', 1)[1]}.{name}"] = value
+    return found
+
+
+def test_memo_inventory():
+    """No module keeps a dict as a hand-rolled memo: the only module-level
+    dict is the suite registry, and the cached functions are exactly the
+    known memo tables."""
+    dicts = {f"{mod.__name__}.{name}" for mod in _modules()
+             for name, value in vars(mod).items()
+             if isinstance(value, dict) and not name.startswith("__")}
+    assert dicts == {"levelrank.verify.SUITES"}
+    assert set(_memo_tables()) == MEMO_TABLES
+
+
+def test_cold_caches_give_the_warm_verdicts():
+    names = verify.default_suite_names()
+    warm = verify.run_suites(names, bound=3)
+    for table in _memo_tables().values():
+        table.cache_clear()
+    assert all(t.cache_info().currsize == 0 for t in _memo_tables().values())
+    assert verify.run_suites(names, bound=3) == warm
+
+
+def test_graded_tables_are_keyed_on_the_class_mod_n():
+    for n, m in [(2, 3), (3, 3), (4, 2)]:
+        for i in range(n):
+            assert enumerate_graded(n, m, i) is enumerate_graded(n, m, i + n)
+            assert enumerate_graded(n, m, i) is enumerate_graded(n, m, i - 3 * n)
+            assert graded_dim(n, m, i) is graded_dim(n, m, i + n)
+
+
+def test_qint_is_keyed_on_the_index_mod_the_conductor():
+    for n, m in [(2, 2), (3, 4)]:
+        N = conductor_for(n, m)
+        for i in range(-N, N):
+            assert qint(i, n, m) is qint(i + N, n, m)
+
+
+def test_fuse_fills_one_entry_per_unordered_pair():
+    a, b = LevelWeight((2, 1, 0)), LevelWeight((0, 1, 2))
+    fusion._fuse_terms.cache_clear()
+    assert fuse(a, b) == fuse(b, a)
+    assert fusion._fuse_terms.cache_info().currsize == 1
+
+
+def test_mutating_a_result_leaves_the_memo_intact():
+    lam, mu = Partition((2, 1)), Partition((1, 1))
+    expansion = lr_expand(lam, mu, nvars=3)
+    expected = dict(expansion)
+    expansion.clear()
+    assert lr_expand(lam, mu, nvars=3) == expected
+    assert lr_expand(mu, lam, nvars=3) == expected
+
+    a, b = LevelWeight((1, 1, 1)), LevelWeight((1, 1, 1))
+    terms = fuse(a, b).terms
+    expected = dict(terms)
+    terms[LevelWeight((3, 0, 0))] = 7
+    terms.pop(next(iter(expected)))
+    assert fuse(a, b).terms == expected

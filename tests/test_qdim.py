@@ -171,8 +171,8 @@ def test_cold_box_inverts_each_quantum_integer_once(monkeypatch):
     """A cold (5, 4) box inverts at most one quantum integer per folded
     index 2 .. (n+m)//2, however many partitions share it."""
     n, m = 5, 4
-    monkeypatch.setattr(qdim, "_qdim_cache", {})
-    monkeypatch.setattr(cyclotomic, "_qint_inverse_cache", {})
+    qdim._qdim_exact.cache_clear()
+    cyclotomic._qint_inverse.cache_clear()
     calls = []
     original = CyclotomicNumber.inverse
 
@@ -184,3 +184,10 @@ def test_cold_box_inverts_each_quantum_integer_once(monkeypatch):
     for lam in enumerate_rectangle(n, m):
         qdim_partition(lam, n, m)
     assert 0 < len(calls) <= (n + m) // 2
+
+
+@pytest.mark.parametrize("n,m", [(0, 3), (0, 0), (1, 4)])
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_qdim_partition_rejects_rank_below_two(n, m, backend):
+    with pytest.raises(ValueError, match="rank must be at least 2"):
+        qdim_partition(Partition(()), n, m, backend=backend)
