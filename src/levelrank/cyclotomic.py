@@ -5,6 +5,11 @@ polynomial, stored as an integer coefficient vector over a common positive
 denominator. The reduced form is unique, so equality is coefficient equality
 and no numerics are ever needed to decide identities.
 
+The Galois action is one exponent substitution: ``galois(k)`` is the
+automorphism zeta -> zeta^k for k prime to N, complex conjugation is
+``galois(-1)``, and ``inverse`` is the product of the other Galois conjugates
+over the norm.
+
 The field houses the quantum integers for a rank/level pair (n, m): with
 N = 2(n + m) and zeta = zeta_N (so zeta plays the role of e^{i pi/(n+m)}),
 
@@ -189,30 +194,17 @@ class CyclotomicNumber:
         return self._coerce(other) - self
 
     def inverse(self) -> "CyclotomicNumber":
-        """Multiplicative inverse, via the extended Euclidean algorithm
-        against the cyclotomic polynomial."""
+        """Multiplicative inverse: the product of the other Galois conjugates
+        galois(k), k a unit mod N other than 1, over the norm, which is the
+        rational product of all of them."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
         n = self._conductor
-        phi = [Fraction(c) for c in cyclotomic_polynomial(n)]
-        f = [Fraction(c, self._den) for c in self._num]
-        while f and f[-1] == 0:
-            f.pop()
-        # invariants: r0 = s0*f mod phi, r1 = s1*f mod phi
-        r0, r1 = phi, f
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while len(r1) > 1:
-            q, r = _frac_poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _frac_poly_sub(s0, _frac_poly_mul(q, s1))
-        if not r1 or r1[0] == 0:
-            raise ZeroDivisionError("element is not invertible")
-        c = r1[0]
-        inv = [s / c for s in s1]
-        den = 1
-        for q in inv:
-            den = den * q.denominator // gcd(den, q.denominator)
-        return CyclotomicNumber(n, [int(q * den) for q in inv], den)
+        cofactor = CyclotomicNumber.one(n)
+        for k in range(2, n):
+            if gcd(k, n) == 1:
+                cofactor = cofactor * self.galois(k)
+        return cofactor * (1 / (self * cofactor).as_rational())
 
     def __truediv__(self, other) -> "CyclotomicNumber":
         return self * self._coerce(other).inverse()
@@ -242,13 +234,21 @@ class CyclotomicNumber:
 
     # -- Galois / embedding ------------------------------------------------
 
-    def conjugate(self) -> "CyclotomicNumber":
-        """Image under zeta -> zeta^{-1} (complex conjugation)."""
+    def galois(self, k: int) -> "CyclotomicNumber":
+        """Image under the automorphism zeta -> zeta^k, defined for k prime
+        to the conductor: each exponent e goes to e*k mod N, and the
+        constructor reduces the result mod Phi_N again."""
         n = self._conductor
+        if gcd(k, n) != 1:
+            raise ValueError(f"{k} is not prime to the conductor {n}")
         coeffs = [0] * n
         for e, c in enumerate(self._num):
-            coeffs[(n - e) % n] += c
-        return CyclotomicNumber(n, _reduce_mod_phi(coeffs, n), self._den)
+            coeffs[e * k % n] += c
+        return CyclotomicNumber(n, coeffs, self._den)
+
+    def conjugate(self) -> "CyclotomicNumber":
+        """Image under zeta -> zeta^{-1} (complex conjugation)."""
+        return self.galois(-1)
 
     def is_real(self) -> bool:
         """True when fixed by complex conjugation."""
@@ -310,38 +310,6 @@ class CyclotomicNumber:
                 terms.append(f"{q}*z^{e}" if e else f"{q}")
         body = " + ".join(terms) if terms else "0"
         return f"Cyclotomic({self._conductor}; {body})"
-
-
-def _frac_poly_divmod(a: list[Fraction], b: list[Fraction]):
-    a = list(a)
-    db = len(b) - 1
-    lead = b[-1]
-    q = [Fraction(0)] * max(len(a) - db, 1)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i] / lead
-        if c:
-            q[i - db] = c
-            for j in range(db + 1):
-                a[i - db + j] -= c * b[j]
-    while a and a[-1] == 0:
-        a.pop()
-    return q, a
-
-
-def _frac_poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _frac_poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    a = a + [Fraction(0)] * (n - len(a))
-    b = b + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
 
 
 class IntegralPacking:

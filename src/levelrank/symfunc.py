@@ -83,10 +83,15 @@ class SymPolynomial:
         return f"SymPolynomial({self.nvars}, {len(self.terms)} terms)"
 
 
-@cache
 def schur(lam: Partition, k: int) -> SymPolynomial:
     """Schur polynomial: sum over semistandard tableaux of shape ``lam``
-    with entries in 1..k. Zero when the shape has more than k rows."""
+    with entries in 1..k. Zero when the shape has more than k rows. The
+    result is a fresh copy of the memo entry, safe to mutate."""
+    return SymPolynomial(k, _schur(lam, k).terms)
+
+
+@cache
+def _schur(lam: Partition, k: int) -> SymPolynomial:
     if lam.height > k:
         return SymPolynomial(k)
     terms: dict[tuple[int, ...], int] = {}

@@ -1,8 +1,12 @@
 import json
+from pathlib import Path
 
 import pytest
 
+from levelrank import smatrix
 from levelrank.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -39,6 +43,14 @@ def test_branch_young(capsys):
     assert code == 0
     assert "1 x 1" in out
     assert "[][] x [][]" in out
+
+
+@pytest.mark.parametrize("command", [("branch", "3", "6", "0"), ("etale", "3", "6")])
+def test_json_with_young_prints_only_json(capsys, command):
+    _, plain, _ = run(capsys, "branch", "3", "6", "0", "--json")
+    code, out, _ = run(capsys, *command, "--json", "--young")
+    assert code == 0
+    assert out == plain
 
 
 def test_etale_equals_branch_zero(capsys):
@@ -124,6 +136,21 @@ def test_smatrix_json(capsys):
     assert payload["central_charge"] == "1"
     assert payload["weights"] == [[1, 0], [0, 1]]
     assert float(payload["entries"][0][0][0]) == pytest.approx(0.7071067811865475)
+
+
+def test_smatrix_runs_the_exact_unitarity_pass_once(capsys, monkeypatch):
+    calls = []
+    check = smatrix.SMatrixData.unitarity_residual
+
+    def counting(self):
+        calls.append(1)
+        return check(self)
+
+    monkeypatch.setattr(smatrix.SMatrixData, "unitarity_residual", counting)
+    code, out, _ = run(capsys, "smatrix", "3", "3")
+    assert code == 0
+    assert len(calls) == 1
+    assert json.loads(out)["unitarity_residual"] == 0
 
 
 def test_smatrix_low_precision_rejected(capsys):
@@ -234,10 +261,17 @@ def test_usage_error_exit_code():
 
 
 def test_verify_all_default_bounds(capsys):
-    """The whole default sweep must come back clean."""
+    """The whole default sweep must come back clean, line for line as pinned."""
     code, out, _ = run(capsys, "verify", "all")
     assert code == 0
     assert "[FAIL]" not in out
+    assert out == (GOLDEN / "verify_all.txt").read_text()
+
+
+def test_verify_all_bound_3_matches_golden(capsys):
+    code, out, _ = run(capsys, "verify", "all", "--bound", "3")
+    assert code == 0
+    assert out == (GOLDEN / "verify_all_bound3.txt").read_text()
 
 
 def test_precision_env_var(capsys, monkeypatch):

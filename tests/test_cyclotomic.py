@@ -1,8 +1,11 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import mpmath
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from levelrank.cyclotomic import (
     CyclotomicNumber,
@@ -213,3 +216,74 @@ def test_qint_inverse_cached_and_exact():
         assert qint_inverse(k, 4, 5) is inv
     with pytest.raises(ZeroDivisionError):
         qint_inverse(9, 4, 5)
+
+
+# -- field laws and the Galois action, property-based -------------------------
+
+@st.composite
+def _elements(draw, count):
+    """A conductor N <= 30 and ``count`` elements of Q(zeta_N), built from
+    coefficient lists up to N long so that the constructor's reduction runs."""
+    N = draw(st.integers(1, 30))
+    return N, [CyclotomicNumber(N, draw(st.lists(st.integers(-4, 4), max_size=N)),
+                                draw(st.integers(1, 5)))
+               for _ in range(count)]
+
+
+def _units(N):
+    return st.sampled_from([k for k in range(-N, 2 * N + 1) if gcd(k, N) == 1])
+
+
+@settings(max_examples=30, deadline=None)
+@given(_elements(3))
+def test_ring_laws(drawn):
+    _, (x, y, z) = drawn
+    assert x + y == y + x and x * y == y * x
+    assert (x + y) + z == x + (y + z)
+    assert (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+
+
+@settings(max_examples=30, deadline=None)
+@given(_elements(1))
+def test_inverse_is_a_two_sided_inverse(drawn):
+    _, (x,) = drawn
+    assume(not x.is_zero())
+    assert x * x.inverse() == 1 == x.inverse() * x
+
+
+@settings(max_examples=30, deadline=None)
+@given(_elements(2), st.data())
+def test_galois_is_a_ring_map(drawn, data):
+    N, (x, y) = drawn
+    k = data.draw(_units(N))
+    assert (x + y).galois(k) == x.galois(k) + y.galois(k)
+    assert (x * y).galois(k) == x.galois(k) * y.galois(k)
+    assert CyclotomicNumber.zeta(N).galois(k) == CyclotomicNumber.zeta(N, k)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_elements(1), st.data())
+def test_galois_composes_by_multiplying_exponents(drawn, data):
+    N, (x,) = drawn
+    j, k = data.draw(_units(N)), data.draw(_units(N))
+    assert x.galois(j).galois(k) == x.galois(j * k)
+    assert x.galois(1) == x == x.galois(1 + N)
+
+
+@settings(max_examples=20, deadline=None)
+@given(_elements(1))
+def test_conjugate_is_galois_minus_one_and_complex_conjugation(drawn):
+    _, (x,) = drawn
+    assert x.conjugate() == x.galois(-1)
+    assert mpmath.almosteq(mpmath.mpc(x.conjugate().embed(20)),
+                           mpmath.conj(x.embed(20)), 1e-12, 1e-12)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(2, 30), st.integers(-60, 60), st.data())
+def test_galois_rejects_exponents_sharing_a_factor_with_n(N, k, data):
+    x = CyclotomicNumber.zeta(N)
+    p = data.draw(st.sampled_from([p for p in range(2, N + 1) if N % p == 0]))
+    with pytest.raises(ValueError, match="prime to"):
+        x.galois(p * k)

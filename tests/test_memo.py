@@ -10,7 +10,7 @@ from levelrank.cyclotomic import conductor_for, qint
 from levelrank.fusion import fuse
 from levelrank.partitions import Partition
 from levelrank.qdim import graded_dim
-from levelrank.symfunc import lr_expand
+from levelrank.symfunc import lr_expand, schur
 from levelrank.weights import LevelWeight, enumerate_graded
 
 MEMO_TABLES = {
@@ -22,7 +22,7 @@ MEMO_TABLES = {
     "qdim._graded_dim_exact",
     "qdim._qdim_exact",
     "symfunc._lr_strip_states",
-    "symfunc.schur",
+    "symfunc._schur",
     "weights._graded",
     "weights.enumerate_weights",
 }
@@ -99,3 +99,8 @@ def test_mutating_a_result_leaves_the_memo_intact():
     terms[LevelWeight((3, 0, 0))] = 7
     terms.pop(next(iter(expected)))
     assert fuse(a, b).terms == expected
+
+    poly = schur(Partition((1,)), 2)
+    expected = dict(poly.terms)
+    poly.terms.clear()
+    assert schur(Partition((1,)), 2).terms == expected
