@@ -13,6 +13,7 @@ alcove-folded fusion, exact traces of sparse integer matrices).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .cyclotomic import CyclotomicNumber, conductor_for
@@ -87,13 +88,15 @@ def verify_exhaustion(n: int, m: int, i: int) -> Verdict:
         sum over a of degree i of qdim(a) * qdim(tau_i(a)) = graded total.
 
     The left factor is computed in the rank-n category and the right factor
-    in the rank-m category; both live in the conductor-2(n+m) field. A
-    failure carries the counterexample (paired_sum, graded_total).
+    in the rank-m category; both live in the conductor-2(n+m) field. Equal
+    factor pairs are grouped first, so each distinct product is formed once
+    and scaled by its count. A failure carries the counterexample
+    (paired_sum, graded_total).
     """
     table = branch(n, m, i)
-    total = CyclotomicNumber.zero(conductor_for(n, m))
-    for a, b in table.pairs:
-        total = total + qdim_weight(a) * qdim_weight(b)
+    counts = Counter((qdim_weight(a), qdim_weight(b)) for a, b in table.pairs)
+    total = sum((da * db * k for (da, db), k in counts.items()),
+                CyclotomicNumber.zero(conductor_for(n, m)))
     graded = graded_dim(n, m, i)
     name = f"n={n} m={m} i={i}"
     if total == graded:

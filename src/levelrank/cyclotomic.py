@@ -175,6 +175,8 @@ class CyclotomicNumber:
         return self + (-self._coerce(other))
 
     def __mul__(self, other) -> "CyclotomicNumber":
+        if isinstance(other, int):  # an integer scales each coefficient
+            return CyclotomicNumber(self._conductor, [c * other for c in self._num], self._den)
         other = self._coerce(other)
         self._check(other)
         a, b = self._num, other._num

@@ -108,8 +108,8 @@ def _fold_into_alcove(shifted: list[int], kappa: int) -> tuple[int, LevelWeight]
             return None
         spread = y[0] - y[-1]
         if spread < kappa:
-            gaps = [y[i - 1] - y[i] - 1 for i in range(1, len(y))]
-            return sign, LevelWeight([kappa - 1 - spread] + gaps)
+            gaps = tuple(y[i - 1] - y[i] - 1 for i in range(1, len(y)))
+            return sign, LevelWeight._unchecked((kappa - 1 - spread,) + gaps)
         if spread == kappa:
             return None
         # reflect in the affine wall: swap the extreme coordinates and move

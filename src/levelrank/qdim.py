@@ -19,6 +19,13 @@ multiplied out, and each denominator factor contributes the cached inverse
 ``qint_inverse(k)``, inverted once per conductor and index, so no product is
 ever inverted. ``qdim_product_string`` shows the same cancellation on the
 literal indices, without the folding.
+
+The dimension is constant along the rotation orbit of a weight, so the
+exact products are memoised per orbit: ``qdim_partition`` keys its table on
+the partition of the largest rotation of lam's weight, and at (7, 7) the
+1716 weights need only 246 products. ``qdim_weight`` memoises the exact
+value per weight in front of that. Sums of squares group equal dimensions
+first, square each distinct one once and scale it by its multiplicity.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ import mpmath
 
 from .cyclotomic import CyclotomicNumber, conductor_for, qint, qint_inverse, qint_real
 from .partitions import Partition
-from .weights import LevelWeight, enumerate_graded, enumerate_weights
+from .weights import LevelWeight, enumerate_graded, enumerate_weights, from_partition
 
 
 def hook_content_factors(lam: Partition, n: int) -> tuple[list[int], list[int]]:
@@ -67,7 +74,16 @@ def qdim_partition(lam: Partition, n: int, m: int, backend: str = "exact"):
         return _qdim_float(lam, n, m)
     if backend != "exact":
         raise ValueError(f"unknown backend {backend!r}")
-    return _qdim_exact(lam, n, m)
+    return _qdim_exact(_orbit_partition(lam, n, m), n, m)
+
+
+def _orbit_partition(lam: Partition, n: int, m: int) -> Partition:
+    """The canonical partition of the rotation orbit of lam's rank-n
+    level-m weight: the partition of the largest of its n rotations, compared
+    as plain tuples, with no ``LevelWeight`` built per rotation."""
+    comps = from_partition(lam, n, m).components
+    top = max(comps[k:] + comps[:k] for k in range(n))
+    return LevelWeight._unchecked(top).to_partition()
 
 
 @cache
@@ -99,21 +115,33 @@ def _qdim_float(lam: Partition, n: int, m: int):
 def qdim_weight(a: LevelWeight, backend: str = "exact"):
     """Quantum dimension of a weight, via its partition.
 
-    The dimension is constant along rotation orbits, so any partition
-    preimage of the weight gives the same value; tests assert this.
+    The exact value is memoised per weight, so ``qdim_partition`` runs once
+    per weight; behind it, the hook-content product runs once per rotation
+    orbit. The dimension is constant along rotation orbits, so any partition
+    preimage of the weight gives the same value; tests assert this on the
+    uncached products.
     """
+    if backend == "exact":
+        return _qdim_weight_exact(a)
     return qdim_partition(a.to_partition(), a.rank, a.level, backend=backend)
+
+
+@cache
+def _qdim_weight_exact(a: LevelWeight) -> CyclotomicNumber:
+    return qdim_partition(a.to_partition(), a.rank, a.level)
 
 
 def _squared_total(weights: Iterable[LevelWeight], n: int, m: int, backend: str):
     """Sum of squared dimensions of ``weights``: a ``CyclotomicNumber`` for the
     exact backend, an mpmath real for the float one. Squares are taken as
-    ``d * d``: ``CyclotomicNumber.__pow__`` spends three products on one."""
-    total = CyclotomicNumber.zero(conductor_for(n, m)) if backend == "exact" else 0
-    for a in weights:
-        d = qdim_weight(a, backend)
-        total = total + d * d
-    return total
+    ``d * d``: ``CyclotomicNumber.__pow__`` spends three products on one. The
+    exact backend squares each distinct dimension once and scales it by the
+    number of weights that share it."""
+    if backend != "exact":
+        dims = (qdim_weight(a, backend) for a in weights)
+        return sum(d * d for d in dims)
+    counts = Counter(qdim_weight(a) for a in weights)
+    return sum((d * d * k for d, k in counts.items()), CyclotomicNumber.zero(conductor_for(n, m)))
 
 
 def graded_dim(n: int, m: int, i: int, backend: str = "exact"):

@@ -34,6 +34,13 @@ class LevelWeight:
             raise ValueError(f"components must be non-negative, got {comps}")
         self._components = comps
 
+    @classmethod
+    def _unchecked(cls, comps: tuple[int, ...]) -> "LevelWeight":
+        """From a tuple of at least two non-negative ints."""
+        a = object.__new__(cls)
+        a._components = comps
+        return a
+
     @property
     def components(self) -> tuple[int, ...]:
         return self._components
@@ -76,12 +83,12 @@ class LevelWeight:
         n = self.rank
         k = power % n
         a = self._components
-        return LevelWeight(a[n - k:] + a[:n - k])
+        return LevelWeight._unchecked(a[n - k:] + a[:n - k])
 
     def dual(self) -> "LevelWeight":
         """First component fixed, remaining components reversed."""
         a = self._components
-        return LevelWeight((a[0],) + a[:0:-1])
+        return LevelWeight._unchecked((a[0],) + a[:0:-1])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LevelWeight) and self._components == other._components
@@ -104,24 +111,43 @@ def from_partition(lam: Partition, n: int, m: int) -> LevelWeight:
     """The rank-n level-m weight of a partition inside an m x n rectangle."""
     if not lam.fits_in(n, m):
         raise ValueError(f"{lam!r} does not fit in a {m} x {n} rectangle")
+    if n < 2:
+        raise ValueError("rank must be at least 2")
     p = lam.padded(n)
-    comps = [m - p[0] + p[n - 1]]
-    comps.extend(p[i] - p[i + 1] for i in range(n - 1))
-    return LevelWeight(comps)
+    return LevelWeight._unchecked(
+        (m - p[0] + p[n - 1],) + tuple(p[i] - p[i + 1] for i in range(n - 1)))
 
 
 def tau(a: LevelWeight, i: int) -> LevelWeight:
     """The duality image of ``a`` in the class of degree ``i``.
 
     For a of rank n and level m with degree(a) = i mod n, the result has
-    rank m and level n and degree i mod m. It is
-    rho_m ** ((i - |lam|)/n) applied to the weight of lam^t, where lam is the
-    partition of ``a``; the exponent is an exact integer. The result depends
-    on i only modulo n*m.
+    rank m and level n and degree i mod m. Its components count the rows of
+    lam, the partition of ``a`` padded to n rows, by length mod m: component
+    j is the number of rows of length j, for 0 < j < m, and component 0
+    counts the rows of length 0 or m. The rows are the partial sums
+    a_{n-1}, a_{n-1} + a_{n-2}, ..., a_{n-1} + ... + a_1, plus one 0. That
+    histogram is then rotated by rho_m ** ((i - |lam|)/n); the exponent is an
+    exact integer. The result depends on i only modulo n*m.
+
+    ``tau_from_partition`` computes the same image through the transpose of
+    any partition preimage, and serves as the independent oracle.
     """
-    if a.level < 2:
+    comps = a.components
+    n, m = len(comps), sum(comps)
+    if m < 2:
         raise ValueError("tau needs level at least 2 (the target rank)")
-    return tau_from_partition(a.to_partition(), a.rank, a.level, i)
+    i = i % (n * m)
+    size = sum(k * c for k, c in enumerate(comps))
+    if (i - size) % n != 0:
+        raise ValueError(f"degree mismatch: |lam| = {size} is not congruent to i={i} mod {n}")
+    hist = [1] + [0] * (m - 1)  # the padded row of length 0
+    row = 0
+    for c in comps[:0:-1]:
+        row += c
+        hist[row % m] += 1
+    k = (i - size) // n % m
+    return LevelWeight._unchecked(tuple(hist[m - k:] + hist[:m - k]))
 
 
 def tau_from_partition(lam: Partition, n: int, m: int, i: int) -> LevelWeight:
@@ -158,7 +184,7 @@ def enumerate_weights(n: int, m: int) -> tuple[LevelWeight, ...]:
 
     compose([], m, n)
     out.sort(reverse=True)
-    result = tuple(LevelWeight(t) for t in out)
+    result = tuple(LevelWeight._unchecked(t) for t in out)
     assert len(result) == comb(n + m - 1, n - 1)
     return result
 

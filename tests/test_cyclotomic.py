@@ -245,6 +245,15 @@ def test_ring_laws(drawn):
 
 
 @settings(max_examples=30, deadline=None)
+@given(_elements(1), st.integers(-6, 6))
+def test_integer_scaling_is_the_field_product(drawn, k):
+    N, (x,) = drawn
+    as_element = CyclotomicNumber.from_rational(N, k)
+    product = x * as_element
+    assert x * k == product == k * x
+
+
+@settings(max_examples=30, deadline=None)
 @given(_elements(1))
 def test_inverse_is_a_two_sided_inverse(drawn):
     _, (x,) = drawn

@@ -5,13 +5,14 @@ import pkgutil
 from importlib import import_module
 
 import levelrank
-from levelrank import fusion, verify
+from levelrank import fusion, qdim, verify
+from levelrank.branching import verify_exhaustion
 from levelrank.cyclotomic import conductor_for, qint
 from levelrank.fusion import fuse
 from levelrank.partitions import Partition
 from levelrank.qdim import graded_dim
 from levelrank.symfunc import lr_expand, schur
-from levelrank.weights import LevelWeight, enumerate_graded
+from levelrank.weights import LevelWeight, enumerate_graded, enumerate_weights
 
 MEMO_TABLES = {
     "cyclotomic.cyclotomic_polynomial",
@@ -21,6 +22,7 @@ MEMO_TABLES = {
     "partitions.enumerate_rectangle",
     "qdim._graded_dim_exact",
     "qdim._qdim_exact",
+    "qdim._qdim_weight_exact",
     "symfunc._lr_strip_states",
     "symfunc._schur",
     "weights._graded",
@@ -69,6 +71,18 @@ def test_graded_tables_are_keyed_on_the_class_mod_n():
             assert enumerate_graded(n, m, i) is enumerate_graded(n, m, i + n)
             assert enumerate_graded(n, m, i) is enumerate_graded(n, m, i - 3 * n)
             assert graded_dim(n, m, i) is graded_dim(n, m, i + n)
+
+
+def test_one_hook_content_product_per_rotation_orbit():
+    """From cold caches, the exhaustion sweep at (6, 6) computes each exact
+    quantum dimension once per rotation orbit, not once per weight."""
+    n = m = 6
+    orbits = {max(a.rotate(k).components for k in range(n)) for a in enumerate_weights(n, m)}
+    for table in _memo_tables().values():
+        table.cache_clear()
+    assert all(verify_exhaustion(n, m, i) for i in range(n * m))
+    assert qdim._qdim_exact.cache_info().misses == len(orbits) < len(enumerate_weights(n, m))
+    assert qdim._qdim_weight_exact.cache_info().misses == len(enumerate_weights(n, m))
 
 
 def test_qint_is_keyed_on_the_index_mod_the_conductor():

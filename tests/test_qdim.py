@@ -62,11 +62,17 @@ def test_transpose_symmetry(n, m):
         assert qdim_partition(lam, n, m) == qdim_partition(lam.transpose(), m, n)
 
 
+# The hook-content product of a partition itself, not the orbit's cached value.
+hook_content_product = qdim._qdim_exact.__wrapped__
+
+
 @pytest.mark.parametrize("n,m", [(2, 4), (3, 3), (4, 2)])
 def test_rotation_invariance(n, m):
     for a in enumerate_weights(n, m):
-        d = qdim_weight(a)
-        assert qdim_weight(a.rotate(1)) == d
+        d = hook_content_product(a.to_partition(), n, m)
+        assert qdim_weight(a) == d
+        for k in range(1, n):
+            assert hook_content_product(a.rotate(k).to_partition(), n, m) == d
 
 
 @pytest.mark.parametrize("n,m", [(2, 3), (3, 3), (4, 3)])
@@ -112,7 +118,9 @@ def test_well_defined_across_preimages():
     for (n, m) in ((2, 3), (3, 3)):
         for lam in enumerate_rectangle(n, m):
             a = from_partition(lam, n, m)
-            assert qdim_partition(lam, n, m) == qdim_weight(a)
+            d = hook_content_product(lam, n, m)
+            assert hook_content_product(a.to_partition(), n, m) == d
+            assert qdim_partition(lam, n, m) == qdim_weight(a) == d
 
 
 def test_float_backend_agrees():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from levelrank.fusion import _fold_into_alcove
 from levelrank.partitions import Partition, enumerate_rectangle
 from levelrank.weights import (
     LevelWeight,
@@ -103,7 +104,10 @@ def test_tau_depends_on_class_mod_nm():
     assert tau(a, 13) == tau(a, 13 + 18) == tau(a, 13 - 18)
 
 
-@pytest.mark.parametrize("n,m", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 3)])
+SMALL = [(n, m) for n in range(2, 7) for m in range(2, 7)]
+
+
+@pytest.mark.parametrize("n,m", SMALL)
 def test_tau_involution_and_bijection(n, m):
     for i in range(n * m):
         cls = enumerate_graded(n, m, i)
@@ -121,6 +125,70 @@ def test_tau_preimage_independence(n, m):
         a = from_partition(lam, n, m)
         for i in range(lam.size % n, n * m, n):
             assert tau_from_partition(lam, n, m, i) == tau(a, i)
+
+
+@pytest.mark.parametrize("n,m", SMALL)
+def test_tau_agrees_with_the_transpose_route(n, m):
+    """The histogram of row lengths mod m, rotated, is the weight of the
+    transposed partition, rotated: on every class, and with the same
+    degree-mismatch error off it."""
+    for a in enumerate_weights(n, m):
+        lam = a.to_partition()
+        for i in range(n * m):
+            if (i - lam.size) % n == 0:
+                assert tau(a, i) == tau_from_partition(lam, n, m, i)
+                continue
+            with pytest.raises(ValueError) as direct:
+                tau(a, i)
+            with pytest.raises(ValueError) as oracle:
+                tau_from_partition(lam, n, m, i)
+            assert str(direct.value) == str(oracle.value)
+            assert str(direct.value).startswith("degree mismatch")
+
+
+@pytest.mark.parametrize("a", [LevelWeight((1, 0, 0)), LevelWeight((0, 1)),
+                               LevelWeight((0, 0, 0, 0))])
+def test_tau_rejects_level_below_two(a):
+    for i in range(3):
+        with pytest.raises(ValueError, match="tau needs level at least 2"):
+            tau(a, i)
+
+
+def _assert_validated(w: LevelWeight, n: int, m: int) -> None:
+    """``w`` equals, and hashes like, the validating constructor's weight."""
+    twin = LevelWeight(w.components)
+    assert w == twin and hash(w) == hash(twin)
+    assert type(w.components) is tuple
+    assert all(type(c) is int for c in w.components)
+    assert (w.rank, w.level) == (n, m)
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+@pytest.mark.parametrize("m", range(2, 6))
+def test_unchecked_sites_build_validated_weights(n, m):
+    """Every internal site that skips validation gives the weight the public
+    constructor would."""
+    for a in enumerate_weights(n, m):
+        _assert_validated(a, n, m)
+        _assert_validated(a.dual(), n, m)
+        for k in range(-1, n + 1):
+            _assert_validated(a.rotate(k), n, m)
+        lam = a.to_partition()
+        for i in range(lam.size % n, n * m, n):
+            _assert_validated(tau(a, i), m, n)
+    kappa = n + m
+    for lam in enumerate_rectangle(n, 2 * m):  # reaches past the alcove
+        if lam.fits_in(n, m):  # includes the partitions with n rows
+            _assert_validated(from_partition(lam, n, m), n, m)
+        padded = lam.padded(n)
+        folded = _fold_into_alcove([padded[i] + n - 1 - i for i in range(n)], kappa)
+        if folded is not None:
+            _assert_validated(folded[1], n, m)
+
+
+def test_from_partition_rejects_rank_below_two():
+    with pytest.raises(ValueError, match="rank must be at least 2"):
+        from_partition(Partition((2,)), 1, 3)
 
 
 @pytest.mark.parametrize("n,m", [(2, 2), (3, 4), (4, 3), (5, 5)])
