@@ -6,7 +6,9 @@ example [1,0,0,1,1,0]; partition literals use parentheses, (3,1).
 
 Exit status: 0 on success or a fully verified sweep, 1 when a verification
 finds a counterexample, 2 on usage errors, 3 on an internal error (any other
-exception, reported with its traceback).
+exception, reported with its traceback). A ``verify`` suite that raises is
+one ERROR record and the other suites still run; the sweep exits 1 when any
+check fails, otherwise 3 when any suite raised.
 """
 
 from __future__ import annotations
@@ -176,14 +178,21 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"--bound must be at least 2, got {args.bound}")
     names = verify.default_suite_names() if args.suite == "all" else [args.suite]
     results = verify.run_suites(names, bound=args.bound)
-    failures = [r for r in results if not r.holds]
+    errors = [r for r in results if r.error is not None]
+    failures = [r for r in results if not r.holds and r.error is None]
     if args.json or args.out:
-        _emit({"results": [r.to_json() for r in results], "passed": not failures}, args)
+        _emit({"results": [r.to_json() for r in results],
+               "passed": not failures and not errors}, args)
     if not args.json:
         for r in results:
             print(r.line())
-        print(f"{len(results) - len(failures)}/{len(results)} checks passed")
-    return 1 if failures else 0
+        passed = len(results) - len(failures) - len(errors)
+        raised = f", {len(errors)} raised" if errors else ""
+        print(f"{passed}/{len(results)} checks passed{raised}")
+    for r in errors:
+        traceback.print_exception(r.error)
+        print(f"internal error: {r.detail}", file=sys.stderr)
+    return 1 if failures else 3 if errors else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -206,8 +206,10 @@ def test_verify_json_is_only_the_report(capsys):
         "ten summands at n=3 m=6 i=0", "class-13 pair at n=3 m=6", "hook-content product [7][5]^2",
     ]
     for r in payload["results"]:
-        assert set(r) == {"suite", "name", "holds", "checked", "detail", "counterexample"}
+        assert set(r) == {"suite", "name", "holds", "checked", "detail", "counterexample",
+                          "error"}
         assert r["suite"] == "golden" and r["holds"] is True and r["counterexample"] is None
+        assert r["error"] is None
 
 
 def test_verify_json_serializes_a_counterexample(capsys, monkeypatch):
@@ -313,3 +315,41 @@ def test_internal_error_exits_3(capsys, monkeypatch, error):
     code, _, err = run(capsys, "verify", "verlinde")
     assert code == 3
     assert err.splitlines()[-1] == f"internal error: {error.__name__}: M_0d vanished"
+
+
+def _raising_suite(bound=2):
+    raise AssertionError("negative fusion multiplicity")
+
+
+def test_a_raising_suite_is_an_error_not_a_counterexample(capsys, monkeypatch):
+    """One suite raising does not abort the sweep: it gives one ERROR line,
+    every other suite still runs, and the exit status is 3, not 1."""
+    from levelrank import verify
+
+    monkeypatch.setitem(verify.SUITES, "rotation", _raising_suite)
+    code, out, err = run(capsys, "verify", "all", "--bound", "2")
+    assert code == 3
+    lines = out.splitlines()
+    assert "[ERROR] rotation: raised  (AssertionError: negative fusion multiplicity)" in lines
+    assert [line for line in lines if line.startswith(("[FAIL]", "[ERROR]"))] == [
+        "[ERROR] rotation: raised  (AssertionError: negative fusion multiplicity)"]
+    assert {line.split(":")[0] for line in lines if line.startswith("[PASS]")} == {
+        f"[PASS] {name}" for name in verify.SUITES if name != "rotation"}
+    assert lines[-1] == f"{len(lines) - 2}/{len(lines) - 1} checks passed, 1 raised"
+    assert "Traceback" in err
+    assert err.splitlines()[-1] == "internal error: AssertionError: negative fusion multiplicity"
+
+
+def test_a_failure_outranks_an_error(capsys, monkeypatch):
+    from levelrank import Verdict, verify
+
+    monkeypatch.setitem(verify.SUITES, "golden", lambda: [Verdict("golden", "off", False)])
+    monkeypatch.setitem(verify.SUITES, "rotation", _raising_suite)
+    code, out, _ = run(capsys, "verify", "all", "--bound", "2", "--json")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["passed"] is False
+    bad = [(r["suite"], r["holds"], r["error"]) for r in payload["results"]
+           if not r["holds"]]
+    assert bad == [("golden", False, None),
+                   ("rotation", False, "AssertionError: negative fusion multiplicity")]

@@ -1,11 +1,15 @@
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from levelrank import fusion, symfunc
+from levelrank import fusion, symfunc, verify
 from levelrank.fusion import (
     Decomposition,
+    _cheapest_rotation,
     _fold_into_alcove,
+    _fold_lr,
     fuse,
     fuse_decompositions,
     fusion_coefficient,
@@ -211,3 +215,122 @@ def test_fuse_expands_each_unordered_pair_once(n, m, monkeypatch):
         for b in ws:
             fuse(a, b)
     assert len(calls) == len(ws) * (len(ws) + 1) // 2
+
+
+@pytest.mark.parametrize("n,m", [(5, 4), (4, 5), (6, 3), (3, 6), (4, 4), (6, 2), (2, 6), (3, 3)])
+def test_fuse_by_orbit_representatives_matches_the_plain_route(n, m):
+    """fuse LR-expands the cheapest rotations of its factors and rotates the
+    terms back; LR and fold of the pair as given must agree, for every
+    ordered pair. Where gcd(n, m) > 1 some orbits are shorter than n."""
+    ws = enumerate_weights(n, m)
+    for a in ws:
+        for b in ws:
+            assert fuse(a, b).terms == _fold_lr(a, b), (a, b)
+
+
+@pytest.mark.parametrize("n,m", [(2, 2), (4, 4), (6, 3), (5, 4), (3, 6)])
+def test_cheapest_rotation_has_the_fewest_boxes(n, m):
+    for a in enumerate_weights(n, m):
+        rotations = [a.rotate(k) for k in range(n)]
+        cheapest = min(rotations, key=lambda w: (w.to_partition().size, w.components))
+        assert a.rotate(_cheapest_rotation(a)) == cheapest, a
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_plain_route_is_rotation_covariant(data):
+    """N_{sigma^k a, sigma^l b}^{sigma^(k+l) c} = N_ab^c, on the route that
+    does not assume it."""
+    n, m = data.draw(st.integers(2, 5)), data.draw(st.integers(2, 5))
+    ws = enumerate_weights(n, m)
+    a, b = data.draw(st.sampled_from(ws)), data.draw(st.sampled_from(ws))
+    k, l = data.draw(st.integers(-10, 10)), data.draw(st.integers(-10, 10))
+    assert _fold_lr(a.rotate(k), b.rotate(l)) == {
+        w.rotate(k + l): c for w, c in _fold_lr(a, b).items()}
+
+
+def test_rotation_and_level1_suites_do_not_use_the_orbit_route():
+    """Both suites check the covariance that fuse assumes, so neither may
+    read or fill the fusion memo."""
+    fusion._fuse_terms.cache_clear()
+    cold = fusion._fuse_terms.cache_info()
+    assert all(verify.suite_rotation()) and all(verify.suite_level1())
+    assert fusion._fuse_terms.cache_info() == cold
+
+
+@st.composite
+def _shifted_vectors(draw):
+    """(y, kappa): n integer coordinates, any order, and kappa = n + m."""
+    n, m = draw(st.integers(2, 6)), draw(st.integers(1, 6))
+    kappa = n + m
+    y = draw(st.lists(st.integers(-3 * kappa, 3 * kappa), min_size=n, max_size=n))
+    return y, kappa
+
+
+@settings(max_examples=200, deadline=None)
+@given(_shifted_vectors())
+def test_fold_is_deterministic_and_lands_on_rank_n_level_m(case):
+    y, kappa = case
+    before = list(y)
+    folded = _fold_into_alcove(y, kappa)
+    assert y == before
+    assert _fold_into_alcove(list(y), kappa) == folded
+    if folded is not None:
+        sign, w = folded
+        assert sign in (1, -1)
+        assert w.rank == len(y) and w.level == kappa - len(y)
+        assert min(w.components) >= 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(_shifted_vectors(), st.data())
+def test_fold_is_constant_on_affine_weyl_orbits(case, data):
+    """Translating by kappa * (e_i - e_j), or every coordinate by a constant,
+    keeps (sign, weight); a permutation multiplies the sign by its own."""
+    y, kappa = case
+    n = len(y)
+    folded = _fold_into_alcove(y, kappa)
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    c = data.draw(st.integers(-2 * kappa, 2 * kappa))
+    moved = list(y)
+    moved[i] += kappa
+    moved[j] -= kappa
+    assert _fold_into_alcove(moved, kappa) == folded
+    assert _fold_into_alcove([x + c for x in y], kappa) == folded
+    perm = data.draw(st.permutations(range(n)))
+    permuted = _fold_into_alcove([y[p] for p in perm], kappa)
+    if folded is None:
+        assert permuted is None
+    else:
+        assert permuted == (folded[0] * _sort_sign([-p for p in perm]), folded[1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_shifted_vectors(), st.data())
+def test_fold_drops_a_repeated_coordinate(case, data):
+    y, kappa = case
+    i, j = data.draw(st.permutations(range(len(y))))[:2]
+    y[j] = y[i]
+    assert _fold_into_alcove(y, kappa) is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_fold_drops_a_spread_of_exactly_kappa(data):
+    n, m = data.draw(st.integers(2, 6)), data.draw(st.integers(1, 6))
+    kappa, low = n + m, data.draw(st.integers(-20, 20))
+    inner = data.draw(st.lists(st.integers(low + 1, low + kappa - 1), unique=True,
+                               min_size=n - 2, max_size=n - 2))
+    y = data.draw(st.permutations([low + kappa, low] + inner))
+    assert _fold_into_alcove(list(y), kappa) is None
+
+
+def test_sort_sign_with_ties_counts_only_strict_inversions():
+    """The sort is stable, so tied entries keep their order and only strictly
+    increasing pairs count; the fold then finds the tie and drops the vector."""
+    for size in range(2, 6):
+        for seq in product(range(3), repeat=size):
+            inversions = sum(seq[i] < seq[j] for i in range(size) for j in range(i + 1, size))
+            assert _sort_sign(list(seq)) == (-1) ** inversions, seq
+            if len(set(seq)) < size:
+                assert _fold_into_alcove(list(seq), size + 3) is None, seq

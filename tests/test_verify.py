@@ -95,10 +95,35 @@ def test_verdict_line_and_json():
     assert Verdict("golden", "g", True).line() == "[PASS] golden: g"
     assert failing.to_json() == {
         "suite": "twist", "name": "n=2 m=3", "holds": False, "checked": 4,
-        "detail": "why", "counterexample": "(0, LevelWeight(3, 0), 1, 2)",
+        "detail": "why", "counterexample": "(0, LevelWeight(3, 0), 1, 2)", "error": None,
     }
 
 
 def test_unknown_suite_raises_key_error():
     with pytest.raises(KeyError):
         verify.run_suites(["nonsense"])
+
+
+def test_run_suites_isolates_a_raising_suite(monkeypatch):
+    """A suite that raises gives one ERROR record, and the next suite runs."""
+    exc = ArithmeticError("M_0d vanishes")
+
+    def broken():
+        raise exc
+
+    monkeypatch.setitem(verify.SUITES, "golden", broken)
+    results = verify.run_suites(["golden", "mirror"])
+    assert results[0] == Verdict("golden", "raised", False, 0,
+                                 detail="ArithmeticError: M_0d vanishes", error=exc)
+    assert results[0].line() == "[ERROR] golden: raised  (ArithmeticError: M_0d vanishes)"
+    assert results[0].to_json()["error"] == "ArithmeticError: M_0d vanishes"
+    assert [r.suite for r in results] == ["golden", "mirror", "mirror", "mirror"]
+    assert all(results[1:])
+
+
+def test_run_suites_rejects_an_unknown_name_before_running_any(monkeypatch):
+    ran = []
+    monkeypatch.setitem(verify.SUITES, "golden", lambda: ran.append(1) or [])
+    with pytest.raises(KeyError):
+        verify.run_suites(["golden", "nonsense"])
+    assert ran == []
