@@ -15,11 +15,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 
 from .cyclotomic import CyclotomicNumber, conductor_for
 from .fusion import fuse
 from .partitions import Partition
-from .qdim import graded_dim, qdim_weight
+from .qdim import dimension_report, graded_dim
 from .verdict import Verdict
 from .weights import LevelWeight, enumerate_graded, tau
 
@@ -88,21 +89,31 @@ def verify_exhaustion(n: int, m: int, i: int) -> Verdict:
         sum over a of degree i of qdim(a) * qdim(tau_i(a)) = graded total.
 
     The left factor is computed in the rank-n category and the right factor
-    in the rank-m category; both live in the conductor-2(n+m) field. Equal
-    factor pairs are grouped first, so each distinct product is formed once
-    and scaled by its count. A failure carries the counterexample
-    (paired_sum, graded_total).
+    in the rank-m category; both live in the conductor-2(n+m) field. The
+    pairs are counted by their rotation-orbit ids, so classes with equal
+    counts share one paired sum and each orbit-pair product is formed once
+    per (n, m). A failure carries the counterexample (paired_sum, graded_total).
     """
     table = branch(n, m, i)
-    counts = Counter((qdim_weight(a), qdim_weight(b)) for a, b in table.pairs)
-    total = sum((da * db * k for (da, db), k in counts.items()),
-                CyclotomicNumber.zero(conductor_for(n, m)))
+    left, right = dimension_report(n, m), dimension_report(m, n)
+    lo, lp, ro, rp = left.orbit, left.position, right.orbit, right.position
+    counts = Counter((lo[lp[a]], ro[rp[b]]) for a, b in table.pairs)
+    total = _paired_sum(n, m, tuple(sorted(counts.items())))
     graded = graded_dim(n, m, i)
     name = f"n={n} m={m} i={i}"
     if total == graded:
         return Verdict("exhaustion", name, True, detail="exact")
     return Verdict("exhaustion", name, False, counterexample=(total, graded),
                    detail=f"off by {total - graded!r}")
+
+
+@cache
+def _paired_sum(n: int, m: int, counts: tuple[tuple[tuple[int, int], int], ...]):
+    """Sum of k * qdim(p) * qdim(q) over the ((p, q), k) in ``counts``, with p
+    a rank-n and q a rank-m orbit id."""
+    left, right = dimension_report(n, m).orbit_dims, dimension_report(m, n).orbit_dims
+    return sum((left[p] * right[q] * k for (p, q), k in counts),
+               CyclotomicNumber.zero(conductor_for(n, m)))
 
 
 # -- the degree-zero equivalence ------------------------------------------------

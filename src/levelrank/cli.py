@@ -211,72 +211,52 @@ def build_parser() -> argparse.ArgumentParser:
                            help="binary precision in bits, at least 32 (default: "
                                 f"{PRECISION_ENV}, else 128)")
 
-    p = sub.add_parser("branch", help="branching table of one level-1 class")
-    p.add_argument("n", type=int)
-    p.add_argument("m", type=int)
-    p.add_argument("i", type=int)
+    def command(name, func, summary, *ints):
+        """A subcommand with its integer positionals, n and m first."""
+        p = sub.add_parser(name, help=summary)
+        for arg in ints:
+            p.add_argument(arg, type=int)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("branch", _cmd_branch, "branching table of one level-1 class", "n", "m", "i")
     p.add_argument("--young", action="store_true", help="render diagram pairs")
     common(p)
-    p.set_defaults(func=_cmd_branch)
 
-    p = sub.add_parser("tau", help="duality image of one weight")
-    p.add_argument("n", type=int)
-    p.add_argument("m", type=int)
-    p.add_argument("i", type=int)
+    p = command("tau", _cmd_tau, "duality image of one weight", "n", "m", "i")
     p.add_argument("weight", help="weight literal, e.g. [4,6]")
     common(p)
-    p.set_defaults(func=_cmd_tau)
 
-    p = sub.add_parser("qdim", help="quantum dimension of a weight or partition")
-    p.add_argument("n", type=int)
-    p.add_argument("m", type=int)
+    p = command("qdim", _cmd_qdim, "quantum dimension of a weight or partition", "n", "m")
     p.add_argument("weight", nargs="?", help="weight literal, e.g. [1,1,0]")
     p.add_argument("--partition", help="partition literal, e.g. (4,3,1)")
     p.add_argument("--backend", choices=("exact", "float"), default="exact")
     common(p, precision=True)
-    p.set_defaults(func=_cmd_qdim)
 
-    p = sub.add_parser("fuse", help="fusion product of two weights")
-    p.add_argument("n", type=int)
-    p.add_argument("m", type=int)
+    p = command("fuse", _cmd_fuse, "fusion product of two weights", "n", "m")
     p.add_argument("a", help="weight literal")
     p.add_argument("b", help="weight literal")
     common(p)
-    p.set_defaults(func=_cmd_fuse)
 
-    p = sub.add_parser("smatrix", help="modular S-matrix as JSON")
-    p.add_argument("n", type=int)
-    p.add_argument("m", type=int)
-    common(p, precision=True)
-    p.set_defaults(func=_cmd_smatrix)
+    common(command("smatrix", _cmd_smatrix, "modular S-matrix as JSON", "n", "m"), precision=True)
 
-    p = sub.add_parser("cc", help="central charges of the level-k embedding")
-    p.add_argument("n", type=int)
-    p.add_argument("m", type=int)
+    p = command("cc", _cmd_cc, "central charges of the level-k embedding", "n", "m")
     p.add_argument("k", type=int, nargs="?", default=1)
     common(p)
-    p.set_defaults(func=_cmd_cc)
 
-    p = sub.add_parser("etale", help="the degree-zero algebra object (branch i=0)")
-    p.add_argument("n", type=int)
-    p.add_argument("m", type=int)
+    p = command("etale", _cmd_etale, "the degree-zero algebra object (branch i=0)", "n", "m")
     p.add_argument("--young", action="store_true")
     common(p)
-    p.set_defaults(func=_cmd_etale)
 
-    p = sub.add_parser("mirror", help="transport algebra summands across the duality")
-    p.add_argument("n", type=int)
-    p.add_argument("m", type=int)
+    p = command("mirror", _cmd_mirror, "transport algebra summands across the duality", "n", "m")
     p.add_argument("weights", nargs="+", help="weight literals, vacuum included")
     common(p)
-    p.set_defaults(func=_cmd_mirror)
 
-    p = sub.add_parser("verify", help="run a named verification suite (or 'all')")
+    p = command("verify", _cmd_verify, "run a named verification suite (or 'all')")
     p.add_argument("suite", choices=sorted(verify.SUITES) + ["all"])
     p.add_argument("--bound", type=int, default=None,
                    help="sweep bound for rank and level, at least 2 (suite defaults otherwise)")
     common(p)
-    p.set_defaults(func=_cmd_verify)
 
     return parser
 

@@ -55,9 +55,14 @@ class Decomposition:
                 raise ValueError(f"non-positive multiplicity {c} at {w}")
             if w.rank != rank or w.level != level:
                 raise ValueError(f"{w} does not have rank {rank}, level {level}")
-        self.rank = rank
-        self.level = level
-        self.terms = dict(terms)
+        self.rank, self.level, self.terms = rank, level, dict(terms)
+
+    @classmethod
+    def _unchecked(cls, rank: int, level: int, terms: dict[LevelWeight, int]) -> "Decomposition":
+        """From terms already checked; the dict is still copied."""
+        dec = object.__new__(cls)
+        dec.rank, dec.level, dec.terms = rank, level, dict(terms)
+        return dec
 
     def multiplicity(self, w: LevelWeight) -> int:
         return self.terms.get(w, 0)
@@ -70,9 +75,6 @@ class Decomposition:
         for w, c in self.terms.items():
             total = total + qdim_weight(w) * c
         return total
-
-    def is_simple(self) -> bool:
-        return len(self.terms) == 1 and next(iter(self.terms.values())) == 1
 
     def to_json(self) -> list[dict]:
         return [
@@ -141,7 +143,7 @@ def fuse(a: LevelWeight, b: LevelWeight) -> Decomposition:
         raise ValueError("operands must share rank and level")
     if a.components < b.components:
         a, b = b, a  # fusion is commutative
-    return Decomposition(a.rank, a.level, _fuse_terms(a, b))
+    return Decomposition._unchecked(a.rank, a.level, _fuse_terms(a, b))
 
 
 @cache

@@ -149,18 +149,15 @@ def enumerate_rectangle(n: int, m: int) -> tuple[Partition, ...]:
         raise ValueError("rectangle bounds must be positive")
     found: list[tuple[int, ...]] = []
 
-    def grow(prefix: list[int], maxpart: int, rows_left: int) -> None:
-        found.append(tuple(prefix))
-        if rows_left == 0:
-            return
-        for p in range(1, maxpart + 1):
-            prefix.append(p)
-            grow(prefix, p, rows_left - 1)
-            prefix.pop()
+    def grow(prefix: tuple[int, ...], maxpart: int, rows_left: int) -> None:
+        found.append(prefix)  # weakly decreasing and positive by construction
+        if rows_left:
+            for p in range(1, maxpart + 1):
+                grow(prefix + (p,), p, rows_left - 1)
 
-    grow([], m, n)
-    parts = sorted(found, key=lambda t: (sum(t), t))
-    result = tuple(Partition(t) for t in parts)
+    grow((), m, n)
+    found.sort(key=lambda t: (sum(t), t))
+    result = tuple(map(Partition._unchecked, found))
     assert len(result) == comb(n + m, n)
     return result
 

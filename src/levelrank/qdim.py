@@ -24,8 +24,9 @@ The dimension is constant along the rotation orbit of a weight, so the
 exact products are memoised per orbit: ``qdim_partition`` keys its table on
 the partition of the largest rotation of lam's weight, and at (7, 7) the
 1716 weights need only 246 products. ``qdim_weight`` memoises the exact
-value per weight in front of that. Sums of squares group equal dimensions
-first, square each distinct one once and scale it by its multiplicity.
+value per weight in front of that. ``dimension_report(n, m)`` is the one
+record of a rank and level; its graded totals count the weights of each
+orbit as plain ints and square each orbit's dimension once.
 """
 
 from __future__ import annotations
@@ -33,13 +34,14 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from typing import Iterable
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 import mpmath
 
 from .cyclotomic import CyclotomicNumber, conductor_for, qint, qint_inverse, qint_real
 from .partitions import Partition
-from .weights import LevelWeight, enumerate_graded, enumerate_weights, from_partition
+from .weights import LevelWeight, degree_classes, enumerate_weights, from_partition
 
 
 def hook_content_factors(lam: Partition, n: int) -> tuple[list[int], list[int]]:
@@ -74,16 +76,13 @@ def qdim_partition(lam: Partition, n: int, m: int, backend: str = "exact"):
         return _qdim_float(lam, n, m)
     if backend != "exact":
         raise ValueError(f"unknown backend {backend!r}")
-    return _qdim_exact(_orbit_partition(lam, n, m), n, m)
+    top = _top_rotation(from_partition(lam, n, m).components)
+    return _qdim_exact(LevelWeight._unchecked(top).to_partition(), n, m)
 
 
-def _orbit_partition(lam: Partition, n: int, m: int) -> Partition:
-    """The canonical partition of the rotation orbit of lam's rank-n
-    level-m weight: the partition of the largest of its n rotations, compared
-    as plain tuples, with no ``LevelWeight`` built per rotation."""
-    comps = from_partition(lam, n, m).components
-    top = max(comps[k:] + comps[:k] for k in range(n))
-    return LevelWeight._unchecked(top).to_partition()
+def _top_rotation(comps: tuple[int, ...]) -> tuple[int, ...]:
+    """The largest rotation of a component tuple: its rotation orbit's key."""
+    return max(comps[k:] + comps[:k] for k in range(len(comps)))
 
 
 @cache
@@ -131,45 +130,41 @@ def _qdim_weight_exact(a: LevelWeight) -> CyclotomicNumber:
     return qdim_partition(a.to_partition(), a.rank, a.level)
 
 
-def _squared_total(weights: Iterable[LevelWeight], n: int, m: int, backend: str):
-    """Sum of squared dimensions of ``weights``: a ``CyclotomicNumber`` for the
-    exact backend, an mpmath real for the float one. Squares are taken as
-    ``d * d``: ``CyclotomicNumber.__pow__`` spends three products on one. The
-    exact backend squares each distinct dimension once and scales it by the
-    number of weights that share it."""
-    if backend != "exact":
-        dims = (qdim_weight(a, backend) for a in weights)
-        return sum(d * d for d in dims)
-    counts = Counter(qdim_weight(a) for a in weights)
-    return sum((d * d * k for d, k in counts.items()), CyclotomicNumber.zero(conductor_for(n, m)))
-
-
 def graded_dim(n: int, m: int, i: int, backend: str = "exact"):
     """Sum of squared dimensions over the weights of degree i mod n."""
     if backend == "exact":
-        return _graded_dim_exact(n, m, i % n)
-    return _squared_total(enumerate_graded(n, m, i), n, m, backend)
-
-
-@cache
-def _graded_dim_exact(n: int, m: int, i: int) -> CyclotomicNumber:
-    return _squared_total(enumerate_graded(n, m, i), n, m, "exact")
+        return dimension_report(n, m).graded[i % n]
+    return sum(qdim_weight(a, backend) ** 2 for a in degree_classes(n, m)[i % n])
 
 
 def category_dim(n: int, m: int, backend: str = "exact"):
     """Sum of squared dimensions over all rank-n level-m weights."""
-    return _squared_total(enumerate_weights(n, m), n, m, backend)
+    if backend == "exact":
+        return dimension_report(n, m).total
+    return sum(qdim_weight(a, backend) ** 2 for a in enumerate_weights(n, m))
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class DimensionReport:
-    """Per-object dimensions plus category and graded totals."""
+    """The exact dimension data of rank n, level m, built once.
+
+    ``weights`` are in canonical order and ``position`` maps each back to its
+    index; ``classes[i]`` holds the weights of degree i; ``orbit`` is the
+    rotation-orbit id of each position and ``orbit_dims`` the dimension of
+    each id. ``dims`` maps each weight to its dimension, ``graded`` each
+    degree to its sum of squared dimensions, and ``total`` is their sum.
+    """
 
     n: int
     m: int
-    dims: dict[LevelWeight, CyclotomicNumber]
+    weights: tuple[LevelWeight, ...]
+    position: Mapping[LevelWeight, int]
+    classes: tuple[tuple[LevelWeight, ...], ...]
+    orbit: tuple[int, ...]
+    orbit_dims: tuple[CyclotomicNumber, ...]
+    dims: Mapping[LevelWeight, CyclotomicNumber]
+    graded: Mapping[int, CyclotomicNumber]
     total: CyclotomicNumber
-    graded: dict[int, CyclotomicNumber]
 
     def to_json(self) -> dict:
         return {
@@ -188,11 +183,25 @@ class DimensionReport:
         }
 
 
+@cache
 def dimension_report(n: int, m: int) -> DimensionReport:
-    dims = {a: qdim_weight(a) for a in enumerate_weights(n, m)}
-    total = category_dim(n, m)
-    graded = {i: graded_dim(n, m, i) for i in range(n)}
-    return DimensionReport(n=n, m=m, dims=dims, total=total, graded=graded)
+    """The record of rank n, level m: orbit ids in order of first appearance,
+    dimensions from ``qdim_weight``, and graded totals that square each
+    orbit's dimension once and scale it by the orbit's count in the class."""
+    weights = enumerate_weights(n, m)
+    position = {a: k for k, a in enumerate(weights)}
+    ids: dict[tuple[int, ...], int] = {}
+    orbit = tuple(ids.setdefault(_top_rotation(a.components), len(ids)) for a in weights)
+    dims = {a: qdim_weight(a) for a in weights}
+    orbit_dims = tuple(dict(zip(orbit, dims.values())).values())  # keys come in id order
+    squares = [d * d for d in orbit_dims]
+    zero = CyclotomicNumber.zero(conductor_for(n, m))
+    classes = degree_classes(n, m)
+    graded = {i: sum((squares[p] * k for p, k in Counter(orbit[position[a]] for a in cls).items()),
+                     zero) for i, cls in enumerate(classes)}
+    return DimensionReport(n, m, weights, MappingProxyType(position), classes, orbit, orbit_dims,
+                           MappingProxyType(dims), MappingProxyType(graded),
+                           sum(graded.values(), zero))
 
 
 def qdim_product_string(lam: Partition, n: int) -> str:

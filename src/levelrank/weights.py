@@ -138,14 +138,14 @@ def tau(a: LevelWeight, i: int) -> LevelWeight:
     if m < 2:
         raise ValueError("tau needs level at least 2 (the target rank)")
     i = i % (n * m)
-    size = sum(k * c for k, c in enumerate(comps))
-    if (i - size) % n != 0:
-        raise ValueError(f"degree mismatch: |lam| = {size} is not congruent to i={i} mod {n}")
     hist = [1] + [0] * (m - 1)  # the padded row of length 0
-    row = 0
+    row = size = 0
     for c in comps[:0:-1]:
         row += c
+        size += row
         hist[row % m] += 1
+    if (i - size) % n != 0:
+        raise ValueError(f"degree mismatch: |lam| = {size} is not congruent to i={i} mod {n}")
     k = (i - size) // n % m
     return LevelWeight._unchecked(tuple(hist[m - k:] + hist[:m - k]))
 
@@ -173,32 +173,32 @@ def enumerate_weights(n: int, m: int) -> tuple[LevelWeight, ...]:
         raise ValueError("level must be non-negative")
     out: list[tuple[int, ...]] = []
 
-    def compose(prefix: list[int], remaining: int, slots: int) -> None:
+    def compose(prefix: tuple[int, ...], remaining: int, slots: int) -> None:
         if slots == 1:
-            out.append(tuple(prefix) + (remaining,))
+            out.append(prefix + (remaining,))
             return
-        for c in range(remaining, -1, -1):
-            prefix.append(c)
-            compose(prefix, remaining - c, slots - 1)
-            prefix.pop()
+        for c in range(remaining, -1, -1):  # largest first: reverse-lex order
+            compose(prefix + (c,), remaining - c, slots - 1)
 
-    compose([], m, n)
-    out.sort(reverse=True)
-    result = tuple(LevelWeight._unchecked(t) for t in out)
+    compose((), m, n)
+    result = tuple(map(LevelWeight._unchecked, out))
     assert len(result) == comb(n + m - 1, n - 1)
     return result
 
 
 def enumerate_graded(n: int, m: int, i: int) -> tuple[LevelWeight, ...]:
     """The weights of rank n, level m whose degree is i mod n."""
-    if n < 2:
-        raise ValueError("rank must be at least 2")
-    return _graded(n, m, i % n)
+    return degree_classes(n, m)[i % n]
 
 
 @cache
-def _graded(n: int, m: int, i: int) -> tuple[LevelWeight, ...]:
-    return tuple(a for a in enumerate_weights(n, m) if a.degree() == i)
+def degree_classes(n: int, m: int) -> tuple[tuple[LevelWeight, ...], ...]:
+    """The rank-n level-m weights split by degree in one pass: entry i holds
+    the weights of degree i, in canonical order."""
+    classes: list[list[LevelWeight]] = [[] for _ in range(n)]
+    for a in enumerate_weights(n, m):
+        classes[a.degree()].append(a)
+    return tuple(map(tuple, classes))
 
 
 def parse_weight(text: str) -> LevelWeight:

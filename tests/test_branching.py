@@ -2,6 +2,7 @@ import pytest
 
 from levelrank import Verdict, branching
 from levelrank.branching import (
+    BranchingTable,
     branch,
     etale_necessary_conditions,
     etale_vacuum_algebra,
@@ -14,7 +15,7 @@ from levelrank.branching import (
 from levelrank.cli import main
 from levelrank.fusion import Decomposition, fuse
 from levelrank.partitions import Partition
-from levelrank.qdim import qdim_weight
+from levelrank.qdim import graded_dim, qdim_weight
 from levelrank.weights import LevelWeight, enumerate_graded, tau
 
 GOLDEN_TEN = {
@@ -118,6 +119,23 @@ def test_exhaustion_reports_a_wrong_graded_total(monkeypatch, capsys):
     assert graded - paired == 1
     assert main(["verify", "exhaustion", "--bound", "2"]) == 1
     assert "[FAIL] exhaustion: n=2 m=2 i=0  (" in capsys.readouterr().out
+
+
+def test_exhaustion_reports_a_right_factor_from_another_orbit(monkeypatch):
+    """A table whose first right factor is swapped for a valid rank-m
+    level-n weight of another rotation orbit gives a FAIL verdict with the
+    counterexample (paired_sum, graded_total), not an exception."""
+    true_branch = branching.branch
+    (a, b), *rest = true_branch(3, 3, 0).pairs
+    swap = LevelWeight((1, 1, 1))
+    assert swap not in {b.rotate(k) for k in range(3)}
+    monkeypatch.setattr(branching, "branch",
+                        lambda n, m, i: BranchingTable(n, m, i, ((a, swap), *rest)))
+    v = verify_exhaustion(3, 3, 0)
+    assert isinstance(v, Verdict) and v.holds is False and v.error is None
+    paired, graded = v.counterexample
+    assert graded == graded_dim(3, 3, 0)
+    assert paired - graded == qdim_weight(a) * (qdim_weight(swap) - qdim_weight(b)) != 0
 
 
 def test_transport_golden():

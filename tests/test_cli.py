@@ -276,6 +276,12 @@ def test_verify_all_bound_3_matches_golden(capsys):
     assert out == (GOLDEN / "verify_all_bound3.txt").read_text()
 
 
+def test_verify_exhaustion_bound_6_matches_golden(capsys):
+    code, out, _ = run(capsys, "verify", "exhaustion", "--bound", "6")
+    assert code == 0
+    assert out == (GOLDEN / "verify_exhaustion_bound6.txt").read_text()
+
+
 def test_precision_env_var(capsys, monkeypatch):
     monkeypatch.setenv("LEVELRANK_PRECISION", "64")
     code, out, _ = run(capsys, "smatrix", "2", "1")

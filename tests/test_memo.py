@@ -2,30 +2,33 @@
 results are safe to mutate, and clearing them all changes no verdict."""
 
 import pkgutil
+from collections import Counter
+from functools import cache
 from importlib import import_module
 
 import levelrank
-from levelrank import fusion, qdim, verify
+from levelrank import branching, fusion, qdim, verify
 from levelrank.branching import verify_exhaustion
-from levelrank.cyclotomic import conductor_for, qint
+from levelrank.cyclotomic import CyclotomicNumber, conductor_for, qint
 from levelrank.fusion import fuse
 from levelrank.partitions import Partition
 from levelrank.qdim import graded_dim
 from levelrank.symfunc import lr_expand, schur
-from levelrank.weights import LevelWeight, enumerate_graded, enumerate_weights
+from levelrank.weights import LevelWeight, enumerate_graded, enumerate_weights, tau
 
 MEMO_TABLES = {
+    "branching._paired_sum",
     "cyclotomic.cyclotomic_polynomial",
     "cyclotomic._qint",
     "cyclotomic._qint_inverse",
     "fusion._fuse_terms",
     "partitions.enumerate_rectangle",
-    "qdim._graded_dim_exact",
     "qdim._qdim_exact",
     "qdim._qdim_weight_exact",
+    "qdim.dimension_report",
     "symfunc._lr_strip_states",
     "symfunc._schur",
-    "weights._graded",
+    "weights.degree_classes",
     "weights.enumerate_weights",
 }
 
@@ -83,6 +86,41 @@ def test_one_hook_content_product_per_rotation_orbit():
     assert all(verify_exhaustion(n, m, i) for i in range(n * m))
     assert qdim._qdim_exact.cache_info().misses == len(orbits) < len(enumerate_weights(n, m))
     assert qdim._qdim_weight_exact.cache_info().misses == len(enumerate_weights(n, m))
+
+
+def test_one_product_per_orbit_pair_in_the_exhaustion_sweep(monkeypatch):
+    """From cold caches, ``suite_exhaustion(6)`` forms each product of an
+    orbit pair (orbit of a, orbit of tau_i(a)) at most once per (n, m): the
+    products made inside the paired sums number the distinct orbit pairs."""
+    for table in _memo_tables().values():
+        table.cache_clear()
+    case, products = [], Counter()
+    mul, paired_sum = CyclotomicNumber.__mul__, branching._paired_sum.__wrapped__
+
+    def counting_mul(self, other):
+        if case and isinstance(other, CyclotomicNumber):
+            products[case[0]] += 1
+        return mul(self, other)
+
+    def counting_sum(n, m, counts):
+        case.append((n, m))
+        try:
+            return paired_sum(n, m, counts)
+        finally:
+            case.pop()
+
+    monkeypatch.setattr(CyclotomicNumber, "__mul__", counting_mul)
+    monkeypatch.setattr(branching, "_paired_sum", cache(counting_sum))
+    assert all(verify.suite_exhaustion(6))
+
+    def top(a):
+        return max(a.rotate(k).components for k in range(a.rank))
+
+    for n in range(2, 7):
+        for m in range(2, 7):
+            pairs = {(top(a), top(tau(a, i))) for i in range(n * m)
+                     for a in enumerate_graded(n, m, i)}
+            assert products[n, m] == len(pairs), (n, m)
 
 
 def test_qint_is_keyed_on_the_index_mod_the_conductor():

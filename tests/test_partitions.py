@@ -107,9 +107,9 @@ def test_enumerate_rectangle_count(n, m):
 
 
 def test_enumeration_order_is_graded_lex():
-    ps = enumerate_rectangle(3, 3)
-    keys = [(p.size, p.parts) for p in ps]
-    assert keys == sorted(keys)
+    for n, m in [(3, 3), (1, 4), (4, 2), (5, 5)]:
+        keys = [(p.size, p.parts) for p in enumerate_rectangle(n, m)]
+        assert keys == sorted(set(keys)), (n, m)
 
 
 @pytest.mark.parametrize("n,m", [(2, 3), (4, 4)])
@@ -144,9 +144,10 @@ def test_parse_partition_round_trips_literal(parts):
 
 
 def test_unchecked_call_sites_match_the_validating_constructor():
-    """LR output, LevelWeight.to_partition and transpose build partitions
-    without re-validating them; each must equal what Partition(...) builds
-    from the same data, for every partition in the 5 x 5 box."""
+    """enumerate_rectangle, LR output, LevelWeight.to_partition and
+    transpose build partitions without re-validating them; each must equal
+    what Partition(...) builds from the same data, for every partition in the
+    5 x 5 box."""
     from levelrank.symfunc import lr_expand
     from levelrank.weights import from_partition
 
@@ -156,6 +157,7 @@ def test_unchecked_call_sites_match_the_validating_constructor():
 
     box = Partition((1,))
     for lam in enumerate_rectangle(5, 5):
+        assert same(lam, Partition(list(lam.parts))), lam
         for nu in lr_expand(lam, box):
             added = [(i, nu.part(i) - lam.part(i)) for i in range(nu.height)
                      if nu.part(i) != lam.part(i)]

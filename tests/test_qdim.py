@@ -15,7 +15,8 @@ from levelrank.qdim import (
     qdim_weight,
     hook_content_factors,
 )
-from levelrank.weights import LevelWeight, enumerate_weights, from_partition, tau
+from levelrank.weights import (LevelWeight, enumerate_graded, enumerate_weights,
+                               from_partition, tau)
 
 
 def test_hook_content_golden_431():
@@ -192,6 +193,29 @@ def test_cold_box_inverts_each_quantum_integer_once(monkeypatch):
     for lam in enumerate_rectangle(n, m):
         qdim_partition(lam, n, m)
     assert 0 < len(calls) <= (n + m) // 2
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+@pytest.mark.parametrize("m", range(2, 6))
+def test_dimension_report_matches_the_sum_of_squares(n, m):
+    """The record's orbit-grouped totals equal the by-value sums of squared
+    ``qdim_weight``; its index, classes, orbit ids and dimensions agree with
+    the functions they are read from."""
+    report = dimension_report(n, m)
+    weights = enumerate_weights(n, m)
+    assert report.weights is weights and list(report.dims) == list(weights)
+    assert [report.position[a] for a in weights] == list(range(len(weights)))
+    assert report.classes == tuple(enumerate_graded(n, m, i) for i in range(n))
+    tops = [max(a.rotate(k).components for k in range(n)) for a in weights]
+    assert len(set(report.orbit)) == len(set(tops))
+    for k, a in enumerate(weights):
+        assert report.dims[a] == qdim_weight(a) == report.orbit_dims[report.orbit[k]]
+        assert report.orbit[report.position[a.rotate()]] == report.orbit[k]
+        assert all(report.orbit[j] == report.orbit[k] for j in range(k) if tops[j] == tops[k])
+    for i in range(n):
+        expected = sum(qdim_weight(a) ** 2 for a in enumerate_graded(n, m, i))
+        assert report.graded[i] == graded_dim(n, m, i) == expected
+    assert report.total == category_dim(n, m) == sum(qdim_weight(a) ** 2 for a in weights)
 
 
 @pytest.mark.parametrize("n,m", [(0, 3), (0, 0), (1, 4)])

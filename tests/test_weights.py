@@ -225,6 +225,10 @@ def test_level_one_weights():
 
 def test_canonical_order_starts_at_vacuum():
     assert enumerate_weights(3, 5)[0] == LevelWeight.vacuum(3, 5)
+    for n, m in [(2, 4), (3, 5), (4, 3), (5, 0), (6, 2)]:
+        ws = enumerate_weights(n, m)
+        assert list(ws) == sorted(ws) and len(set(ws)) == len(ws)
+        assert all(min(a.components) >= 0 and a.level == m and a.rank == n for a in ws)
 
 
 def test_parse_weight():
