@@ -9,15 +9,33 @@ Kac-Peterson sum
     M_ab = sum over permutations w of sign(w) exp(-2 pi i <w(y_a), y_b> / (n+m)).
 
 Every mean-free inner product has denominator n, so each term is a power of
-zeta = exp(2 pi i / (n (n+m))). Each entry of the upper triangle (M is
-symmetric) is therefore built once as an integer histogram of exponents
-modulo n(n+m), and M is kept exactly in the cyclotomic field of that
-conductor. Unitarity is the exact identity M M^dagger = n (n+m)^(n-1) I.
-The S-matrix is M divided by the square root of n (n+m)^(n-1) and by the
-phase of the vacuum-vacuum entry.
+zeta = exp(2 pi i / (n (n+m))), and M_ab is an integer histogram of
+exponents modulo N = n(n+m): an element of the group ring Z[C_N], kept
+exactly in the cyclotomic field Q(zeta_N).
 
-Central charges, conformal weights and M are exact; only the displayed
-entries of S are floating point, at a configurable binary precision.
+Galois symmetry (Coste-Gannon). For k prime to N, fold k*y_a into the
+alcove with the affine Weyl group at height n+m; the fold gives a sign
+eps_k(a) and a weight pi_k(a), and sigma_k(M_ab) = eps_k(a) M_{pi_k a, b},
+where sigma_k is zeta -> zeta^k. The maps pi_k split the weights into few
+Galois orbits. ``s_matrix`` builds histograms only for pairs (r, q) of orbit
+representatives and fills every other entry by permuting exponents: for
+a = pi_j r and b = pi_k q,
+
+    hist_ab[e*j*k mod N] = eps_j(r) eps_k(q) hist_rq[e],
+
+an identity in Z[C_N], so M is exactly the matrix of the direct sum over
+every pair. ``galois_check`` builds M directly on every pair and checks the
+relation for every unit k; the exact digests of the built M are pinned in
+the tests. Unitarity is the exact identity M M^dagger = n (n+m)^(n-1) I,
+decided over every entry.
+
+The displayed entries of S are floating point. Each is evaluated from its
+histogram as two integer dot products with fixed-point tables of cos and sin
+of 2 pi e/N, then multiplied by one factor conj(M_00)/(|M_00| sqrt(n
+(n+m)^(n-1))). By the Weyl denominator formula
+M_00 = prod_{i<j} -2i sin(pi (j-i)/(n+m)), every sine positive, so the
+phase factor is exactly i^(n(n-1)/2). Central charges, conformal weights
+and M are exact.
 """
 
 from __future__ import annotations
@@ -26,6 +44,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
+from math import factorial, gcd, isqrt
 from operator import mul
 
 import mpmath
@@ -50,11 +69,6 @@ def category_central_charge(n: int, m: int) -> Fraction:
     return Fraction((n * n - 1) * m, n + m)
 
 
-def _mean_free_inner(u: tuple[int, ...], v: tuple[int, ...]) -> Fraction:
-    n = len(u)
-    return Fraction(sum(a * b for a, b in zip(u, v))) - Fraction(sum(u) * sum(v), n)
-
-
 def _coordinates(a: LevelWeight) -> tuple[int, ...]:
     n = a.rank
     lam = a.to_partition().padded(n)
@@ -62,18 +76,23 @@ def _coordinates(a: LevelWeight) -> tuple[int, ...]:
 
 
 def conformal_weight(a: LevelWeight) -> Fraction:
-    """Sugawara conformal weight (lam, lam + 2 rho) / (2 (n + m)), exact."""
+    """Sugawara conformal weight (lam, lam + 2 rho) / (2 (n + m)), exact.
+    The mean-free product n (lam, lam + 2 rho) is
+    n sum lam_i (lam_i + 2 rho_i) - |lam| (|lam| + 2 |rho|), |rho| = n(n-1)/2."""
     n, m = a.rank, a.level
     lam = a.to_partition().padded(n)
-    rho = tuple(n - 1 - i for i in range(n))
-    value = _mean_free_inner(lam, lam) + 2 * _mean_free_inner(lam, rho)
-    return value / (2 * (n + m))
+    size = sum(lam)
+    value = n * sum(x * (x + 2 * (n - 1 - i)) for i, x in enumerate(lam))
+    return Fraction(value - size * (size + n * (n - 1)), 2 * n * (n + m))
 
 
 @dataclass
 class SMatrixData:
     """S-matrix with its index order, the exact unnormalized matrix M, exact
-    central charge and twists."""
+    central charge and twists, and the Galois source of every weight: entry
+    a of ``galois_sources`` is (r, k, eps) with weight a = pi_k(r),
+    eps = eps_k(r) and r the first weight of a's Galois orbit (r = a, k = 1
+    and eps = 1 for a representative)."""
 
     n: int
     m: int
@@ -82,18 +101,37 @@ class SMatrixData:
     exact: list = field(repr=False)  # rows of CyclotomicNumber, conductor n(n+m)
     precision_bits: int
     central_charge: Fraction
+    galois_sources: tuple = field(repr=False)  # (r, k, eps) per weight
     conformal_weights: dict = field(repr=False, default_factory=dict)
 
     def index(self, a: LevelWeight) -> int:
         return self.weights.index(a)
 
-    def pack(self, products: int, constant: int = 0) -> tuple[IntegralPacking, list]:
+    def pack(self, products: int, constant: int = 0,
+             columns: list[int] | None = None) -> tuple[IntegralPacking, list]:
         """M packed for exact zero tests of sums of at most ``products``
         products of two entries plus an integer of size at most
-        ``constant``; returns the packing and the packed rows."""
+        ``constant``; returns the packing and the packed rows. With
+        ``columns``, only those columns are packed (the others are None)."""
         norm = max(IntegralPacking.norm(z) for row in self.exact for z in row)
         packing = IntegralPacking(self.n * (self.n + self.m), products * norm * norm + constant)
-        return packing, [[packing.pack(z) for z in row] for row in self.exact]
+        return packing, self._packed_rows(packing, columns=columns)
+
+    def _packed_rows(self, packing: IntegralPacking, conjugate: bool = False,
+                     columns: list[int] | None = None) -> list:
+        """The rows of M (or of its conjugate) packed, each entry object
+        once: ``s_matrix`` shares one object among equal entries."""
+        size = len(self.weights)
+        rows = [[None] * size for _ in range(size)]
+        done: dict = {}
+        for row, packed in zip(self.exact, rows):
+            for d in range(size) if columns is None else columns:
+                z = row[d]
+                p = done.get(id(z))
+                if p is None:
+                    p = done[id(z)] = packing.pack(z, conjugate)
+                packed[d] = p
+        return rows
 
     def unitarity_residual(self) -> int:
         """Decide M M^dagger = n (n+m)^(n-1) I exactly, which makes the
@@ -103,7 +141,7 @@ class SMatrixData:
         size = len(self.weights)
         scale = self.n * (self.n + self.m) ** (self.n - 1)
         packing, rows = self.pack(size, scale)
-        conj = [[packing.pack(z, conjugate=True) for z in row] for row in self.exact]
+        conj = self._packed_rows(packing, conjugate=True)
         for a in range(size):  # M M^dagger is Hermitian: the upper triangle decides
             for b in range(a, size):
                 total = sum(map(mul, rows[a], conj[b]))
@@ -134,7 +172,8 @@ class SMatrixData:
 
 
 def s_matrix(n: int, m: int, precision_bits: int = 128) -> SMatrixData:
-    """The modular S-matrix for rank n at level m."""
+    """The modular S-matrix for rank n at level m, built from the histograms
+    of pairs of Galois-orbit representatives (see the module docstring)."""
     if n < 2 or m < 1:
         raise ValueError("need rank >= 2 and level >= 1")
     if precision_bits < 32:
@@ -143,17 +182,47 @@ def s_matrix(n: int, m: int, precision_bits: int = 128) -> SMatrixData:
     kappa = n + m
     conductor = n * kappa
     size = len(weights)
-    exact = [[None] * size for _ in range(size)]
-    raw = [[None] * size for _ in range(size)]
-    with MPMATH_LOCK, mpmath.workprec(precision_bits + 32):
+    coords = [_coordinates(a) for a in weights]
+    sources = _galois_sources(weights, coords, kappa)
+    reps = [r for r in range(size) if sources[r][0] == r]
+    rep_hists = _exponent_histograms(
+        n, coords, conductor, [(r, q) for i, r in enumerate(reps) for q in reps[i:]])
+    # fixed-point tables: a histogram is at most n! in l1 norm, so its dot
+    # product with the tables is off by at most 2^-(precision_bits + 32)
+    bits = precision_bits + 32 + factorial(n).bit_length()
+    with MPMATH_LOCK, mpmath.workprec(bits + 16):
         roots = [mpmath.expjpi(mpmath.mpf(2 * e) / conductor) for e in range(conductor)]
-        for (i, j), hist in _exponent_histograms(
-                n, [_coordinates(a) for a in weights], conductor).items():
-            exact[i][j] = exact[j][i] = CyclotomicNumber(conductor, hist)
-            raw[i][j] = raw[j][i] = mpmath.fsum(c * roots[e] for e, c in enumerate(hist) if c)
-        # normalize: unit rows (the exact row norm), vacuum-vacuum entry real positive
-        scale = mpmath.sqrt(n * kappa ** (n - 1)) * raw[0][0] / abs(raw[0][0])
-        entries = [[z / scale for z in row] for row in raw]
+        cos = [int(mpmath.nint(mpmath.ldexp(z.real, bits))) for z in roots]
+        sin = [int(mpmath.nint(mpmath.ldexp(z.imag, bits))) for z in roots]
+    # 1 / sqrt(n kappa^(n-1)) scaled by 2^(2 bits); the phase of M_00 is (-i)^(n(n-1)/2)
+    inv_sqrt = isqrt((1 << 4 * bits) // (n * kappa ** (n - 1)))
+    quarter_turns = n * (n - 1) // 2 % 4
+    exact = [[None] * size for _ in range(size)]
+    entries = [[None] * size for _ in range(size)]
+    cells = {}  # ((r, q), j*k mod N, sign) -> (exact entry, float entry)
+    with MPMATH_LOCK, mpmath.workprec(precision_bits + 32):
+        for a in range(size):
+            r, j, sign_a = sources[a]
+            for b in range(a, size):
+                q, k, sign_b = sources[b]
+                pair, t, sign = (min(r, q), max(r, q)), j * k % conductor, sign_a * sign_b
+                cell = cells.get((pair, t, sign))
+                if cell is None:
+                    hist = [0] * conductor
+                    for e, c in enumerate(rep_hists[pair]):
+                        if c:
+                            hist[e * t % conductor] += sign * c
+                    re = sum(map(mul, hist, cos))
+                    im = sum(map(mul, hist, sin))
+                    for _ in range(quarter_turns):  # times i
+                        re, im = -im, re
+                    cell = cells[pair, t, sign] = (
+                        CyclotomicNumber(conductor, hist),
+                        mpmath.mpc(mpmath.mpf((re * inv_sqrt, -3 * bits)),
+                                   mpmath.mpf((im * inv_sqrt, -3 * bits))),
+                    )
+                exact[a][b] = exact[b][a] = cell[0]
+                entries[a][b] = entries[b][a] = cell[1]
     data = SMatrixData(
         n=n,
         m=m,
@@ -163,27 +232,65 @@ def s_matrix(n: int, m: int, precision_bits: int = 128) -> SMatrixData:
         precision_bits=precision_bits,
         central_charge=category_central_charge(n, m),
         conformal_weights={a: conformal_weight(a) for a in weights},
+        galois_sources=sources,
     )
     data.unitarity_residual()
     return data
 
 
-def _exponent_histograms(n: int, coords: list[tuple[int, ...]], conductor: int) -> dict:
-    """Upper triangle of M: entry e of the (i, j) histogram is the signed
-    count of permutations w with -n <w(y_i), y_j> = e modulo the conductor,
-    so that M_ij = sum_e hist[e] zeta^e."""
+def _galois_fold(y: tuple[int, ...], k: int, kappa: int) -> tuple[int, LevelWeight] | None:
+    """(eps_k(a), pi_k(a)) for the coordinates y of a: k*y folded into the
+    alcove of height kappa, or None when it lies on a wall. Each coordinate
+    is first reduced mod n*kappa, which moves y by kappa times a root plus a
+    multiple of (1, ..., 1) and so changes neither the sign nor the weight."""
+    from .fusion import _fold_into_alcove
+
+    period = len(y) * kappa
+    return _fold_into_alcove([k * c % period for c in y], kappa)
+
+
+def _units(conductor: int) -> list[int]:
+    """The units 1 <= k < conductor, in increasing order."""
+    return [k for k in range(1, conductor) if gcd(k, conductor) == 1]
+
+
+def _galois_sources(weights, coords, kappa: int) -> tuple[tuple[int, int, int], ...]:
+    """Per weight a, the first (r, k, eps) with a = pi_k(r), eps = eps_k(r)
+    and r the first weight of its Galois orbit. Raises ArithmeticError when
+    a fold lands on a wall, which the Galois action rules out."""
+    index = {w: i for i, w in enumerate(weights)}
+    sources: list = [None] * len(weights)
+    ks = _units(len(coords[0]) * kappa)
+    for r, y in enumerate(coords):
+        if sources[r] is not None:
+            continue
+        for k in ks:
+            folded = _galois_fold(y, k, kappa)
+            if folded is None:
+                raise ArithmeticError(f"{k} (a + rho) lies on a wall at a = {weights[r]}")
+            sign, w = folded
+            if sources[index[w]] is None:
+                sources[index[w]] = (r, k, sign)
+    return tuple(sources)
+
+
+def _exponent_histograms(n: int, coords: list[tuple[int, ...]], conductor: int,
+                         pairs: list[tuple[int, int]]) -> dict:
+    """Entry e of the (i, j) histogram, for each (i, j) in ``pairs``, is the
+    signed count of permutations w with -n <w(y_i), y_j> = e modulo the
+    conductor, so that M_ij = sum_e hist[e] zeta^e."""
     signed = [(perm_sign(p), p) for p in permutations(range(n))]
     out = {}
-    for i, ya in enumerate(coords):
-        permuted = [(sign, [ya[k] for k in p]) for sign, p in signed]
-        sa = sum(ya)
-        for j in range(i, len(coords)):
-            yb = coords[j]
-            shift = sa * sum(yb)  # n times the mean correction
-            hist = [0] * conductor
-            for sign, pa in permuted:
-                hist[(shift - n * sum(map(mul, pa, yb))) % conductor] += sign
-            out[i, j] = hist
+    permuted, last = None, None
+    for i, j in pairs:
+        ya, yb = coords[i], coords[j]
+        if i != last:
+            permuted, last = [(sign, [ya[k] for k in p]) for sign, p in signed], i
+        shift = sum(ya) * sum(yb)  # n times the mean correction
+        hist = [0] * conductor
+        for sign, pa in permuted:
+            hist[(shift - n * sum(map(mul, pa, yb))) % conductor] += sign
+        out[i, j] = hist
     return out
 
 
@@ -203,6 +310,48 @@ def perm_sign(perm: Sequence[int]) -> int:
         if length % 2 == 0:
             sign = -sign
     return sign
+
+
+# -- exact Galois symmetry ------------------------------------------------------
+
+
+def galois_check(n: int, m: int) -> Verdict:
+    """For every unit k mod N = n(n+m) and all weights a, b, check
+    sigma_k(M_ab) == eps_k(a) M_{pi_k a, b} exactly in Q(zeta_N), with M
+    built on the direct route: one histogram for every ordered pair, not
+    filled by the Galois action. A mismatch gives the counterexample
+    (k, a, b, lhs, rhs); a fold of k (a + rho) that lands on a wall is a
+    failure with the counterexample (k, a).
+
+    Equal histograms are built into one entry (13 distinct of 100 at
+    (3, 3)), so sigma_k is applied once per distinct entry and unit."""
+    weights = enumerate_weights(n, m)
+    kappa, conductor = n + m, n * (n + m)
+    size = len(weights)
+    coords = [_coordinates(a) for a in weights]
+    hists = _exponent_histograms(n, coords, conductor,
+                                 [(i, j) for i in range(size) for j in range(size)])
+    keys = [[tuple(hists[i, j]) for j in range(size)] for i in range(size)]
+    M = {h: CyclotomicNumber(conductor, h) for row in keys for h in row}
+    signed = {1: M, -1: {h: -z for h, z in M.items()}}
+    index = {w: i for i, w in enumerate(weights)}
+    name = f"n={n} m={m}"
+    checked = 0
+    for k in _units(conductor):
+        images = {h: z.galois(k) for h, z in M.items()}
+        for a, w in enumerate(weights):
+            folded = _galois_fold(coords[a], k, kappa)
+            if folded is None:
+                return Verdict("galois", name, False, checked, (k, w),
+                               f"{k} (a + rho) lies on a wall at a={w}")
+            sign, image = folded
+            for b, (h, g) in enumerate(zip(keys[a], keys[index[image]])):
+                lhs, rhs = images[h], signed[sign][g]
+                if lhs != rhs:
+                    return Verdict("galois", name, False, checked, (k, w, weights[b], lhs, rhs),
+                                   f"disagree at k={k} a={w} b={weights[b]}")
+                checked += 1
+    return Verdict("galois", name, True, checked, detail=f"{checked} exact identities checked")
 
 
 # -- exact twist identities ----------------------------------------------------

@@ -1,4 +1,6 @@
+import hashlib
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -130,6 +132,40 @@ def test_exact_matrix_is_symmetric_and_unitary(n, m):
                         CyclotomicNumber.zero(n * (n + m)))
             assert total == (scale if a == b else 0)
     assert data.unitarity_residual() == 0
+
+
+EXACT_GOLDEN = Path(__file__).parent / "golden" / "smatrix_exact.txt"
+
+
+@pytest.mark.parametrize("n,m,digest", [
+    (int(n), int(m), digest)
+    for n, m, digest in map(str.split, EXACT_GOLDEN.read_text().splitlines())
+])
+def test_exact_matrix_matches_its_golden_digest(n, m, digest):
+    """sha256 over the rows of M, one line per entry holding its rational
+    coefficients of 1, zeta, zeta^2, ... separated by spaces. The digests
+    were taken from the matrix built with one histogram per pair."""
+    h = hashlib.sha256()
+    for row in s_matrix(n, m).exact:
+        for z in row:
+            h.update((" ".join(map(str, z.coefficients())) + "\n").encode())
+    assert h.hexdigest() == digest
+
+
+@pytest.mark.parametrize("n,m,bits", [
+    (2, 1, 128), (3, 3, 128), (4, 3, 64), (2, 10, 128), (6, 2, 160), (5, 2, 32),
+])
+def test_float_entries_match_the_exact_matrix(n, m, bits):
+    """Every float entry is within 2^-bits of the exact entry embedded at
+    60 digits times conj(M_00) / (|M_00| sqrt(n (n+m)^(n-1)))."""
+    data = s_matrix(n, m, precision_bits=bits)
+    with mpmath.workdps(70):
+        z00 = data.exact[0][0].embed(60)
+        factor = mpmath.conj(z00) / (abs(z00) * mpmath.sqrt(n * (n + m) ** (n - 1)))
+        tol = mpmath.mpf(2) ** -bits
+        for row, exact_row in zip(data.entries, data.exact):
+            for z, x in zip(row, exact_row):
+                assert abs(z - x.embed(60) * factor) < tol
 
 
 def test_precision_validation():

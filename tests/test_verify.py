@@ -9,7 +9,7 @@ from levelrank.weights import LevelWeight
 
 NAMES = (
     "golden", "tau", "branch", "exhaustion", "cauchy", "rotation", "level1",
-    "verlinde", "cc", "equivalence", "mirror", "traceform", "cardinality",
+    "verlinde", "galois", "cc", "equivalence", "mirror", "traceform", "cardinality",
     "twist", "grading",
 )
 BOUNDED = ("tau", "branch", "exhaustion", "cauchy", "rotation", "level1", "cc",
@@ -73,6 +73,7 @@ def test_verdict_suites_look_up_their_check_at_call_time(monkeypatch):
     ("branching.verify_equivalence_fusion", (2, 3), "equivalence", "n=2 m=3"),
     ("branching.verify_trace_form", (2, 3), "traceform", "n=2 m=3"),
     ("smatrix.twist_pairing_check", (2, 3), "twist", "n=2 m=3"),
+    ("smatrix.galois_check", (2, 3), "galois", "n=2 m=3"),
 ])
 def test_library_checks_return_a_verdict_of_their_suite(check, args, suite, name):
     module, fn = check.split(".")
@@ -85,7 +86,9 @@ def test_library_checks_return_a_verdict_of_their_suite(check, args, suite, name
 
 
 def test_verlinde_counts_at_the_default_cases():
-    assert [r.checked for r in verify.suite_verlinde()] == [18, 40, 126, 75, 550]
+    """All a <= b, one column per Galois orbit: the orbits number 2, 2, 2, 4
+    and 4 of the 3, 4, 6, 5 and 10 weights."""
+    assert [r.checked for r in verify.suite_verlinde()] == [12, 20, 42, 60, 220]
 
 
 def test_verdict_line_and_json():
