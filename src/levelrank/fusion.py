@@ -221,8 +221,8 @@ def verlinde_check(n: int, m: int) -> Verdict:
     invertible (``s_matrix`` proves M M^dagger = n (n+m)^(n-1) I) and no
     M_0d is zero. One column per orbit decides all of them: the Galois map
     sigma_k takes M_cd to eps_k(d) M_{c, pi_k d} for every c (the relation
-    the ``galois`` suite checks), so it carries the identity at d to eps_k(d)^2
-    = 1 times the identity at pi_k d. The columns where it fails therefore
+    ``smatrix.galois_check`` checks), so it carries the identity at d to
+    eps_k(d)^2 = 1 times the identity at pi_k d. The columns where it fails therefore
     form a union of Galois orbits, and a wrong coefficient fails at the
     orbit's representative too. A mismatch is returned as the
     counterexample (a, b, d, lhs, rhs).

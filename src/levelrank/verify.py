@@ -1,14 +1,13 @@
 """Named verification suites over configurable sweep bounds.
 
 Each suite returns a list of ``Verdict`` records, one per case, and passes
-when every record holds. Seven suites are built from a library check that
+when every record holds. Six suites are built from a library check that
 already returns a ``Verdict`` labelled with the suite and the case:
 exhaustion (``branching.verify_exhaustion``), cauchy
 (``symfunc.verify_skew_cauchy``), verlinde (``fusion.verlinde_check``),
-galois (``smatrix.galois_check``), equivalence
-(``branching.verify_equivalence_fusion``), traceform
+equivalence (``branching.verify_equivalence_fusion``), traceform
 (``branching.verify_trace_form``) and twist
-(``smatrix.twist_pairing_check``). The last five return one check per case
+(``smatrix.twist_pairing_check``). The last four return one check per case
 as it is. Exhaustion and cauchy run one check per class or degree and
 return the first failing verdict as it is, or one passing record counting
 the identities checked. A suite looks its check up on the module at call
@@ -179,19 +178,11 @@ def suite_level1(bound: int = 10) -> list[Verdict]:
     return [check_rank(N) for N in range(2, bound + 1)]
 
 
-# the cases of the exact S-matrix suites
-_MODULAR_CASES = ((2, 2), (2, 3), (3, 2), (2, 4), (3, 3))
-
-
-def suite_verlinde(cases: tuple[tuple[int, int], ...] = _MODULAR_CASES) -> list[Verdict]:
+def suite_verlinde(
+    cases: tuple[tuple[int, int], ...] = ((2, 2), (2, 3), (3, 2), (2, 4), (3, 3)),
+) -> list[Verdict]:
     """Combinatorial fusion against the exact S-matrix relation."""
     return [fusion.verlinde_check(n, m) for n, m in cases]
-
-
-def suite_galois(cases: tuple[tuple[int, int], ...] = _MODULAR_CASES) -> list[Verdict]:
-    """Galois symmetry of the exact S-matrix, sigma_k(M_ab) = eps_k(a)
-    M_{pi_k a, b} for every unit k, on M built pair by pair."""
-    return [smatrix.galois_check(n, m) for n, m in cases]
 
 
 def suite_cc(bound: int = 50) -> list[Verdict]:
@@ -316,7 +307,6 @@ SUITES: dict[str, Callable[..., list[Verdict]]] = {
     "rotation": suite_rotation,
     "level1": suite_level1,
     "verlinde": suite_verlinde,
-    "galois": suite_galois,
     "cc": suite_cc,
     "equivalence": suite_equivalence,
     "mirror": suite_mirror,

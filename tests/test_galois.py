@@ -66,6 +66,7 @@ def test_galois_orbit_counts(n, m, orbits):
 def test_galois_check_holds(n, m):
     v = galois_check(n, m)
     assert isinstance(v, Verdict) and v.holds, v
+    assert (v.suite, v.name, v.counterexample) == ("galois", f"n={n} m={m}", None)
     weights = enumerate_weights(n, m)
     assert v.checked == len(_units(n * (n + m))) * len(weights) ** 2
 

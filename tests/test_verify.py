@@ -9,7 +9,7 @@ from levelrank.weights import LevelWeight
 
 NAMES = (
     "golden", "tau", "branch", "exhaustion", "cauchy", "rotation", "level1",
-    "verlinde", "galois", "cc", "equivalence", "mirror", "traceform", "cardinality",
+    "verlinde", "cc", "equivalence", "mirror", "traceform", "cardinality",
     "twist", "grading",
 )
 BOUNDED = ("tau", "branch", "exhaustion", "cauchy", "rotation", "level1", "cc",
@@ -73,7 +73,6 @@ def test_verdict_suites_look_up_their_check_at_call_time(monkeypatch):
     ("branching.verify_equivalence_fusion", (2, 3), "equivalence", "n=2 m=3"),
     ("branching.verify_trace_form", (2, 3), "traceform", "n=2 m=3"),
     ("smatrix.twist_pairing_check", (2, 3), "twist", "n=2 m=3"),
-    ("smatrix.galois_check", (2, 3), "galois", "n=2 m=3"),
 ])
 def test_library_checks_return_a_verdict_of_their_suite(check, args, suite, name):
     module, fn = check.split(".")
