@@ -14,7 +14,7 @@ alcove-folded fusion, exact traces of sparse integer matrices).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 
 from .cyclotomic import CyclotomicNumber, conductor_for
@@ -22,17 +22,23 @@ from .fusion import fuse
 from .partitions import Partition
 from .qdim import dimension_report, graded_dim
 from .verdict import Verdict
-from .weights import LevelWeight, enumerate_graded, tau
+from .weights import LevelWeight, enumerate_graded, tau, weight_table
 
 
 @dataclass(frozen=True)
 class BranchingTable:
-    """Multiplicity-free decomposition of one level-1 simple object."""
+    """Multiplicity-free decomposition of one level-1 simple object.
+
+    ``positions`` holds the pairs as positions in ``weight_table(n, m)`` and
+    ``weight_table(m, n)``; it is None for a table built from weight pairs
+    alone."""
 
     n: int
     m: int
     i: int
     pairs: tuple[tuple[LevelWeight, LevelWeight], ...]
+    positions: tuple[tuple[int, int], ...] | None = field(default=None, compare=False,
+                                                           repr=False)
 
     def partition_pairs(self) -> tuple[tuple[Partition, Partition], ...]:
         return tuple((a.to_partition(), b.to_partition()) for a, b in self.pairs)
@@ -68,12 +74,19 @@ class BranchingTable:
 
 def branch(n: int, m: int, i: int) -> BranchingTable:
     """The full decomposition of the i-th level-1 object, one pair
-    (a, tau_i(a)) per weight a of degree i, in canonical order on a."""
+    (a, tau_i(a)) per weight a of degree i, in canonical order on a, read
+    off the tau column of ``weight_table(n, m)``."""
     if n < 2 or m < 2:
         raise ValueError("need rank and level at least 2")
     i = i % (n * m)
-    pairs = tuple((a, tau(a, i)) for a in enumerate_graded(n, m, i))
-    return BranchingTable(n=n, m=m, i=i, pairs=pairs)
+    left, right = weight_table(n, m), weight_table(m, n)
+    cls = left.classes[i % n]
+    images = [left.tau[p] for p in cls]
+    for _ in range(i // n):  # tau_{d + t n}(a) is tau_d(a) rotated t times
+        images = [right.rotation[q] for q in images]
+    positions = tuple(zip(cls, images))
+    pairs = tuple((left.weights[p], right.weights[q]) for p, q in positions)
+    return BranchingTable(n=n, m=m, i=i, pairs=pairs, positions=positions)
 
 
 def etale_vacuum_algebra(n: int, m: int) -> BranchingTable:
@@ -96,8 +109,12 @@ def verify_exhaustion(n: int, m: int, i: int) -> Verdict:
     """
     table = branch(n, m, i)
     left, right = dimension_report(n, m), dimension_report(m, n)
-    lo, lp, ro, rp = left.orbit, left.position, right.orbit, right.position
-    counts = Counter((lo[lp[a]], ro[rp[b]]) for a, b in table.pairs)
+    lo, ro = left.orbit, right.orbit
+    if table.positions is None:
+        lp, rp = left.position, right.position
+        counts = Counter((lo[lp[a]], ro[rp[b]]) for a, b in table.pairs)
+    else:
+        counts = Counter((lo[p], ro[q]) for p, q in table.positions)
     total = _paired_sum(n, m, tuple(sorted(counts.items())))
     graded = graded_dim(n, m, i)
     name = f"n={n} m={m} i={i}"

@@ -386,13 +386,6 @@ def qint(i: int, n: int, m: int) -> CyclotomicNumber:
     return _qint(N, i % N)
 
 
-def qint_inverse(i: int, n: int, m: int) -> CyclotomicNumber:
-    """1 / qint(i, n, m), inverted once per conductor and index and cached
-    like ``qint``. Raises ZeroDivisionError when n + m divides i."""
-    N = conductor_for(n, m)
-    return _qint_inverse(N, i % N)
-
-
 @cache
 def _qint(N: int, i: int) -> CyclotomicNumber:
     """qint at conductor N and index 0 <= i < N."""
@@ -400,11 +393,6 @@ def _qint(N: int, i: int) -> CyclotomicNumber:
     for j in range(i):
         coeffs[(i - 1 - 2 * j) % N] += 1
     return CyclotomicNumber(N, coeffs)
-
-
-@cache
-def _qint_inverse(N: int, i: int) -> CyclotomicNumber:
-    return _qint(N, i).inverse()
 
 
 def qint_real(i: int, n: int, m: int):

@@ -10,19 +10,26 @@ are sums of squared dimensions. Everything is exact by default; a floating
 backend evaluates the same products as sine ratios at the current mpmath
 precision.
 
-The exact route cancels before it multiplies. With kappa = n + m, every
-content index n + c and every hook lies in 1 .. kappa - 1, where [k] is
-nonzero and [kappa - k] = [k] holds exactly; each index is therefore folded
-to min(k, kappa - k). Equal indices then cancel between numerator and
-denominator, and [1] = 1 is dropped. What is left of the numerator is
-multiplied out, and each denominator factor contributes the cached inverse
-``qint_inverse(k)``, inverted once per conductor and index, so no product is
-ever inverted. ``qdim_product_string`` shows the same cancellation on the
-literal indices, without the folding.
+The exact route is the Weyl form of the same number. With v = lam + rho,
+that is v_j = lam_j + n - j, and a the weight of lam,
+
+    qdim = prod over i < j of [v_i - v_j]  /  prod over k < n of [k]^(n-k),
+
+where v_i - v_j = sum of (a_l + 1) over i <= l < j is at most kappa - 1,
+kappa = n + m, so no factor vanishes. Each [d] is the sum of d powers of
+zeta, so in Z[x]/(x^N - 1) the numerator has non-negative coefficients that
+sum to P = prod (v_i - v_j). Substituting x = 2^k with k = bitlen(P) + 1,
+the substitution of ``cyclotomic.IntegralPacking``, maps it injectively
+into the integers modulo 2^(kN) - 1: the numerator is formed there by
+shifts and adds, unpacked once and reduced mod Phi_N once, then multiplied
+by one cached inverse of the denominator per (n, m). The hook-content
+product stays as the independent route: the float backend,
+``qdim_product_string``, the golden check of ``verify`` and the tests
+evaluate it.
 
 The dimension is constant along the rotation orbit of a weight, so the
 exact products are memoised per orbit: ``qdim_partition`` keys its table on
-the partition of the largest rotation of lam's weight, and at (7, 7) the
+the largest rotation of the components of lam's weight, and at (7, 7) the
 1716 weights need only 246 products. ``qdim_weight`` memoises the exact
 value per weight in front of that. ``dimension_report(n, m)`` is the one
 record of a rank and level; its graded totals count the weights of each
@@ -34,14 +41,15 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
+from math import prod
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
 import mpmath
 
-from .cyclotomic import CyclotomicNumber, conductor_for, qint, qint_inverse, qint_real
+from .cyclotomic import CyclotomicNumber, conductor_for, qint, qint_real
 from .partitions import Partition
-from .weights import LevelWeight, degree_classes, enumerate_weights, from_partition
+from .weights import LevelWeight, enumerate_graded, enumerate_weights, from_partition, weight_table
 
 
 def hook_content_factors(lam: Partition, n: int) -> tuple[list[int], list[int]]:
@@ -76,8 +84,7 @@ def qdim_partition(lam: Partition, n: int, m: int, backend: str = "exact"):
         return _qdim_float(lam, n, m)
     if backend != "exact":
         raise ValueError(f"unknown backend {backend!r}")
-    top = _top_rotation(from_partition(lam, n, m).components)
-    return _qdim_exact(LevelWeight._unchecked(top).to_partition(), n, m)
+    return _qdim_exact(_top_rotation(from_partition(lam, n, m).components))
 
 
 def _top_rotation(comps: tuple[int, ...]) -> tuple[int, ...]:
@@ -86,18 +93,38 @@ def _top_rotation(comps: tuple[int, ...]) -> tuple[int, ...]:
 
 
 @cache
-def _qdim_exact(lam: Partition, n: int, m: int) -> CyclotomicNumber:
-    kappa = n + m
-    nums, dens = hook_content_factors(lam, n)
-    num_count, den_count = _cancel(
-        (min(k, kappa - k) for k in nums), (min(k, kappa - k) for k in dens)
-    )
-    value = CyclotomicNumber.one(conductor_for(n, m))
-    for k in num_count.elements():
-        value = value * qint(k, n, m)
-    for k in den_count.elements():
-        value = value * qint_inverse(k, n, m)
-    return value
+def _qdim_exact(top: tuple[int, ...]) -> CyclotomicNumber:
+    """The Weyl product of the weight with components ``top`` (see the
+    module docstring): the numerator as one packed integer, unpacked and
+    reduced mod Phi_N once, times the cached inverse of the denominator."""
+    n, m = len(top), sum(top)
+    N = conductor_for(n, m)
+    diffs = []  # v_i - v_j for 1 <= i < j <= n
+    for i in range(1, n):
+        d = 0
+        for a in top[i:]:
+            d += a + 1
+            diffs.append(d)
+    k = prod(diffs).bit_length() + 1
+    width = k * N
+    modulus = (1 << width) - 1
+    value = 1
+    for d in diffs:  # times [d], the shifts by k * (d - 1 - 2j) mod N, j < d
+        value = sum(value << k * ((d - 1 - 2 * j) % N) for j in range(d))
+        while value >> width:
+            value = (value & modulus) + (value >> width)
+    mask = (1 << k) - 1
+    numerator = CyclotomicNumber(N, [value >> k * e & mask for e in range(N)])
+    return numerator * _weyl_denominator_inverse(n, m)
+
+
+@cache
+def _weyl_denominator_inverse(n: int, m: int) -> CyclotomicNumber:
+    """1 / prod_{k < n} [k]^(n-k), the Weyl denominator of rank n at level m."""
+    den = CyclotomicNumber.one(conductor_for(n, m))
+    for k in range(2, n):
+        den = den * qint(k, n, m) ** (n - k)
+    return den.inverse()
 
 
 def _qdim_float(lam: Partition, n: int, m: int):
@@ -134,7 +161,7 @@ def graded_dim(n: int, m: int, i: int, backend: str = "exact"):
     """Sum of squared dimensions over the weights of degree i mod n."""
     if backend == "exact":
         return dimension_report(n, m).graded[i % n]
-    return sum(qdim_weight(a, backend) ** 2 for a in degree_classes(n, m)[i % n])
+    return sum(qdim_weight(a, backend) ** 2 for a in enumerate_graded(n, m, i))
 
 
 def category_dim(n: int, m: int, backend: str = "exact"):
@@ -185,21 +212,19 @@ class DimensionReport:
 
 @cache
 def dimension_report(n: int, m: int) -> DimensionReport:
-    """The record of rank n, level m: orbit ids in order of first appearance,
-    dimensions from ``qdim_weight``, and graded totals that square each
-    orbit's dimension once and scale it by the orbit's count in the class."""
-    weights = enumerate_weights(n, m)
-    position = {a: k for k, a in enumerate(weights)}
-    ids: dict[tuple[int, ...], int] = {}
-    orbit = tuple(ids.setdefault(_top_rotation(a.components), len(ids)) for a in weights)
+    """The record of rank n, level m: the index, classes and orbit ids of
+    ``weight_table``, dimensions from ``qdim_weight``, and graded totals that
+    square each orbit's dimension once and scale it by the orbit's count in
+    the class."""
+    table = weight_table(n, m)
+    weights, orbit = table.weights, table.orbit
     dims = {a: qdim_weight(a) for a in weights}
     orbit_dims = tuple(dict(zip(orbit, dims.values())).values())  # keys come in id order
     squares = [d * d for d in orbit_dims]
     zero = CyclotomicNumber.zero(conductor_for(n, m))
-    classes = degree_classes(n, m)
-    graded = {i: sum((squares[p] * k for p, k in Counter(orbit[position[a]] for a in cls).items()),
-                     zero) for i, cls in enumerate(classes)}
-    return DimensionReport(n, m, weights, MappingProxyType(position), classes, orbit, orbit_dims,
+    graded = {i: sum((squares[p] * k for p, k in Counter(orbit[q] for q in cls).items()), zero)
+              for i, cls in enumerate(table.classes)}
+    return DimensionReport(n, m, weights, table.position, table.graded, orbit, orbit_dims,
                            MappingProxyType(dims), MappingProxyType(graded),
                            sum(graded.values(), zero))
 

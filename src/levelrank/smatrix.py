@@ -358,18 +358,18 @@ def galois_check(n: int, m: int) -> Verdict:
 
 
 def twist_pairing_check(n: int, m: int) -> Verdict:
-    """For every class i and weight a of degree i, the conformal weights of a
-    and of its duality image must sum to i(nm - i)/(2nm) modulo 1, the
+    """For every class i and pair (a, b) of ``branch(n, m, i)``, the
+    conformal weights of a and b must sum to i(nm - i)/(2nm) modulo 1, the
     conformal weight of the i-th level-1 object. Checked with exact
     rationals; a failure carries the first counterexample (i, a, total,
     target)."""
-    from .weights import enumerate_graded, tau
+    from .branching import branch
 
     checked = 0
     for i in range(n * m):
         target = Fraction(i * (n * m - i), 2 * n * m)
-        for a in enumerate_graded(n, m, i):
-            total = conformal_weight(a) + conformal_weight(tau(a, i))
+        for a, b in branch(n, m, i).pairs:
+            total = conformal_weight(a) + conformal_weight(b)
             checked += 1
             if (total - target).denominator != 1:
                 return Verdict("twist", f"n={n} m={m}", False, checked, (i, a, total, target),

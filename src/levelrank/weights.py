@@ -1,6 +1,7 @@
 """Dominant affine weights of fixed rank and level, the degree grading, the
-cyclic rotation, duals, and the transpose-plus-rotation bijection between
-degree classes of dual rank/level pairs.
+cyclic rotation, duals, the transpose-plus-rotation bijection between
+degree classes of dual rank/level pairs, and the per-(n, m) table that
+indexes them by position.
 
 A weight of rank n and level m is a tuple (a_0, ..., a_{n-1}) of non-negative
 integers summing to m. It corresponds to the partition
@@ -11,9 +12,12 @@ weight (m - lam_1 + lam_n, lam_1 - lam_2, ..., lam_{n-1} - lam_n).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate
 from math import comb
+from types import MappingProxyType
+from typing import Mapping
 
 from .partitions import Partition
 
@@ -188,17 +192,66 @@ def enumerate_weights(n: int, m: int) -> tuple[LevelWeight, ...]:
 
 def enumerate_graded(n: int, m: int, i: int) -> tuple[LevelWeight, ...]:
     """The weights of rank n, level m whose degree is i mod n."""
-    return degree_classes(n, m)[i % n]
+    return weight_table(n, m).graded[i % n]
+
+
+@dataclass(frozen=True, eq=False)
+class WeightTable:
+    """The combinatorics of rank n, level m, built once by ``weight_table``.
+
+    ``weights`` are in canonical order and ``position`` maps each back to its
+    index. Per position p: ``degree[p]``; ``rotation[p]``, the position of
+    ``weights[p].rotate()``; and ``orbit[p]``, its rotation-orbit id, the ids
+    numbered in order of first appearance. ``classes[i]`` holds the positions
+    of degree i and ``graded[i]`` their weights.
+
+    For level m >= 2, ``tau[p]`` is the position in the (m, n) table of
+    tau(a, deg a), a = weights[p]; otherwise ``tau`` is empty. For t >= 0,
+    tau(a, deg a + t*n) is that image rotated t times, so every class reads
+    its images off this column through the (m, n) ``rotation``.
+    """
+
+    n: int
+    m: int
+    weights: tuple[LevelWeight, ...]
+    position: Mapping[LevelWeight, int]
+    degree: tuple[int, ...]
+    classes: tuple[tuple[int, ...], ...]
+    graded: tuple[tuple[LevelWeight, ...], ...]
+    rotation: tuple[int, ...]
+    orbit: tuple[int, ...]
+    tau: tuple[int, ...]
 
 
 @cache
-def degree_classes(n: int, m: int) -> tuple[tuple[LevelWeight, ...], ...]:
-    """The rank-n level-m weights split by degree in one pass: entry i holds
-    the weights of degree i, in canonical order."""
-    classes: list[list[LevelWeight]] = [[] for _ in range(n)]
-    for a in enumerate_weights(n, m):
-        classes[a.degree()].append(a)
-    return tuple(map(tuple, classes))
+def weight_table(n: int, m: int) -> WeightTable:
+    """The table of rank n, level m: one pass over the weights for degrees
+    and rotations, one walk of each rotation cycle for the orbit ids, and
+    one ``tau`` call per weight."""
+    weights = enumerate_weights(n, m)
+    position = {a: p for p, a in enumerate(weights)}
+    degree = tuple(a.degree() for a in weights)
+    classes: list[list[int]] = [[] for _ in range(n)]
+    for p, d in enumerate(degree):
+        classes[d].append(p)
+    rotation = tuple(position[a.rotate()] for a in weights)
+    orbit = [-1] * len(weights)
+    ids = 0
+    for start in range(len(weights)):
+        if orbit[start] < 0:
+            p = start
+            while orbit[p] < 0:
+                orbit[p] = ids
+                p = rotation[p]
+            ids += 1
+    images: tuple[int, ...] = ()
+    if m >= 2:
+        dual = {b: q for q, b in enumerate(enumerate_weights(m, n))}
+        images = tuple(dual[tau(a, d)] for a, d in zip(weights, degree))
+    return WeightTable(n, m, weights, MappingProxyType(position), degree,
+                       tuple(map(tuple, classes)),
+                       tuple(tuple(weights[p] for p in cls) for cls in classes),
+                       rotation, tuple(orbit), images)
 
 
 def parse_weight(text: str) -> LevelWeight:

@@ -14,7 +14,6 @@ from levelrank.cyclotomic import (
     cyclotomic_polynomial,
     euler_phi,
     qint,
-    qint_inverse,
     qint_real,
 )
 
@@ -207,15 +206,6 @@ def test_qint_reflection(n, m):
     """[k] = [n+m-k] exactly for 1 <= k < n+m."""
     for k in range(1, n + m):
         assert qint(k, n, m) == qint(n + m - k, n, m)
-
-
-def test_qint_inverse_cached_and_exact():
-    for k in range(1, 9):
-        inv = qint_inverse(k, 4, 5)
-        assert inv * qint(k, 4, 5) == 1
-        assert qint_inverse(k, 4, 5) is inv
-    with pytest.raises(ZeroDivisionError):
-        qint_inverse(9, 4, 5)
 
 
 # -- field laws and the Galois action, property-based -------------------------

@@ -7,7 +7,7 @@ from functools import cache
 from importlib import import_module
 
 import levelrank
-from levelrank import branching, fusion, qdim, verify
+from levelrank import branching, fusion, qdim, verify, weights
 from levelrank.branching import verify_exhaustion
 from levelrank.cyclotomic import CyclotomicNumber, conductor_for, qint
 from levelrank.fusion import fuse
@@ -20,16 +20,16 @@ MEMO_TABLES = {
     "branching._paired_sum",
     "cyclotomic.cyclotomic_polynomial",
     "cyclotomic._qint",
-    "cyclotomic._qint_inverse",
     "fusion._fuse_terms",
     "partitions.enumerate_rectangle",
     "qdim._qdim_exact",
     "qdim._qdim_weight_exact",
+    "qdim._weyl_denominator_inverse",
     "qdim.dimension_report",
     "symfunc._lr_strip_states",
     "symfunc._schur",
-    "weights.degree_classes",
     "weights.enumerate_weights",
+    "weights.weight_table",
 }
 
 
@@ -76,14 +76,18 @@ def test_graded_tables_are_keyed_on_the_class_mod_n():
             assert graded_dim(n, m, i) is graded_dim(n, m, i + n)
 
 
-def test_one_hook_content_product_per_rotation_orbit():
+def test_one_hook_content_product_per_rotation_orbit(monkeypatch):
     """From cold caches, the exhaustion sweep at (6, 6) computes each exact
-    quantum dimension once per rotation orbit, not once per weight."""
+    quantum dimension (a Weyl product) once per rotation orbit, not once per
+    weight, and calls ``tau`` once per weight."""
     n = m = 6
     orbits = {max(a.rotate(k).components for k in range(n)) for a in enumerate_weights(n, m)}
     for table in _memo_tables().values():
         table.cache_clear()
+    calls = []
+    monkeypatch.setattr(weights, "tau", lambda a, i: calls.append(a) or tau(a, i))
     assert all(verify_exhaustion(n, m, i) for i in range(n * m))
+    assert sorted(calls) == sorted(enumerate_weights(n, m))
     assert qdim._qdim_exact.cache_info().misses == len(orbits) < len(enumerate_weights(n, m))
     assert qdim._qdim_weight_exact.cache_info().misses == len(enumerate_weights(n, m))
 

@@ -1,9 +1,11 @@
+from math import prod
+
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levelrank import cyclotomic, qdim
+from levelrank import qdim
 from levelrank.cyclotomic import CyclotomicNumber, conductor_for, qint
 from levelrank.partitions import Partition, enumerate_rectangle
 from levelrank.qdim import (
@@ -63,17 +65,24 @@ def test_transpose_symmetry(n, m):
         assert qdim_partition(lam, n, m) == qdim_partition(lam.transpose(), m, n)
 
 
-# The hook-content product of a partition itself, not the orbit's cached value.
-hook_content_product = qdim._qdim_exact.__wrapped__
+def field_product(lam, n, m):
+    """The hook-content product by plain field arithmetic, with no folding,
+    no cancellation and one division at the end."""
+    num = CyclotomicNumber.one(conductor_for(n, m))
+    den = CyclotomicNumber.one(conductor_for(n, m))
+    for i, j in lam.cells():
+        num = num * qint(n + lam.content(i, j), n, m)
+        den = den * qint(lam.hook_length(i, j), n, m)
+    return num / den
 
 
 @pytest.mark.parametrize("n,m", [(2, 4), (3, 3), (4, 2)])
 def test_rotation_invariance(n, m):
     for a in enumerate_weights(n, m):
-        d = hook_content_product(a.to_partition(), n, m)
+        d = field_product(a.to_partition(), n, m)
         assert qdim_weight(a) == d
         for k in range(1, n):
-            assert hook_content_product(a.rotate(k).to_partition(), n, m) == d
+            assert field_product(a.rotate(k).to_partition(), n, m) == d
 
 
 @pytest.mark.parametrize("n,m", [(2, 3), (3, 3), (4, 3)])
@@ -119,8 +128,8 @@ def test_well_defined_across_preimages():
     for (n, m) in ((2, 3), (3, 3)):
         for lam in enumerate_rectangle(n, m):
             a = from_partition(lam, n, m)
-            d = hook_content_product(lam, n, m)
-            assert hook_content_product(a.to_partition(), n, m) == d
+            d = field_product(lam, n, m)
+            assert field_product(a.to_partition(), n, m) == d
             assert qdim_partition(lam, n, m) == qdim_weight(a) == d
 
 
@@ -152,36 +161,36 @@ def test_product_string_golden():
     assert qdim_product_string(Partition(), 3) == "1"
 
 
-def field_product(lam, n, m):
-    """The hook-content product by plain field arithmetic, with no folding,
-    no cancellation and one division at the end."""
-    num = CyclotomicNumber.one(conductor_for(n, m))
-    den = CyclotomicNumber.one(conductor_for(n, m))
-    for i, j in lam.cells():
-        num = num * qint(n + lam.content(i, j), n, m)
-        den = den * qint(lam.hook_length(i, j), n, m)
-    return num / den
-
-
-@pytest.mark.parametrize("n,m", [(3, 4), (4, 4), (5, 3), (6, 2)])
+@pytest.mark.parametrize("n,m", [(n, m) for n in range(2, 7) for m in range(1, 7)])
 def test_cancelled_route_matches_field_product(n, m):
+    """The Weyl product equals the hook-content product on every partition
+    of every box up to 6 x 6."""
     for lam in enumerate_rectangle(n, m):
         assert qdim_partition(lam, n, m) == field_product(lam, n, m), lam
 
 
-@settings(max_examples=8, deadline=None)
-@given(n=st.integers(2, 5), m=st.integers(1, 5), data=st.data())
+@settings(max_examples=12, deadline=None)
+@given(n=st.integers(2, 8), m=st.integers(1, 8), data=st.data())
 def test_cancelled_route_matches_field_product_property(n, m, data):
     lam = data.draw(st.sampled_from(enumerate_rectangle(n, m)))
     assert qdim_partition(lam, n, m) == field_product(lam, n, m)
 
 
-def test_cold_box_inverts_each_quantum_integer_once(monkeypatch):
-    """A cold (5, 4) box inverts at most one quantum integer per folded
-    index 2 .. (n+m)//2, however many partitions share it."""
+def test_weyl_product_beyond_64_bits():
+    """At (9, 9), the weight (1, ..., 1) has prod(v_i - v_j) above 2^64, so
+    its packed numerator needs more than 64 bits per coefficient."""
+    a = LevelWeight((1,) * 9)
+    diffs = [2 * (j - i) for i in range(9) for j in range(i + 1, 9)]
+    assert prod(diffs) > 2 ** 64
+    assert qdim_weight(a) == field_product(a.to_partition(), 9, 9)
+
+
+def test_cold_box_inverts_one_denominator(monkeypatch):
+    """A cold (5, 4) box makes one inversion, the Weyl denominator's, however
+    many orbits it computes."""
     n, m = 5, 4
     qdim._qdim_exact.cache_clear()
-    cyclotomic._qint_inverse.cache_clear()
+    qdim._weyl_denominator_inverse.cache_clear()
     calls = []
     original = CyclotomicNumber.inverse
 
@@ -192,7 +201,7 @@ def test_cold_box_inverts_each_quantum_integer_once(monkeypatch):
     monkeypatch.setattr(CyclotomicNumber, "inverse", counting)
     for lam in enumerate_rectangle(n, m):
         qdim_partition(lam, n, m)
-    assert 0 < len(calls) <= (n + m) // 2
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("n", range(2, 6))

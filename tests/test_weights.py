@@ -14,6 +14,7 @@ from levelrank.weights import (
     parse_weight,
     tau,
     tau_from_partition,
+    weight_table,
 )
 
 
@@ -117,6 +118,33 @@ def test_tau_involution_and_bijection(n, m):
             b = tau(a, i)
             assert b.degree() == i % m
             assert tau(b, i) == a
+
+
+@pytest.mark.parametrize("n,m", SMALL)
+def test_weight_table_reads_every_tau_off_one_column(n, m):
+    """The table's tau column, rotated t times through the (m, n) table, is
+    tau(a, deg a + t*n) for every weight a and every t < m; its index,
+    degree, class, rotation and orbit columns agree with the weights."""
+    table, dual = weight_table(n, m), weight_table(m, n)
+    assert table.weights is enumerate_weights(n, m)
+    for p, a in enumerate(table.weights):
+        assert table.position[a] == p and table.degree[p] == a.degree()
+        assert p in table.classes[a.degree()]
+        assert table.weights[table.rotation[p]] == a.rotate()
+        q = table.tau[p]
+        for i in range(a.degree(), n * m, n):
+            assert dual.weights[q] == tau(a, i)
+            q = dual.rotation[q]
+    assert all(table.graded[i] == tuple(table.weights[p] for p in table.classes[i])
+               for i in range(n))
+    tops = [max(a.rotate(k).components for k in range(n)) for a in table.weights]
+    first = {}
+    assert table.orbit == tuple(first.setdefault(top, len(first)) for top in tops)
+
+
+def test_weight_table_below_level_two_has_no_tau_column():
+    assert weight_table(4, 1).tau == weight_table(3, 0).tau == ()
+    assert len(weight_table(4, 1).weights) == 4
 
 
 @pytest.mark.parametrize("n,m", [(2, 3), (3, 3), (4, 2)])
