@@ -175,8 +175,11 @@ def category_dim(n: int, m: int, backend: str = "exact"):
 class DimensionReport:
     """The exact dimension data of rank n, level m, built once.
 
-    ``weights`` are in canonical order and ``position`` maps each back to its
-    index; ``classes[i]`` holds the weights of degree i; ``orbit`` is the
+    ``weights``, ``position``, ``classes`` and ``orbit`` are a view over
+    ``weight_table(n, m)``: the table's own ``weights``, ``position``,
+    ``graded`` and ``orbit`` objects, not copies. ``weights`` are in
+    canonical order and ``position`` maps each back to its index;
+    ``classes[i]`` holds the weights of degree i; ``orbit`` is the
     rotation-orbit id of each position and ``orbit_dims`` the dimension of
     each id. ``dims`` maps each weight to its dimension, ``graded`` each
     degree to its sum of squared dimensions, and ``total`` is their sum.

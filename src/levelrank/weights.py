@@ -200,8 +200,8 @@ class WeightTable:
     """The combinatorics of rank n, level m, built once by ``weight_table``.
 
     ``weights`` are in canonical order and ``position`` maps each back to its
-    index. Per position p: ``degree[p]``; ``rotation[p]``, the position of
-    ``weights[p].rotate()``; and ``orbit[p]``, its rotation-orbit id, the ids
+    index. Per position p: ``rotation[p]``, the position of
+    ``weights[p].rotate()``, and ``orbit[p]``, its rotation-orbit id, the ids
     numbered in order of first appearance. ``classes[i]`` holds the positions
     of degree i and ``graded[i]`` their weights.
 
@@ -215,7 +215,6 @@ class WeightTable:
     m: int
     weights: tuple[LevelWeight, ...]
     position: Mapping[LevelWeight, int]
-    degree: tuple[int, ...]
     classes: tuple[tuple[int, ...], ...]
     graded: tuple[tuple[LevelWeight, ...], ...]
     rotation: tuple[int, ...]
@@ -248,7 +247,7 @@ def weight_table(n: int, m: int) -> WeightTable:
     if m >= 2:
         dual = {b: q for q, b in enumerate(enumerate_weights(m, n))}
         images = tuple(dual[tau(a, d)] for a, d in zip(weights, degree))
-    return WeightTable(n, m, weights, MappingProxyType(position), degree,
+    return WeightTable(n, m, weights, MappingProxyType(position),
                        tuple(map(tuple, classes)),
                        tuple(tuple(weights[p] for p in cls) for cls in classes),
                        rotation, tuple(orbit), images)

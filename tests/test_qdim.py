@@ -18,7 +18,7 @@ from levelrank.qdim import (
     hook_content_factors,
 )
 from levelrank.weights import (LevelWeight, enumerate_graded, enumerate_weights,
-                               from_partition, tau)
+                               from_partition, tau, weight_table)
 
 
 def test_hook_content_golden_431():
@@ -225,6 +225,13 @@ def test_dimension_report_matches_the_sum_of_squares(n, m):
         expected = sum(qdim_weight(a) ** 2 for a in enumerate_graded(n, m, i))
         assert report.graded[i] == graded_dim(n, m, i) == expected
     assert report.total == category_dim(n, m) == sum(qdim_weight(a) ** 2 for a in weights)
+
+
+def test_dimension_report_is_a_view_over_the_weight_table():
+    """The report's index fields are the table's own objects, not copies."""
+    report, table = dimension_report(4, 3), weight_table(4, 3)
+    assert report.weights is table.weights and report.position is table.position
+    assert report.classes is table.graded and report.orbit is table.orbit
 
 
 @pytest.mark.parametrize("n,m", [(0, 3), (0, 0), (1, 4)])

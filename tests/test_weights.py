@@ -124,11 +124,11 @@ def test_tau_involution_and_bijection(n, m):
 def test_weight_table_reads_every_tau_off_one_column(n, m):
     """The table's tau column, rotated t times through the (m, n) table, is
     tau(a, deg a + t*n) for every weight a and every t < m; its index,
-    degree, class, rotation and orbit columns agree with the weights."""
+    class, rotation and orbit columns agree with the weights."""
     table, dual = weight_table(n, m), weight_table(m, n)
     assert table.weights is enumerate_weights(n, m)
     for p, a in enumerate(table.weights):
-        assert table.position[a] == p and table.degree[p] == a.degree()
+        assert table.position[a] == p
         assert p in table.classes[a.degree()]
         assert table.weights[table.rotation[p]] == a.rotate()
         q = table.tau[p]
