@@ -27,12 +27,20 @@ from .weights import LevelWeight, enumerate_graded, tau, weight_table
 
 @dataclass(frozen=True)
 class BranchingTable:
-    """Multiplicity-free decomposition of one level-1 simple object."""
+    """Multiplicity-free decomposition of one level-1 simple object.
+
+    Each summand is held as a pair of positions, in ``weight_table(n, m)``
+    and ``weight_table(m, n)``; ``pairs`` reads the weights there."""
 
     n: int
     m: int
     i: int
-    pairs: tuple[tuple[LevelWeight, LevelWeight], ...]
+    positions: tuple[tuple[int, int], ...]
+
+    @property
+    def pairs(self) -> tuple[tuple[LevelWeight, LevelWeight], ...]:
+        left, right = weight_table(self.n, self.m).weights, weight_table(self.m, self.n).weights
+        return tuple((left[p], right[q]) for p, q in self.positions)
 
     def partition_pairs(self) -> tuple[tuple[Partition, Partition], ...]:
         return tuple((a.to_partition(), b.to_partition()) for a, b in self.pairs)
@@ -44,7 +52,7 @@ class BranchingTable:
         return tuple(b for _, b in self.pairs)
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self.positions)
 
     def __contains__(self, pair: tuple[LevelWeight, LevelWeight]) -> bool:
         return pair in self.pairs
@@ -78,8 +86,7 @@ def branch(n: int, m: int, i: int) -> BranchingTable:
     images = [left.tau[p] for p in cls]
     for _ in range(i // n):  # tau_{d + t n}(a) is tau_d(a) rotated t times
         images = [right.rotation[q] for q in images]
-    pairs = tuple((left.weights[p], right.weights[q]) for p, q in zip(cls, images))
-    return BranchingTable(n=n, m=m, i=i, pairs=pairs)
+    return BranchingTable(n=n, m=m, i=i, positions=tuple(zip(cls, images)))
 
 
 def etale_vacuum_algebra(n: int, m: int) -> BranchingTable:
@@ -96,16 +103,15 @@ def verify_exhaustion(n: int, m: int, i: int) -> Verdict:
 
     The left factor is computed in the rank-n category and the right factor
     in the rank-m category; both live in the conductor-2(n+m) field. The
-    pairs are counted by their rotation-orbit ids, so classes with equal
-    counts share one paired sum and each orbit-pair product is formed once
-    per (n, m). A failure carries the counterexample (paired_sum, graded_total).
+    pairs are counted by the rotation-orbit ids at their positions, so
+    classes with equal counts share one paired sum and each orbit-pair
+    product is formed once per (n, m). A failure carries the counterexample
+    (paired_sum, graded_total).
     """
     table = branch(n, m, i)
-    # The reports' index fields are the weight tables' own; building the
-    # reports here keeps the dimensions out of the cached paired sums.
-    left, right = dimension_report(n, m), dimension_report(m, n)
-    lo, lp, ro, rp = left.orbit, left.position, right.orbit, right.position
-    counts = Counter((lo[lp[a]], ro[rp[b]]) for a, b in table.pairs)
+    # Building the reports here keeps the dimensions out of the cached sums.
+    lo, ro = dimension_report(n, m).orbit, dimension_report(m, n).orbit
+    counts = Counter((lo[p], ro[q]) for p, q in table.positions)
     total = _paired_sum(n, m, tuple(sorted(counts.items())))
     graded = graded_dim(n, m, i)
     name = f"n={n} m={m} i={i}"

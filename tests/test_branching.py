@@ -16,7 +16,7 @@ from levelrank.cli import main
 from levelrank.fusion import Decomposition, fuse
 from levelrank.partitions import Partition
 from levelrank.qdim import graded_dim, qdim_weight
-from levelrank.weights import LevelWeight, enumerate_graded, tau
+from levelrank.weights import LevelWeight, enumerate_graded, tau, weight_table
 
 GOLDEN_TEN = {
     ((), ()),
@@ -135,11 +135,13 @@ def test_exhaustion_reports_a_right_factor_from_another_orbit(monkeypatch):
     level-n weight of another rotation orbit gives a FAIL verdict with the
     counterexample (paired_sum, graded_total), not an exception."""
     true_branch = branching.branch
-    (a, b), *rest = true_branch(3, 3, 0).pairs
+    (p, q), *rest = true_branch(3, 3, 0).positions
+    table = weight_table(3, 3)
+    a, b = table.weights[p], table.weights[q]
     swap = LevelWeight((1, 1, 1))
     assert swap not in {b.rotate(k) for k in range(3)}
-    monkeypatch.setattr(branching, "branch",
-                        lambda n, m, i: BranchingTable(n, m, i, ((a, swap), *rest)))
+    monkeypatch.setattr(branching, "branch", lambda n, m, i: BranchingTable(
+        n, m, i, ((p, table.position[swap]), *rest)))
     v = verify_exhaustion(3, 3, 0)
     assert isinstance(v, Verdict) and v.holds is False and v.error is None
     paired, graded = v.counterexample
