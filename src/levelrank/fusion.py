@@ -12,18 +12,21 @@ The product of two weights is computed in four steps:
    shared by all pairs of their orbits;
 1. expand the product of the corresponding finite characters with the LR
    rule, keeping partitions of at most n rows (taller ones vanish for sl_n);
-2. shift each resulting partition by the staircase (n-1, ..., 1, 0) and fold
-   it into the shifted alcove of level m with the affine Weyl group at height
-   n + m: repeatedly sort the coordinates (tracking the permutation sign)
-   and, while the spread exceeds n + m, reflect in the affine wall by moving
+2. shift each resulting partition by the staircase (n-1, ..., 1, 0). With at
+   most n rows the shifted vector is strictly decreasing, so when its spread
+   y_0 - y_{n-1} is below n + m it already lies in the shifted alcove of
+   level m and goes to step 3 as it is, with sign +1. Every other vector is
+   folded into that alcove with the affine Weyl group at height n + m:
+   repeatedly sort the coordinates (tracking the permutation sign) and,
+   while the spread exceeds n + m, reflect in the affine wall by moving
    n + m from the largest coordinate to the smallest (sign -1). Vectors with
    a repeated coordinate, or spread exactly n + m, sit on a wall and are
    dropped. The quadratic invariant sum of squares strictly decreases at each
    reflection, so the loop terminates;
-3. read the weight off each folded y = (y_0 > ... > y_{n-1}) directly, as
-   a_0 = n + m - 1 - (y_0 - y_{n-1}) and a_i = y_{i-1} - y_i - 1 (what
-   un-shifting, stripping full columns and ``from_partition`` would give),
-   and accumulate the signed multiplicities.
+3. read the weight off each y = (y_0 > ... > y_{n-1}) in the alcove
+   directly, as a_0 = n + m - 1 - (y_0 - y_{n-1}) and a_i = y_{i-1} - y_i - 1
+   (what un-shifting, stripping full columns and ``from_partition`` would
+   give), and accumulate the signed multiplicities.
 
 The surviving coefficients are the fusion multiplicities. ``_fold_lr`` is
 steps 1-3 alone, the plain route: ``rotation_check`` and the ``level1``
@@ -34,6 +37,7 @@ suite call it directly, since they check the rotation covariance that step
 from __future__ import annotations
 
 from functools import cache
+from operator import add
 
 from .cyclotomic import CyclotomicNumber, conductor_for
 from .partitions import Partition
@@ -120,14 +124,20 @@ def _fold_into_alcove(shifted: list[int], kappa: int) -> tuple[int, LevelWeight]
             return None
         spread = y[0] - y[-1]
         if spread < kappa:
-            gaps = tuple(y[i - 1] - y[i] - 1 for i in range(1, len(y)))
-            return sign, LevelWeight._unchecked((kappa - 1 - spread,) + gaps)
+            return sign, _alcove_weight(y, kappa)
         if spread == kappa:
             return None
         # reflect in the affine wall: swap the extreme coordinates and move
         # them kappa towards each other (a single reflection, sign -1)
         y[0], y[-1] = y[-1] + kappa, y[0] - kappa
         sign = -sign
+
+
+def _alcove_weight(y: list[int], kappa: int) -> LevelWeight:
+    """The weight of a strictly decreasing y with y_0 - y_{n-1} < kappa:
+    a_0 = kappa - 1 - (y_0 - y_{n-1}) and a_i = y_{i-1} - y_i - 1."""
+    gaps = tuple(y[i - 1] - y[i] - 1 for i in range(1, len(y)))
+    return LevelWeight._unchecked((kappa - 1 - y[0] + y[-1],) + gaps)
 
 
 def _sort_sign(seq: list[int]) -> int:
@@ -172,14 +182,22 @@ def _cheapest_rotation(a: LevelWeight) -> int:
 def _fold_lr(a: LevelWeight, b: LevelWeight) -> dict[LevelWeight, int]:
     """Fusion terms of a x b by LR expansion and alcove folding alone."""
     n, m = a.rank, a.level
+    kappa = n + m
+    staircase = range(n - 1, -1, -1)
     out: dict[LevelWeight, int] = {}
     for nu, coeff in lr_expand(a.to_partition(), b.to_partition(), nvars=n).items():
-        padded = nu.padded(n)
-        folded = _fold_into_alcove([padded[i] + n - 1 - i for i in range(n)], n + m)
-        if folded is None:
-            continue
-        sign, w = folded
-        out[w] = out.get(w, 0) + sign * coeff
+        # at most n rows, so y is strictly decreasing: inside the alcove
+        # exactly when its spread is below kappa, and then read off directly
+        y = list(map(add, nu.padded(n), staircase))
+        if y[0] - y[-1] < kappa:
+            w = _alcove_weight(y, kappa)
+        else:
+            folded = _fold_into_alcove(y, kappa)
+            if folded is None:
+                continue
+            sign, w = folded
+            coeff *= sign
+        out[w] = out.get(w, 0) + coeff
 
     out = {w: c for w, c in out.items() if c}
     if any(c < 0 for c in out.values()):
@@ -261,12 +279,17 @@ def verlinde_check(n: int, m: int) -> Verdict:
 
 
 def grading_violations(n: int, m: int) -> list[tuple[LevelWeight, LevelWeight, LevelWeight]]:
-    """Triples where a fusion coefficient escapes the degree grading."""
+    """Triples where a fusion coefficient escapes the degree grading. Each
+    weight's degree is taken once; a term outside the rank-n level-m
+    weights is still reported, with its own degree."""
+    weights = enumerate_weights(n, m)
+    degree = {a: a.degree() for a in weights}
     bad = []
-    for a in enumerate_weights(n, m):
-        for b in enumerate_weights(n, m):
-            want = (a.degree() + b.degree()) % n
+    for a in weights:
+        for b in weights:
+            want = (degree[a] + degree[b]) % n
             for c in fuse(a, b).terms:
-                if c.degree() != want:
+                d = degree.get(c)
+                if (c.degree() if d is None else d) != want:
                     bad.append((a, b, c))
     return bad

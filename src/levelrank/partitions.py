@@ -144,20 +144,25 @@ def enumerate_rectangle(n: int, m: int) -> tuple[Partition, ...]:
 
     Ordered graded-lexicographically: by size, then by tuple comparison of
     the parts. The count is binomial(n + m, n).
+
+    Partitions are grown row by row, each prefix before its extensions and
+    the next row in increasing length, which visits them in lexicographic
+    order. Each goes into the bucket of its size as it is grown, so every
+    bucket is already in order and the buckets are read out by size, with
+    no sort.
     """
     if n < 1 or m < 1:
         raise ValueError("rectangle bounds must be positive")
-    found: list[tuple[int, ...]] = []
+    by_size: list[list[tuple[int, ...]]] = [[] for _ in range(n * m + 1)]
 
-    def grow(prefix: tuple[int, ...], maxpart: int, rows_left: int) -> None:
-        found.append(prefix)  # weakly decreasing and positive by construction
+    def grow(prefix: tuple[int, ...], size: int, maxpart: int, rows_left: int) -> None:
+        by_size[size].append(prefix)  # weakly decreasing and positive by construction
         if rows_left:
             for p in range(1, maxpart + 1):
-                grow(prefix + (p,), p, rows_left - 1)
+                grow(prefix + (p,), size + p, p, rows_left - 1)
 
-    grow((), m, n)
-    found.sort(key=lambda t: (sum(t), t))
-    result = tuple(map(Partition._unchecked, found))
+    grow((), 0, m, n)
+    result = tuple(Partition._unchecked(t) for bucket in by_size for t in bucket)
     assert len(result) == comb(n + m, n)
     return result
 

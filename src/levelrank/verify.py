@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import inspect
 import math
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from . import branching, fusion, qdim, smatrix, symfunc, weights
 from .cyclotomic import qint
@@ -48,6 +48,23 @@ def _first_failure(verdicts: Iterable[Verdict], suite: str, name: str) -> Verdic
     return Verdict(suite, name, True, checked, detail=f"{checked} identities checked")
 
 
+def _transpose_images(n: int, m: int) -> Iterator[tuple[Partition, LevelWeight, int, LevelWeight]]:
+    """(lam, a, i, tau_from_partition(lam, n, m, i)) for every partition lam
+    in the m x n box, a its weight, and every class i = |lam| (mod n).
+
+    The transpose route runs once per partition, at i0 = |lam| mod n. Its
+    value at i = i0 + t*n is that image rotated t more times, which is
+    exactly what ``tau_from_partition`` returns there, so every (lam, i)
+    is still checked against the transpose of lam.
+    """
+    for lam in enumerate_rectangle(n, m):
+        a = weights.from_partition(lam, n, m)
+        i0 = lam.size % n
+        that = weights.tau_from_partition(lam, n, m, i0)
+        for t, i in enumerate(range(i0, n * m, n)):
+            yield lam, a, i, that.rotate(t)
+
+
 # -- suites ---------------------------------------------------------------------
 
 
@@ -69,13 +86,11 @@ def suite_tau(bound: int = 6) -> list[Verdict]:
                 if tau(b, i) != a:
                     return Verdict("tau", f"involution n={n} m={m} i={i}", False, detail=str(a))
         # preimage independence: any partition preimage gives the same image
-        for lam in enumerate_rectangle(n, m):
-            a = weights.from_partition(lam, n, m)
-            for i in range(lam.size % n, n * m, n):
-                if weights.tau_from_partition(lam, n, m, i) != images[i][a]:
-                    return Verdict(
-                        "tau", f"preimage n={n} m={m}", False, detail=f"lam={lam.parts} i={i}"
-                    )
+        for lam, a, i, that in _transpose_images(n, m):
+            if that != images[i][a]:
+                return Verdict(
+                    "tau", f"preimage n={n} m={m}", False, detail=f"lam={lam.parts} i={i}"
+                )
         # duals commute with the degree-zero map
         for a in enumerate_graded(n, m, 0):
             if tau(a.dual(), 0) != tau(a, 0).dual():
@@ -114,14 +129,12 @@ def suite_branch(bound: int = 4) -> list[Verdict]:
                 return Verdict("branch", f"multiplicity-free n={n} m={m} i={i}", False)
             if any(b.degree() != i % m for b in rights):
                 return Verdict("branch", f"right degrees n={n} m={m} i={i}", False)
-        for lam in enumerate_rectangle(n, m):
-            a = weights.from_partition(lam, n, m)
-            for i in range(lam.size % n, n * m, n):
-                if (a, weights.tau_from_partition(lam, n, m, i)) not in pairs[i]:
-                    return Verdict(
-                        "branch", f"partition route n={n} m={m}", False,
-                        detail=f"lam={lam.parts} i={i}",
-                    )
+        for lam, a, i, that in _transpose_images(n, m):
+            if (a, that) not in pairs[i]:
+                return Verdict(
+                    "branch", f"partition route n={n} m={m}", False,
+                    detail=f"lam={lam.parts} i={i}",
+                )
         sigma_pair_n = (LevelWeight.vacuum(n, m),
                         weights.from_partition(Partition((n,)), m, n))
         if sigma_pair_n not in pairs[n % (n * m)]:

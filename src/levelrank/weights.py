@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate
 from math import comb
+from operator import mul
 from types import MappingProxyType
 from typing import Mapping
 
@@ -79,7 +80,8 @@ class LevelWeight:
 
     def degree(self) -> int:
         """Size of the associated partition modulo the rank."""
-        return sum(i * c for i, c in enumerate(self._components)) % self.rank
+        a = self._components
+        return sum(map(mul, range(len(a)), a)) % len(a)
 
     def rotate(self, power: int = 1) -> "LevelWeight":
         """Cyclic shift (a_0, ..., a_{n-1}) -> (a_{n-1}, a_0, ..., a_{n-2}),

@@ -20,7 +20,7 @@ from levelrank.fusion import (
 )
 from levelrank.qdim import qdim_weight
 from levelrank.weights import LevelWeight, enumerate_weights, from_partition
-from levelrank.partitions import Partition
+from levelrank.partitions import Partition, enumerate_rectangle
 
 
 def test_unit_object():
@@ -194,6 +194,43 @@ def test_alcove_weight_matches_the_partition_route(n, m):
         assert (sign, w) == (1, from_partition(lam, n, m)), y
         seen.add(w)
     assert seen == set(enumerate_weights(n, m))
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+@pytest.mark.parametrize("m", range(1, 6))
+def test_in_alcove_read_matches_the_fold(n, m, monkeypatch):
+    """_fold_lr reads the weight off nu + delta directly when its spread is
+    below n + m, and folds every other nu. Fed one nu at a time, for every
+    nu of at most n rows with nu_0 <= 2(n + m), it must give what
+    _fold_into_alcove gives on nu + delta: the same weight with sign +1,
+    nothing on a wall, and a sign of -1 is a negative multiplicity."""
+    kappa = n + m
+    term = {}
+    monkeypatch.setattr(fusion, "lr_expand", lambda lam, mu, nvars=None: term)
+    a = LevelWeight.vacuum(n, m)
+    direct = 0
+    for nu in enumerate_rectangle(n, 2 * kappa):
+        term = {nu: 1}
+        y = [p + n - 1 - i for i, p in enumerate(nu.padded(n))]
+        direct += y[0] - y[-1] < kappa
+        folded = _fold_into_alcove(y, kappa)
+        if folded is None:
+            assert _fold_lr(a, a) == {}, nu
+        elif folded[0] == 1:
+            assert _fold_lr(a, a) == {folded[1]: 1}, nu
+        else:
+            with pytest.raises(AssertionError, match="negative fusion multiplicity"):
+                _fold_lr(a, a)
+    assert 0 < direct < len(enumerate_rectangle(n, 2 * kappa))
+
+
+def test_grading_reports_a_term_outside_the_weights(monkeypatch):
+    """A term of another rank is not in the per-(n, m) degree table; it is
+    reported by its own degree, 2 here, which no rank-2 sum reaches."""
+    stray = LevelWeight((0, 0, 1))
+    monkeypatch.setattr(fusion, "fuse", lambda a, b: Decomposition._unchecked(2, 2, {stray: 1}))
+    ws = enumerate_weights(2, 2)
+    assert grading_violations(2, 2) == [(a, b, stray) for a in ws for b in ws]
 
 
 @pytest.mark.parametrize("n,m", [(3, 3), (4, 2)])

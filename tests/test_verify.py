@@ -4,7 +4,7 @@ from itertools import permutations
 import pytest
 
 import levelrank
-from levelrank import Verdict, verify
+from levelrank import Verdict, verify, weights
 from levelrank.weights import LevelWeight
 
 NAMES = (
@@ -129,3 +129,29 @@ def test_run_suites_rejects_an_unknown_name_before_running_any(monkeypatch):
     with pytest.raises(KeyError):
         verify.run_suites(["golden", "nonsense"])
     assert ran == []
+
+
+@pytest.mark.parametrize("i", range(2, 6))
+def test_tau_preimage_check_catches_a_swap_in_one_rotated_class(monkeypatch, i):
+    """Swap the images of the two rank-2 level-3 weights of class i >= n:
+    rank 2 gives tau(pi a, i) and rank 3 gives pi(tau(b, i)). The map stays
+    a degree-preserving involutive bijection, so only the partition
+    preimage check can see it, and there the transpose route is run at
+    |lam| mod 2 and rotated into class i."""
+    a1, a2 = weights.enumerate_graded(2, 3, i)
+    swap = {a1: a2, a2: a1}
+    true_tau = verify.tau
+
+    def swapped(a, j):
+        if j % 6 == i and (a.rank, a.level) == (2, 3):
+            return true_tau(swap.get(a, a), j)
+        b = true_tau(a, j)
+        if j % 6 == i and (a.rank, a.level) == (3, 2):
+            return swap.get(b, b)
+        return b
+
+    monkeypatch.setattr(verify, "tau", swapped)
+    failing = [r for r in verify.suite_tau(bound=3) if not r]
+    assert failing and all(r.name.startswith("preimage ") for r in failing)
+    assert failing[0].name == "preimage n=2 m=3"
+    assert failing[0].detail.endswith(f" i={i}")

@@ -50,6 +50,13 @@ def test_degree_golden():
     assert LevelWeight.vacuum(6, 4).degree() == 0
 
 
+@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("m", range(0, 7))
+def test_degree_is_the_partition_size_mod_the_rank(n, m):
+    for a in enumerate_weights(n, m):
+        assert a.degree() == a.to_partition().size % n, a
+
+
 @pytest.mark.parametrize("n,m", [(3, 4), (4, 3), (2, 5)])
 def test_degree_shifts_under_rotation(n, m):
     for a in enumerate_weights(n, m):
