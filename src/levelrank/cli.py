@@ -19,8 +19,6 @@ import os
 import sys
 import traceback
 
-import mpmath
-
 from . import branching, fusion, qdim, smatrix, verify
 from .partitions import Partition, ascii_diagram_pair, parse_partition
 from .weights import LevelWeight, parse_weight, tau
@@ -94,6 +92,8 @@ def _cmd_tau(args) -> int:
 
 
 def _cmd_qdim(args) -> int:
+    import mpmath
+
     if args.partition:
         lam = parse_partition(args.partition)
     else:

@@ -19,18 +19,10 @@ N = 2(n + m) and zeta = zeta_N (so zeta plays the role of e^{i pi/(n+m)}),
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from functools import cache
 from math import gcd
 from typing import Iterable
-
-import mpmath
-
-# The mpmath working precision is a process-global setting, so every
-# floating-point evaluation in the package serializes on this lock; the
-# exact arithmetic never needs it.
-MPMATH_LOCK = threading.RLock()
 
 
 def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
@@ -263,7 +255,9 @@ class CyclotomicNumber:
         Computed with guard digits, so the result is accurate to roughly the
         requested number of decimal digits.
         """
-        with MPMATH_LOCK, mpmath.workdps(digits + 10):
+        import mpmath
+
+        with mpmath.workdps(digits + 10):
             n = self._conductor
             total = mpmath.mpc(0)
             for e, c in enumerate(self._num):
@@ -398,5 +392,7 @@ def _qint(N: int, i: int) -> CyclotomicNumber:
 def qint_real(i: int, n: int, m: int):
     """Floating-point quantum integer sin(pi i/(n+m))/sin(pi/(n+m)) at the
     current mpmath working precision."""
+    import mpmath
+
     k = n + m
     return mpmath.sinpi(mpmath.mpf(i) / k) / mpmath.sinpi(mpmath.mpf(1) / k)

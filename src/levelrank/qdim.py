@@ -45,8 +45,6 @@ from math import prod
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-import mpmath
-
 from .cyclotomic import CyclotomicNumber, conductor_for, qint, qint_real
 from .partitions import Partition
 from .weights import LevelWeight, enumerate_graded, enumerate_weights, from_partition, weight_table
@@ -128,13 +126,12 @@ def _weyl_denominator_inverse(n: int, m: int) -> CyclotomicNumber:
 
 
 def _qdim_float(lam: Partition, n: int, m: int):
-    from .cyclotomic import MPMATH_LOCK
+    import mpmath
 
-    with MPMATH_LOCK:
-        value = mpmath.mpf(1)
-        for i, j in lam.cells():
-            value *= qint_real(n + lam.content(i, j), n, m)
-            value /= qint_real(lam.hook_length(i, j), n, m)
+    value = mpmath.mpf(1)
+    for i, j in lam.cells():
+        value *= qint_real(n + lam.content(i, j), n, m)
+        value /= qint_real(lam.hook_length(i, j), n, m)
     return value
 
 
@@ -197,6 +194,8 @@ class DimensionReport:
     total: CyclotomicNumber
 
     def to_json(self) -> dict:
+        import mpmath
+
         return {
             "n": self.n,
             "m": self.m,

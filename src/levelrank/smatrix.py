@@ -29,10 +29,10 @@ relation for every unit k; the exact digests of the built M are pinned in
 the tests. Unitarity is the exact identity M M^dagger = n (n+m)^(n-1) I,
 decided over every entry.
 
-The displayed entries of S are floating point. Each is evaluated from its
-histogram as two integer dot products with fixed-point tables of cos and sin
-of 2 pi e/N, then multiplied by one factor conj(M_00)/(|M_00| sqrt(n
-(n+m)^(n-1))). By the Weyl denominator formula
+The float entries of S are made on the first read of ``entries``. Each is
+evaluated from its histogram as two integer dot products with fixed-point
+tables of cos and sin of 2 pi e/N, then multiplied by one factor
+conj(M_00)/(|M_00| sqrt(n (n+m)^(n-1))). By the Weyl denominator formula
 M_00 = prod_{i<j} -2i sin(pi (j-i)/(n+m)), every sine positive, so the
 phase factor is exactly i^(n(n-1)/2). Central charges, conformal weights
 and M are exact.
@@ -43,13 +43,12 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property, partial
 from itertools import permutations
 from math import factorial, gcd, isqrt
 from operator import mul
 
-import mpmath
-
-from .cyclotomic import MPMATH_LOCK, CyclotomicNumber, IntegralPacking
+from .cyclotomic import CyclotomicNumber, IntegralPacking
 from .verdict import Verdict
 from .weights import LevelWeight, enumerate_weights
 
@@ -97,15 +96,42 @@ class SMatrixData:
     n: int
     m: int
     weights: tuple[LevelWeight, ...]
-    entries: list  # list of rows of mpmath mpc
     exact: list = field(repr=False)  # rows of CyclotomicNumber, conductor n(n+m)
     precision_bits: int
     central_charge: Fraction
     galois_sources: tuple = field(repr=False)  # (r, k, eps) per weight
+    _histograms: dict = field(repr=False)  # (r, q) -> histogram, r <= q representatives
     conformal_weights: dict = field(repr=False, default_factory=dict)
 
-    def index(self, a: LevelWeight) -> int:
-        return self.weights.index(a)
+    @cached_property
+    def entries(self) -> list:
+        """Rows of mpmath mpc, made from the histograms on first read (see
+        the module docstring)."""
+        import mpmath
+
+        n, kappa = self.n, self.n + self.m
+        conductor = n * kappa
+        # fixed-point tables: a histogram is at most n! in l1 norm, so its dot
+        # product with the tables is off by at most 2^-(precision_bits + 32)
+        bits = self.precision_bits + 32 + factorial(n).bit_length()
+        with mpmath.workprec(bits + 16):
+            roots = [mpmath.expjpi(mpmath.mpf(2 * e) / conductor) for e in range(conductor)]
+            cos = [int(mpmath.nint(mpmath.ldexp(z.real, bits))) for z in roots]
+            sin = [int(mpmath.nint(mpmath.ldexp(z.imag, bits))) for z in roots]
+        # 1 / sqrt(n kappa^(n-1)) scaled by 2^(2 bits); the phase of M_00 is (-i)^(n(n-1)/2)
+        inv_sqrt = isqrt((1 << 4 * bits) // (n * kappa ** (n - 1)))
+        quarter_turns = n * (n - 1) // 2 % 4
+
+        def entry(hist: list[int]):
+            re = sum(map(mul, hist, cos))
+            im = sum(map(mul, hist, sin))
+            for _ in range(quarter_turns):  # times i
+                re, im = -im, re
+            return mpmath.mpc(mpmath.mpf((re * inv_sqrt, -3 * bits)),
+                              mpmath.mpf((im * inv_sqrt, -3 * bits)))
+
+        with mpmath.workprec(self.precision_bits + 32):
+            return _fill_cells(self.galois_sources, self._histograms, conductor, entry)
 
     def pack(self, products: int, constant: int = 0,
              columns: list[int] | None = None) -> tuple[IntegralPacking, list]:
@@ -153,7 +179,9 @@ class SMatrixData:
         return 0
 
     def to_json(self) -> dict:
-        with MPMATH_LOCK, mpmath.workprec(self.precision_bits):
+        import mpmath
+
+        with mpmath.workprec(self.precision_bits):
             rows = [
                 [[mpmath.nstr(z.real, 17), mpmath.nstr(z.imag, 17)] for z in row]
                 for row in self.entries
@@ -181,61 +209,44 @@ def s_matrix(n: int, m: int, precision_bits: int = 128) -> SMatrixData:
     weights = enumerate_weights(n, m)
     kappa = n + m
     conductor = n * kappa
-    size = len(weights)
     coords = [_coordinates(a) for a in weights]
     sources = _galois_sources(weights, coords, kappa)
-    reps = [r for r in range(size) if sources[r][0] == r]
+    reps = [r for r, (q, _, _) in enumerate(sources) if q == r]
     rep_hists = _exponent_histograms(
         n, coords, conductor, [(r, q) for i, r in enumerate(reps) for q in reps[i:]])
-    # fixed-point tables: a histogram is at most n! in l1 norm, so its dot
-    # product with the tables is off by at most 2^-(precision_bits + 32)
-    bits = precision_bits + 32 + factorial(n).bit_length()
-    with MPMATH_LOCK, mpmath.workprec(bits + 16):
-        roots = [mpmath.expjpi(mpmath.mpf(2 * e) / conductor) for e in range(conductor)]
-        cos = [int(mpmath.nint(mpmath.ldexp(z.real, bits))) for z in roots]
-        sin = [int(mpmath.nint(mpmath.ldexp(z.imag, bits))) for z in roots]
-    # 1 / sqrt(n kappa^(n-1)) scaled by 2^(2 bits); the phase of M_00 is (-i)^(n(n-1)/2)
-    inv_sqrt = isqrt((1 << 4 * bits) // (n * kappa ** (n - 1)))
-    quarter_turns = n * (n - 1) // 2 % 4
-    exact = [[None] * size for _ in range(size)]
-    entries = [[None] * size for _ in range(size)]
-    cells = {}  # ((r, q), j*k mod N, sign) -> (exact entry, float entry)
-    with MPMATH_LOCK, mpmath.workprec(precision_bits + 32):
-        for a in range(size):
-            r, j, sign_a = sources[a]
-            for b in range(a, size):
-                q, k, sign_b = sources[b]
-                pair, t, sign = (min(r, q), max(r, q)), j * k % conductor, sign_a * sign_b
-                cell = cells.get((pair, t, sign))
-                if cell is None:
-                    hist = [0] * conductor
-                    for e, c in enumerate(rep_hists[pair]):
-                        if c:
-                            hist[e * t % conductor] += sign * c
-                    re = sum(map(mul, hist, cos))
-                    im = sum(map(mul, hist, sin))
-                    for _ in range(quarter_turns):  # times i
-                        re, im = -im, re
-                    cell = cells[pair, t, sign] = (
-                        CyclotomicNumber(conductor, hist),
-                        mpmath.mpc(mpmath.mpf((re * inv_sqrt, -3 * bits)),
-                                   mpmath.mpf((im * inv_sqrt, -3 * bits))),
-                    )
-                exact[a][b] = exact[b][a] = cell[0]
-                entries[a][b] = entries[b][a] = cell[1]
     data = SMatrixData(
         n=n,
         m=m,
         weights=weights,
-        entries=entries,
-        exact=exact,
+        exact=_fill_cells(sources, rep_hists, conductor, partial(CyclotomicNumber, conductor)),
         precision_bits=precision_bits,
         central_charge=category_central_charge(n, m),
         conformal_weights={a: conformal_weight(a) for a in weights},
         galois_sources=sources,
+        _histograms=rep_hists,
     )
     data.unitarity_residual()
     return data
+
+
+def _fill_cells(sources, rep_hists: dict, conductor: int, make) -> list:
+    """The symmetric matrix of ``make`` of each histogram of M. Entry
+    a = pi_j r, b = pi_k q is the cell (pair (r, q), t = j*k, eps_j(r) eps_k(q));
+    ``make`` runs once per cell, and equal cells share one object."""
+    size = len(sources)
+    matrix = [[None] * size for _ in range(size)]
+    made = {}
+    for a in range(size):
+        r, j, sign_a = sources[a]
+        for b in range(a, size):
+            q, k, sign_b = sources[b]
+            pair, t, sign = cell = (min(r, q), max(r, q)), j * k % conductor, sign_a * sign_b
+            value = made.get(cell)
+            if value is None:  # t is a unit: hist[e*t] = sign * rep[e] for every e
+                rep, u = rep_hists[pair], pow(t, -1, conductor)
+                value = made[cell] = make([sign * rep[e * u % conductor] for e in range(conductor)])
+            matrix[a][b] = matrix[b][a] = value
+    return matrix
 
 
 def _galois_fold(y: tuple[int, ...], k: int, kappa: int) -> tuple[int, LevelWeight] | None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import accumulate
+from itertools import accumulate, combinations
 from math import comb
 from operator import mul
 from types import MappingProxyType
@@ -171,22 +171,22 @@ def tau_from_partition(lam: Partition, n: int, m: int, i: int) -> LevelWeight:
 def enumerate_weights(n: int, m: int) -> tuple[LevelWeight, ...]:
     """All rank-n level-m weights in canonical order (vacuum first).
 
-    The count is binomial(n + m - 1, n - 1).
+    The count is binomial(n + m - 1, n - 1), one weight per placement of n - 1
+    bars among n + m - 1 slots; bars in reverse lex order give reverse lex order.
     """
     if n < 2:
         raise ValueError("rank must be at least 2")
     if m < 0:
         raise ValueError("level must be non-negative")
-    out: list[tuple[int, ...]] = []
-
-    def compose(prefix: tuple[int, ...], remaining: int, slots: int) -> None:
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for c in range(remaining, -1, -1):  # largest first: reverse-lex order
-            compose(prefix + (c,), remaining - c, slots - 1)
-
-    compose((), m, n)
+    slots = n + m - 1
+    out = []
+    for bars in reversed(tuple(combinations(range(slots), n - 1))):
+        weight, prev = [], -1
+        for b in bars:
+            weight.append(b - prev - 1)
+            prev = b
+        weight.append(slots - 1 - prev)
+        out.append(tuple(weight))
     result = tuple(map(LevelWeight._unchecked, out))
     assert len(result) == comb(n + m - 1, n - 1)
     return result

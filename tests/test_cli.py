@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import levelrank
 from levelrank import smatrix
 from levelrank.cli import main
 
@@ -136,6 +140,26 @@ def test_smatrix_json(capsys):
     assert payload["central_charge"] == "1"
     assert payload["weights"] == [[1, 0], [0, 1]]
     assert float(payload["entries"][0][0][0]) == pytest.approx(0.7071067811865475)
+
+
+def test_exact_commands_do_not_load_mpmath():
+    """In a fresh interpreter, ``verify`` leaves mpmath unimported; the float
+    commands import it when they run."""
+    script = """
+import contextlib, io, sys
+from levelrank.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["verify", "all", "--bound", "3"]) == 0
+    assert "mpmath" not in sys.modules
+    assert main(["qdim", "3", "2", "--partition", "(2,1)", "--backend", "float"]) == 0
+    assert main(["smatrix", "2", "2", "--json"]) == 0
+assert "mpmath" in sys.modules
+"""
+    src = str(Path(levelrank.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_smatrix_runs_the_exact_unitarity_pass_once(capsys, monkeypatch):

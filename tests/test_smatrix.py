@@ -1,4 +1,5 @@
 import hashlib
+import json
 from fractions import Fraction
 from pathlib import Path
 
@@ -166,6 +167,30 @@ def test_float_entries_match_the_exact_matrix(n, m, bits):
         for row, exact_row in zip(data.entries, data.exact):
             for z, x in zip(row, exact_row):
                 assert abs(z - x.embed(60) * factor) < tol
+
+
+@pytest.mark.parametrize("n,m,digest", [
+    (3, 2, "e7288973570bf66427e3866a09b0092ce16b108130830370ae77c78de49c4e0d"),
+    (4, 4, "1642278855a9968f667239078c4e131fe5938e32f810c0a80f4d904718424fc9"),
+    (2, 5, "d8ef14a309a2d856d038e4856d34c74753ccd9b8fcfc7a429e90fe1985d15b9e"),
+    (5, 3, "1d8c5858477e28df8c2a3c585d8a006b44ad08342fcab8bef1b7df6ade58cbc4"),
+    (3, 3, "933ae2ffcc1f2f8420aaa168cfc1886b6c935a518987d4513529d7ba948c40a8"),
+])
+def test_json_payload_matches_its_pinned_digest(n, m, digest):
+    """sha256 of ``to_json()`` dumped with sorted keys, which holds every
+    float entry to 17 digits. The digests were taken when ``s_matrix`` built
+    the float entries eagerly; reading them lazily prints the same digits,
+    exact zeros included."""
+    text = json.dumps(s_matrix(n, m).to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_float_entries_are_made_on_first_read():
+    data = s_matrix(3, 3)
+    assert "entries" not in vars(data)
+    entries = data.entries
+    assert vars(data)["entries"] is entries
+    assert data.entries is entries
 
 
 def test_precision_validation():

@@ -266,6 +266,22 @@ def test_canonical_order_starts_at_vacuum():
         assert all(min(a.components) >= 0 and a.level == m and a.rank == n for a in ws)
 
 
+def _compositions(m: int, slots: int, prefix: tuple = ()):
+    """Compositions of m into ``slots`` parts, largest first part first: the
+    recursion that defines the canonical order."""
+    if slots == 1:
+        yield prefix + (m,)
+        return
+    for c in range(m, -1, -1):
+        yield from _compositions(m - c, slots - 1, prefix + (c,))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_enumeration_matches_the_recursive_compositions(n):
+    for m in range(0, 9):
+        assert [a.components for a in enumerate_weights(n, m)] == list(_compositions(m, n))
+
+
 def test_parse_weight():
     assert parse_weight("[1,0,0,1,1,0]").components == (1, 0, 0, 1, 1, 0)
     with pytest.raises(ValueError):
