@@ -21,7 +21,7 @@ import traceback
 
 from . import branching, fusion, qdim, smatrix, verify
 from .partitions import Partition, ascii_diagram_pair, parse_partition
-from .weights import LevelWeight, parse_weight, tau
+from .weights import LevelWeight, parse_components, tau
 
 PRECISION_ENV = "LEVELRANK_PRECISION"
 
@@ -46,10 +46,11 @@ def _precision(args) -> int:
 
 def _weight(text: str, args) -> LevelWeight:
     """Parse a weight literal and require the command's rank n and level m."""
-    w = parse_weight(text)
-    if w.rank != args.n or w.level != args.m:
-        raise ValueError(f"{w} is not a rank-{args.n} level-{args.m} weight")
-    return w
+    comps = parse_components(text)
+    if len(comps) != args.n or sum(comps) != args.m:
+        literal = "[" + ",".join(map(str, comps)) + "]"
+        raise ValueError(f"{literal} is not a rank-{args.n} level-{args.m} weight")
+    return LevelWeight(comps)
 
 
 def _emit(payload: dict, args) -> None:

@@ -250,7 +250,7 @@ def verlinde_check(n: int, m: int) -> Verdict:
     data = s_matrix(n, m)
     weights, M = data.weights, data.exact
     size = len(weights)
-    columns = [d for d, (r, _, _) in enumerate(data.galois_sources) if r == d]
+    columns = data.representatives
     for d in columns:
         if M[0][d].is_zero():
             raise ArithmeticError(f"M_0d vanishes at d = {weights[d]}")

@@ -255,8 +255,9 @@ def weight_table(n: int, m: int) -> WeightTable:
                        rotation, tuple(orbit), images)
 
 
-def parse_weight(text: str) -> LevelWeight:
-    """Parse a weight literal such as ``[1,0,0,1,1,0]``."""
+def parse_components(text: str) -> tuple[int, ...]:
+    """The integers of a weight literal such as ``[1,0,0,1,1,0]``, before
+    any check of rank or sign."""
     s = text.strip()
     if s.startswith("[") and s.endswith("]"):
         s = s[1:-1]
@@ -264,7 +265,11 @@ def parse_weight(text: str) -> LevelWeight:
     if not s:
         raise ValueError("empty weight literal")
     try:
-        comps = [int(tok) for tok in s.split(",")]
+        return tuple(int(tok) for tok in s.split(","))
     except ValueError as exc:
         raise ValueError(f"bad weight literal {text!r}") from exc
-    return LevelWeight(comps)
+
+
+def parse_weight(text: str) -> LevelWeight:
+    """Parse a weight literal such as ``[1,0,0,1,1,0]``."""
+    return LevelWeight(parse_components(text))

@@ -206,6 +206,16 @@ def test_mirror_wrong_rank_or_level_exits_2(capsys, argv):
     assert f"is not a rank-{argv[0]} level-{argv[1]} weight" in err
 
 
+@pytest.mark.parametrize("literal,shown", [("5", "[5]"), ("[5]", "[5]"), ("5,1", "[5,1]")])
+def test_qdim_weight_of_the_wrong_rank_names_it(capsys, literal, shown):
+    """A one-component literal is a weight of the wrong rank, not a rank
+    below two."""
+    code, out, err = run(capsys, "qdim", "3", "3", literal)
+    assert code == 2
+    assert out == ""
+    assert f"{shown} is not a rank-3 level-3 weight" in err
+
+
 def test_out_writes_file(tmp_path, capsys):
     target = tmp_path / "table.json"
     code, _, _ = run(capsys, "branch", "2", "2", "0", "--out", str(target))

@@ -42,7 +42,7 @@ def test_smatrix_rank2_level1_golden():
 @pytest.mark.parametrize("n,m", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (2, 4), (4, 4)])
 def test_unitarity(n, m):
     data = s_matrix(n, m)
-    assert data.unitarity_residual() < 1e-10
+    assert data.unitarity_residual() == 0
 
 
 def test_symmetry():
@@ -108,7 +108,7 @@ def test_simple_current_row_symmetry(n, m):
 def test_rank_six_level_one_dimension_ratios_are_one():
     # rank 6 (720 Weyl permutations per entry); level 1 keeps it small
     data = s_matrix(6, 1)
-    assert data.unitarity_residual() < 1e-10
+    assert data.unitarity_residual() == 0
     with mpmath.workprec(128):
         for idx in range(6):
             ratio = data.entries[0][idx] / data.entries[0][0]
@@ -119,8 +119,11 @@ def test_rank_six_level_one_dimension_ratios_are_one():
 @given(n=st.integers(2, 4), m=st.integers(1, 4))
 @example(n=6, m=1)
 @example(n=6, m=2)
+@example(n=4, m=4)
 def test_exact_matrix_is_symmetric_and_unitary(n, m):
-    """M = M^T and M M^dagger = n (n+m)^(n-1) I, by plain field arithmetic."""
+    """M = M^T and M M^dagger = n (n+m)^(n-1) I over every entry, by plain
+    field arithmetic: the oracle for ``unitarity_residual``, which tests the
+    rows of the Galois representatives only."""
     data = s_matrix(n, m)
     M = data.exact
     size = len(M)
@@ -132,6 +135,30 @@ def test_exact_matrix_is_symmetric_and_unitary(n, m):
             total = sum((M[a][c] * conj[b][c] for c in range(size)),
                         CyclotomicNumber.zero(n * (n + m)))
             assert total == (scale if a == b else 0)
+    assert data.unitarity_residual() == 0
+
+
+@pytest.mark.parametrize("n,m,pairs", [(3, 3, 21), (4, 3, 105), (4, 4, 332)])
+def test_unitarity_catches_a_negated_pair_outside_the_representative_rows(n, m, pairs):
+    """Negating a nonzero pair M_bc = M_cb with neither b nor c a Galois
+    representative leaves every representative row of M as it was, yet
+    moves (M M^dagger)_0b by -2 M_0c conj(M_bc), which is nonzero since no
+    M_0c vanishes: each such pair must make ``unitarity_residual`` raise."""
+    data = s_matrix(n, m)
+    M, reps = data.exact, data.representatives
+    others = [a for a in range(len(M)) if a not in reps]
+    caught = 0
+    for i, b in enumerate(others):
+        for c in others[i:]:
+            z = M[b][c]
+            if z.is_zero():
+                continue
+            M[b][c] = M[c][b] = -z
+            with pytest.raises(ArithmeticError, match=r"M M\^dagger differs from"):
+                data.unitarity_residual()
+            M[b][c] = M[c][b] = z
+            caught += 1
+    assert caught == pairs
     assert data.unitarity_residual() == 0
 
 
