@@ -1,8 +1,9 @@
 """Branching tables for the conformal inclusion of rank n at level m times
 rank m at level n inside rank n*m at level 1, and the consequences that can
-be checked exactly: dimension exhaustion, the degree-zero equivalence on
-fusion coefficients, transport of algebra objects, and the trace-form
-identity of the underlying matrix embedding.
+be checked exactly: dimension exhaustion, the pairing of conformal weights
+(twists), the degree-zero equivalence on fusion coefficients, transport of
+algebra objects, and the trace-form identity of the underlying matrix
+embedding.
 
 The i-th level-1 object restricts to a multiplicity-free sum of pairs
 (a, tau_i(a)) over the weights a of degree i; the table is computed directly
@@ -15,12 +16,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cache
 
 from .cyclotomic import CyclotomicNumber, conductor_for
 from .fusion import fuse
 from .partitions import Partition
 from .qdim import dimension_report, graded_dim
+from .smatrix import conformal_weight
 from .verdict import Verdict
 from .weights import LevelWeight, enumerate_graded, tau, weight_table
 
@@ -110,7 +113,8 @@ def verify_exhaustion(n: int, m: int, i: int) -> Verdict:
     """
     table = branch(n, m, i)
     # Building the reports here keeps the dimensions out of the cached sums.
-    lo, ro = dimension_report(n, m).orbit, dimension_report(m, n).orbit
+    dimension_report(n, m), dimension_report(m, n)
+    lo, ro = weight_table(n, m).orbit, weight_table(m, n).orbit
     counts = Counter((lo[p], ro[q]) for p, q in table.positions)
     total = _paired_sum(n, m, tuple(sorted(counts.items())))
     graded = graded_dim(n, m, i)
@@ -128,6 +132,24 @@ def _paired_sum(n: int, m: int, counts: tuple[tuple[tuple[int, int], int], ...])
     left, right = dimension_report(n, m).orbit_dims, dimension_report(m, n).orbit_dims
     return sum((left[p] * right[q] * k for (p, q), k in counts),
                CyclotomicNumber.zero(conductor_for(n, m)))
+
+
+def twist_pairing_check(n: int, m: int) -> Verdict:
+    """For every class i and pair (a, b) of ``branch(n, m, i)``, the
+    conformal weights of a and b must sum to i(nm - i)/(2nm) modulo 1, the
+    conformal weight of the i-th level-1 object. Checked with exact
+    rationals; a failure carries the first counterexample (i, a, total,
+    target)."""
+    checked = 0
+    for i in range(n * m):
+        target = Fraction(i * (n * m - i), 2 * n * m)
+        for a, b in branch(n, m, i).pairs:
+            total = conformal_weight(a) + conformal_weight(b)
+            checked += 1
+            if (total - target).denominator != 1:
+                return Verdict("twist", f"n={n} m={m}", False, checked, (i, a, total, target),
+                               f"h(a) + h(tau(a)) = {total} at i={i} a={a}, want {target} mod 1")
+    return Verdict("twist", f"n={n} m={m}", True, checked, detail=f"{checked} pairings exact")
 
 
 # -- the degree-zero equivalence ------------------------------------------------
@@ -188,8 +210,6 @@ def etale_necessary_conditions(summands: list[LevelWeight]) -> dict[str, bool]:
     underlie a connected commutative algebra: the vacuum once, closure under
     duals, and integral conformal weights (trivial twists)."""
     wset = set(summands)
-    from .smatrix import conformal_weight
-
     return {
         "vacuum_once": sum(1 for a in summands if a.is_vacuum()) == 1,
         "degree_zero": all(a.degree() == 0 for a in summands),

@@ -5,7 +5,8 @@ Weight literals are comma-separated components in square brackets, for
 example [1,0,0,1,1,0]; partition literals use parentheses, (3,1).
 
 Exit status: 0 on success or a fully verified sweep, 1 when a verification
-finds a counterexample, 2 on usage errors, 3 on an internal error (any other
+finds a counterexample, 2 on usage errors (a ValueError: bad input, or an
+--out path that cannot be written), 3 on an internal error (any other
 exception, reported with its traceback). A ``verify`` suite that raises is
 one ERROR record and the other suites still run; the sweep exits 1 when any
 check fails, otherwise 3 when any suite raised.
@@ -56,8 +57,11 @@ def _weight(text: str, args) -> LevelWeight:
 def _emit(payload: dict, args) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True)
     if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ValueError(f"cannot write {args.out}: {exc.strerror}") from None
     if getattr(args, "json", False) and not getattr(args, "out", None):
         print(text)
 
@@ -95,6 +99,8 @@ def _cmd_tau(args) -> int:
 def _cmd_qdim(args) -> int:
     import mpmath
 
+    if args.weight and args.partition:
+        raise ValueError("give a weight literal or --partition, not both")
     if args.partition:
         lam = parse_partition(args.partition)
     else:
@@ -267,7 +273,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a crash must not read as a counterexample

@@ -16,17 +16,19 @@ The product of two weights is computed in four steps:
    most n rows the shifted vector is strictly decreasing, so when its spread
    y_0 - y_{n-1} is below n + m it already lies in the shifted alcove of
    level m and goes to step 3 as it is, with sign +1. Every other vector is
-   folded into that alcove with the affine Weyl group at height n + m:
-   repeatedly sort the coordinates (tracking the permutation sign) and,
-   while the spread exceeds n + m, reflect in the affine wall by moving
-   n + m from the largest coordinate to the smallest (sign -1). Vectors with
-   a repeated coordinate, or spread exactly n + m, sit on a wall and are
-   dropped. The quadratic invariant sum of squares strictly decreases at each
-   reflection, so the loop terminates;
+   folded into that alcove by ``weights._fold_into_alcove``, the fold the
+   S-matrix's Galois action also uses. It applies the affine Weyl group at
+   height n + m: repeatedly sort the coordinates (tracking the permutation
+   sign) and, while the spread exceeds n + m, reflect in the affine wall by
+   moving n + m from the largest coordinate to the smallest (sign -1).
+   Vectors with a repeated coordinate, or spread exactly n + m, sit on a
+   wall and are dropped. The quadratic invariant sum of squares strictly
+   decreases at each reflection, so the loop terminates;
 3. read the weight off each y = (y_0 > ... > y_{n-1}) in the alcove
-   directly, as a_0 = n + m - 1 - (y_0 - y_{n-1}) and a_i = y_{i-1} - y_i - 1
-   (what un-shifting, stripping full columns and ``from_partition`` would
-   give), and accumulate the signed multiplicities.
+   directly with ``weights._alcove_weight``, as a_0 = n + m - 1 -
+   (y_0 - y_{n-1}) and a_i = y_{i-1} - y_i - 1 (what un-shifting, stripping
+   full columns and ``from_partition`` would give), and accumulate the
+   signed multiplicities.
 
 The surviving coefficients are the fusion multiplicities. ``_fold_lr`` is
 steps 1-3 alone, the plain route: ``rotation_check`` and the ``level1``
@@ -42,10 +44,11 @@ from operator import add
 from .cyclotomic import CyclotomicNumber, conductor_for
 from .partitions import Partition
 from .qdim import qdim_weight
-from .smatrix import perm_sign
+from .smatrix import s_matrix
 from .symfunc import lr_expand
 from .verdict import Verdict
-from .weights import LevelWeight, enumerate_weights, from_partition
+from .weights import (LevelWeight, _alcove_weight, _fold_into_alcove, enumerate_weights,
+                      from_partition, weight_table)
 
 
 class Decomposition:
@@ -104,47 +107,6 @@ class Decomposition:
             (f"{c}*" if c > 1 else "") + str(w) for w, c in self.items()
         )
         return f"Decomposition({body or '0'})"
-
-
-def _fold_into_alcove(shifted: list[int], kappa: int) -> tuple[int, LevelWeight] | None:
-    """Fold staircase-shifted coordinates into the fundamental alcove.
-
-    Returns (sign, weight of the folded vector) or None when the vector lies
-    on a wall. The alcove condition is strictly decreasing coordinates with
-    first minus last strictly below kappa.
-    """
-    y = list(shifted)
-    sign = 1
-    while True:
-        srt = sorted(y, reverse=True)
-        if srt != y:
-            sign *= _sort_sign(y)
-            y = srt
-        if len(set(y)) != len(y):
-            return None
-        spread = y[0] - y[-1]
-        if spread < kappa:
-            return sign, _alcove_weight(y, kappa)
-        if spread == kappa:
-            return None
-        # reflect in the affine wall: swap the extreme coordinates and move
-        # them kappa towards each other (a single reflection, sign -1)
-        y[0], y[-1] = y[-1] + kappa, y[0] - kappa
-        sign = -sign
-
-
-def _alcove_weight(y: list[int], kappa: int) -> LevelWeight:
-    """The weight of a strictly decreasing y with y_0 - y_{n-1} < kappa:
-    a_0 = kappa - 1 - (y_0 - y_{n-1}) and a_i = y_{i-1} - y_i - 1."""
-    gaps = tuple(y[i - 1] - y[i] - 1 for i in range(1, len(y)))
-    return LevelWeight._unchecked((kappa - 1 - y[0] + y[-1],) + gaps)
-
-
-def _sort_sign(seq: list[int]) -> int:
-    """Sign of the permutation that sorts ``seq`` into decreasing order
-    (callers guarantee distinct entries up to wall detection; ties here get
-    resolved arbitrarily and are caught by the duplicate check afterwards)."""
-    return perm_sign(sorted(range(len(seq)), key=lambda k: -seq[k]))
 
 
 def fuse(a: LevelWeight, b: LevelWeight) -> Decomposition:
@@ -245,8 +207,6 @@ def verlinde_check(n: int, m: int) -> Verdict:
     orbit's representative too. A mismatch is returned as the
     counterexample (a, b, d, lhs, rhs).
     """
-    from .smatrix import s_matrix
-
     data = s_matrix(n, m)
     weights, M = data.weights, data.exact
     size = len(weights)
@@ -254,7 +214,7 @@ def verlinde_check(n: int, m: int) -> Verdict:
     for d in columns:
         if M[0][d].is_zero():
             raise ArithmeticError(f"M_0d vanishes at d = {weights[d]}")
-    index = {w: i for i, w in enumerate(weights)}
+    index = weight_table(n, m).position
     products = [
         (ia, ib, [(index[c], k) for c, k in fuse(weights[ia], weights[ib]).terms.items()])
         for ia in range(size) for ib in range(ia, size)

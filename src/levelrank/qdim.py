@@ -30,10 +30,10 @@ evaluate it.
 The dimension is constant along the rotation orbit of a weight, so the
 exact products are memoised per orbit: ``qdim_partition`` keys its table on
 the largest rotation of the components of lam's weight, and at (7, 7) the
-1716 weights need only 246 products. ``qdim_weight`` memoises the exact
-value per weight in front of that. ``dimension_report(n, m)`` is the one
+1716 weights need only 246 products. ``dimension_report(n, m)`` is the one
 record of a rank and level; its graded totals count the weights of each
-orbit as plain ints and square each orbit's dimension once.
+orbit, read from ``weight_table``, as plain ints and square each orbit's
+dimension once.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from typing import Iterable, Mapping
 
 from .cyclotomic import CyclotomicNumber, conductor_for, qint, qint_real
 from .partitions import Partition
-from .weights import LevelWeight, enumerate_graded, enumerate_weights, from_partition, weight_table
+from .weights import LevelWeight, from_partition, weight_table
 
 
 def hook_content_factors(lam: Partition, n: int) -> tuple[list[int], list[int]]:
@@ -136,58 +136,33 @@ def _qdim_float(lam: Partition, n: int, m: int):
 
 
 def qdim_weight(a: LevelWeight, backend: str = "exact"):
-    """Quantum dimension of a weight, via its partition.
-
-    The exact value is memoised per weight, so ``qdim_partition`` runs once
-    per weight; behind it, the hook-content product runs once per rotation
-    orbit. The dimension is constant along rotation orbits, so any partition
-    preimage of the weight gives the same value; tests assert this on the
-    uncached products.
-    """
-    if backend == "exact":
-        return _qdim_weight_exact(a)
+    """Quantum dimension of a weight, via its partition. The dimension is
+    constant along rotation orbits, so any partition preimage of the weight
+    gives the same value; ``qdim_partition`` memoises it per orbit."""
     return qdim_partition(a.to_partition(), a.rank, a.level, backend=backend)
 
 
-@cache
-def _qdim_weight_exact(a: LevelWeight) -> CyclotomicNumber:
-    return qdim_partition(a.to_partition(), a.rank, a.level)
+def graded_dim(n: int, m: int, i: int) -> CyclotomicNumber:
+    """Sum of squared exact dimensions over the weights of degree i mod n."""
+    return dimension_report(n, m).graded[i % n]
 
 
-def graded_dim(n: int, m: int, i: int, backend: str = "exact"):
-    """Sum of squared dimensions over the weights of degree i mod n."""
-    if backend == "exact":
-        return dimension_report(n, m).graded[i % n]
-    return sum(qdim_weight(a, backend) ** 2 for a in enumerate_graded(n, m, i))
-
-
-def category_dim(n: int, m: int, backend: str = "exact"):
-    """Sum of squared dimensions over all rank-n level-m weights."""
-    if backend == "exact":
-        return dimension_report(n, m).total
-    return sum(qdim_weight(a, backend) ** 2 for a in enumerate_weights(n, m))
+def category_dim(n: int, m: int) -> CyclotomicNumber:
+    """Sum of squared exact dimensions over all rank-n level-m weights."""
+    return dimension_report(n, m).total
 
 
 @dataclass(frozen=True, eq=False)
 class DimensionReport:
-    """The exact dimension data of rank n, level m, built once.
-
-    ``weights``, ``position``, ``classes`` and ``orbit`` are a view over
-    ``weight_table(n, m)``: the table's own ``weights``, ``position``,
-    ``graded`` and ``orbit`` objects, not copies. ``weights`` are in
-    canonical order and ``position`` maps each back to its index;
-    ``classes[i]`` holds the weights of degree i; ``orbit`` is the
-    rotation-orbit id of each position and ``orbit_dims`` the dimension of
-    each id. ``dims`` maps each weight to its dimension, ``graded`` each
-    degree to its sum of squared dimensions, and ``total`` is their sum.
+    """The exact dimension data of rank n, level m, built once. The index,
+    degree classes and rotation-orbit ids are those of ``weight_table(n, m)``.
+    ``orbit_dims`` is the dimension of each orbit id, ``dims`` maps each
+    weight, in canonical order, to its dimension, ``graded`` each degree to
+    its sum of squared dimensions, and ``total`` is their sum.
     """
 
     n: int
     m: int
-    weights: tuple[LevelWeight, ...]
-    position: Mapping[LevelWeight, int]
-    classes: tuple[tuple[LevelWeight, ...], ...]
-    orbit: tuple[int, ...]
     orbit_dims: tuple[CyclotomicNumber, ...]
     dims: Mapping[LevelWeight, CyclotomicNumber]
     graded: Mapping[int, CyclotomicNumber]
@@ -214,20 +189,18 @@ class DimensionReport:
 
 @cache
 def dimension_report(n: int, m: int) -> DimensionReport:
-    """The record of rank n, level m: the index, classes and orbit ids of
-    ``weight_table``, dimensions from ``qdim_weight``, and graded totals that
-    square each orbit's dimension once and scale it by the orbit's count in
-    the class."""
+    """The record of rank n, level m: dimensions from ``qdim_weight``, and
+    graded totals that square each orbit's dimension once and scale it by
+    the orbit's count in the class, both read from ``weight_table``."""
     table = weight_table(n, m)
-    weights, orbit = table.weights, table.orbit
-    dims = {a: qdim_weight(a) for a in weights}
+    orbit = table.orbit
+    dims = {a: qdim_weight(a) for a in table.weights}
     orbit_dims = tuple(dict(zip(orbit, dims.values())).values())  # keys come in id order
     squares = [d * d for d in orbit_dims]
     zero = CyclotomicNumber.zero(conductor_for(n, m))
     graded = {i: sum((squares[p] * k for p, k in Counter(orbit[q] for q in cls).items()), zero)
               for i, cls in enumerate(table.classes)}
-    return DimensionReport(n, m, weights, table.position, table.graded, orbit, orbit_dims,
-                           MappingProxyType(dims), MappingProxyType(graded),
+    return DimensionReport(n, m, orbit_dims, MappingProxyType(dims), MappingProxyType(graded),
                            sum(graded.values(), zero))
 
 

@@ -14,10 +14,10 @@ exponents modulo N = n(n+m): an element of the group ring Z[C_N], kept
 exactly in the cyclotomic field Q(zeta_N).
 
 Galois symmetry (Coste-Gannon). For k prime to N, fold k*y_a into the
-alcove with the affine Weyl group at height n+m; the fold gives a sign
-eps_k(a) and a weight pi_k(a), and sigma_k(M_ab) = eps_k(a) M_{pi_k a, b},
-where sigma_k is zeta -> zeta^k. The maps pi_k split the weights into few
-Galois orbits. ``s_matrix`` builds histograms only for pairs (r, q) of orbit
+alcove at height n+m with ``weights._fold_into_alcove``, the fold of the
+fusion rule; it gives a sign eps_k(a) and a weight pi_k(a), and
+sigma_k(M_ab) = eps_k(a) M_{pi_k a, b}, where sigma_k is zeta -> zeta^k.
+The maps pi_k split the weights into few Galois orbits. ``s_matrix`` builds histograms only for pairs (r, q) of orbit
 representatives and fills every other entry by permuting exponents: for
 a = pi_j r and b = pi_k q,
 
@@ -52,7 +52,7 @@ from operator import mul
 
 from .cyclotomic import CyclotomicNumber, IntegralPacking
 from .verdict import Verdict
-from .weights import LevelWeight, enumerate_weights
+from .weights import LevelWeight, _fold_into_alcove, enumerate_weights, perm_sign, weight_table
 
 
 def central_charge(n: int, m: int, k: int = 1) -> tuple[Fraction, Fraction]:
@@ -102,12 +102,9 @@ class SMatrixData:
     precision_bits: int
     central_charge: Fraction
     galois_sources: tuple = field(repr=False)  # (r, k, eps) per weight
+    representatives: tuple[int, ...] = field(repr=False)  # each orbit's r, increasing
     _histograms: dict = field(repr=False)  # (r, q) -> histogram, r <= q representatives
     conformal_weights: dict = field(repr=False, default_factory=dict)
-
-    @cached_property
-    def representatives(self) -> tuple[int, ...]:  # indices of the Galois-orbit representatives
-        return tuple(a for a, (r, _, _) in enumerate(self.galois_sources) if r == a)
 
     @cached_property
     def entries(self) -> list:
@@ -221,7 +218,7 @@ def s_matrix(n: int, m: int, precision_bits: int = 128) -> SMatrixData:
     conductor = n * kappa
     coords = [_coordinates(a) for a in weights]
     sources = _galois_sources(weights, coords, kappa)
-    reps = [r for r, (q, _, _) in enumerate(sources) if q == r]
+    reps = tuple(r for r, (q, _, _) in enumerate(sources) if q == r)
     rep_hists = _exponent_histograms(
         n, coords, conductor, [(r, q) for i, r in enumerate(reps) for q in reps[i:]])
     data = SMatrixData(
@@ -233,6 +230,7 @@ def s_matrix(n: int, m: int, precision_bits: int = 128) -> SMatrixData:
         central_charge=category_central_charge(n, m),
         conformal_weights={a: conformal_weight(a) for a in weights},
         galois_sources=sources,
+        representatives=reps,
         _histograms=rep_hists,
     )
     data.unitarity_residual()
@@ -264,8 +262,6 @@ def _galois_fold(y: tuple[int, ...], k: int, kappa: int) -> tuple[int, LevelWeig
     alcove of height kappa, or None when it lies on a wall. Each coordinate
     is first reduced mod n*kappa, which moves y by kappa times a root plus a
     multiple of (1, ..., 1) and so changes neither the sign nor the weight."""
-    from .fusion import _fold_into_alcove
-
     period = len(y) * kappa
     return _fold_into_alcove([k * c % period for c in y], kappa)
 
@@ -279,7 +275,7 @@ def _galois_sources(weights, coords, kappa: int) -> tuple[tuple[int, int, int], 
     """Per weight a, the first (r, k, eps) with a = pi_k(r), eps = eps_k(r)
     and r the first weight of its Galois orbit. Raises ArithmeticError when
     a fold lands on a wall, which the Galois action rules out."""
-    index = {w: i for i, w in enumerate(weights)}
+    index = weight_table(weights[0].rank, weights[0].level).position
     sources: list = [None] * len(weights)
     ks = _units(len(coords[0]) * kappa)
     for r, y in enumerate(coords):
@@ -315,24 +311,6 @@ def _exponent_histograms(n: int, coords: list[tuple[int, ...]], conductor: int,
     return out
 
 
-def perm_sign(perm: Sequence[int]) -> int:
-    """Sign of a permutation of 0..len-1, from the parity of its even cycles."""
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        k = start
-        while not seen[k]:
-            seen[k] = True
-            k = perm[k]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
 # -- exact Galois symmetry ------------------------------------------------------
 
 
@@ -355,7 +333,7 @@ def galois_check(n: int, m: int) -> Verdict:
     keys = [[tuple(hists[i, j]) for j in range(size)] for i in range(size)]
     M = {h: CyclotomicNumber(conductor, h) for row in keys for h in row}
     signed = {1: M, -1: {h: -z for h, z in M.items()}}
-    index = {w: i for i, w in enumerate(weights)}
+    index = weight_table(n, m).position
     name = f"n={n} m={m}"
     checked = 0
     for k in _units(conductor):
@@ -373,26 +351,3 @@ def galois_check(n: int, m: int) -> Verdict:
                                    f"disagree at k={k} a={w} b={weights[b]}")
                 checked += 1
     return Verdict("galois", name, True, checked, detail=f"{checked} exact identities checked")
-
-
-# -- exact twist identities ----------------------------------------------------
-
-
-def twist_pairing_check(n: int, m: int) -> Verdict:
-    """For every class i and pair (a, b) of ``branch(n, m, i)``, the
-    conformal weights of a and b must sum to i(nm - i)/(2nm) modulo 1, the
-    conformal weight of the i-th level-1 object. Checked with exact
-    rationals; a failure carries the first counterexample (i, a, total,
-    target)."""
-    from .branching import branch
-
-    checked = 0
-    for i in range(n * m):
-        target = Fraction(i * (n * m - i), 2 * n * m)
-        for a, b in branch(n, m, i).pairs:
-            total = conformal_weight(a) + conformal_weight(b)
-            checked += 1
-            if (total - target).denominator != 1:
-                return Verdict("twist", f"n={n} m={m}", False, checked, (i, a, total, target),
-                               f"h(a) + h(tau(a)) = {total} at i={i} a={a}, want {target} mod 1")
-    return Verdict("twist", f"n={n} m={m}", True, checked, detail=f"{checked} pairings exact")

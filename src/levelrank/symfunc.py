@@ -13,7 +13,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import combinations
 
-from .partitions import Partition
+from .partitions import Partition, enumerate_rectangle
 from .verdict import Verdict
 
 
@@ -246,8 +246,6 @@ def verify_skew_cauchy(n: int, m: int, i: int) -> Verdict:
     lhs = SymPolynomial(k, lhs_terms)
 
     rhs = SymPolynomial(k)
-    from .partitions import enumerate_rectangle
-
     for lam in enumerate_rectangle(n, m):
         if lam.size != i:
             continue

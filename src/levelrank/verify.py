@@ -7,7 +7,7 @@ exhaustion (``branching.verify_exhaustion``), cauchy
 (``symfunc.verify_skew_cauchy``), verlinde (``fusion.verlinde_check``),
 equivalence (``branching.verify_equivalence_fusion``), traceform
 (``branching.verify_trace_form``) and twist
-(``smatrix.twist_pairing_check``). The last four return one check per case
+(``branching.twist_pairing_check``). The last four return one check per case
 as it is. Exhaustion and cauchy run one check per class or degree and
 return the first failing verdict as it is, or one passing record counting
 the identities checked. A suite looks its check up on the module at call
@@ -274,7 +274,7 @@ def suite_cardinality(bound: int = 8) -> list[Verdict]:
 
 def suite_twist(bound: int = 4) -> list[Verdict]:
     """Exact pairing of conformal weights across the duality."""
-    return [smatrix.twist_pairing_check(n, m) for n, m in _pairs(bound)]
+    return [branching.twist_pairing_check(n, m) for n, m in _pairs(bound)]
 
 
 def suite_grading(bound: int = 4) -> list[Verdict]:

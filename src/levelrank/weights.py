@@ -1,7 +1,9 @@
 """Dominant affine weights of fixed rank and level, the degree grading, the
 cyclic rotation, duals, the transpose-plus-rotation bijection between
-degree classes of dual rank/level pairs, and the per-(n, m) table that
-indexes them by position.
+degree classes of dual rank/level pairs, the per-(n, m) table that
+indexes them by position, and the affine Weyl fold of a shifted vector into
+the level alcove, which both the Kac-Walton fusion rule and the Galois
+action on the S-matrix read.
 
 A weight of rank n and level m is a tuple (a_0, ..., a_{n-1}) of non-negative
 integers summing to m. It corresponds to the partition
@@ -12,6 +14,7 @@ weight (m - lam_1 + lam_n, lam_1 - lam_2, ..., lam_{n-1} - lam_n).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate, combinations
@@ -253,6 +256,68 @@ def weight_table(n: int, m: int) -> WeightTable:
                        tuple(map(tuple, classes)),
                        tuple(tuple(weights[p] for p in cls) for cls in classes),
                        rotation, tuple(orbit), images)
+
+
+# -- the affine Weyl fold ---------------------------------------------------------
+
+
+def perm_sign(perm: Sequence[int]) -> int:
+    """Sign of a permutation of 0..len-1, from the parity of its even cycles."""
+    sign = 1
+    seen = [False] * len(perm)
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        length = 0
+        k = start
+        while not seen[k]:
+            seen[k] = True
+            k = perm[k]
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def _fold_into_alcove(shifted: list[int], kappa: int) -> tuple[int, LevelWeight] | None:
+    """Fold staircase-shifted coordinates into the fundamental alcove.
+
+    Returns (sign, weight of the folded vector) or None when the vector lies
+    on a wall. The alcove condition is strictly decreasing coordinates with
+    first minus last strictly below kappa.
+    """
+    y = list(shifted)
+    sign = 1
+    while True:
+        srt = sorted(y, reverse=True)
+        if srt != y:
+            sign *= _sort_sign(y)
+            y = srt
+        if len(set(y)) != len(y):
+            return None
+        spread = y[0] - y[-1]
+        if spread < kappa:
+            return sign, _alcove_weight(y, kappa)
+        if spread == kappa:
+            return None
+        # reflect in the affine wall: swap the extreme coordinates and move
+        # them kappa towards each other (a single reflection, sign -1)
+        y[0], y[-1] = y[-1] + kappa, y[0] - kappa
+        sign = -sign
+
+
+def _alcove_weight(y: list[int], kappa: int) -> LevelWeight:
+    """The weight of a strictly decreasing y with y_0 - y_{n-1} < kappa:
+    a_0 = kappa - 1 - (y_0 - y_{n-1}) and a_i = y_{i-1} - y_i - 1."""
+    gaps = tuple(y[i - 1] - y[i] - 1 for i in range(1, len(y)))
+    return LevelWeight._unchecked((kappa - 1 - y[0] + y[-1],) + gaps)
+
+
+def _sort_sign(seq: list[int]) -> int:
+    """Sign of the permutation that sorts ``seq`` into decreasing order
+    (callers guarantee distinct entries up to wall detection; ties here get
+    resolved arbitrarily and are caught by the duplicate check afterwards)."""
+    return perm_sign(sorted(range(len(seq)), key=lambda k: -seq[k]))
 
 
 def parse_components(text: str) -> tuple[int, ...]:

@@ -11,6 +11,7 @@ import mpmath
 from levelrank.branching import (
     branch,
     mirror_transport,
+    twist_pairing_check,
     verify_equivalence_fusion,
     verify_exhaustion,
     verify_trace_form,
@@ -20,7 +21,7 @@ from levelrank.cyclotomic import qint
 from levelrank.fusion import fuse, rotation_check, verlinde_check
 from levelrank.partitions import Partition, enumerate_rectangle
 from levelrank.qdim import category_dim, qdim_partition
-from levelrank.smatrix import central_charge, conformal_weight, twist_pairing_check
+from levelrank.smatrix import central_charge, conformal_weight
 from levelrank.symfunc import verify_skew_cauchy
 from levelrank.weights import (
     LevelWeight,

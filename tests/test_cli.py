@@ -98,6 +98,13 @@ def test_qdim_without_argument_exits_2(capsys):
     assert code == 2
 
 
+def test_qdim_with_a_weight_and_a_partition_exits_2(capsys):
+    code, out, err = run(capsys, "qdim", "2", "2", "[1,1]", "--partition", "(1)")
+    assert code == 2
+    assert out == ""
+    assert err == "error: give a weight literal or --partition, not both\n"
+
+
 @pytest.mark.parametrize("n,m", [("0", "3"), ("0", "0")])
 def test_qdim_rank_below_two_exits_2(capsys, n, m):
     code, out, err = run(capsys, "qdim", n, m, "--partition", "()")
@@ -224,6 +231,15 @@ def test_out_writes_file(tmp_path, capsys):
     assert payload["n"] == 2
 
 
+def test_out_path_that_cannot_be_written_exits_2(tmp_path, capsys):
+    """A bad output path is a usage error: one line, no traceback."""
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, "branch", "3", "3", "0", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot write {target}: No such file or directory\n"
+
+
 def test_verify_suite_passes(capsys):
     code, out, _ = run(capsys, "verify", "golden")
     assert code == 0
@@ -343,18 +359,30 @@ def test_qdim_float_precision_validated(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("error", [ArithmeticError, AssertionError])
-def test_internal_error_exits_3(capsys, monkeypatch, error):
-    """A crash inside a check is an internal error, not a counterexample."""
-    from levelrank import fusion
+@pytest.mark.parametrize("error, command, target", [
+    pytest.param(ArithmeticError, ["verify", "verlinde"], "fusion.verlinde_check",
+                 id="ArithmeticError"),
+    pytest.param(AssertionError, ["verify", "verlinde"], "fusion.verlinde_check",
+                 id="AssertionError"),
+    *(pytest.param(error, command, target, id=f"{error.__name__}-{command[0]}")
+      for error in (KeyError, ZeroDivisionError)
+      for command, target in ((["fuse", "2", "2", "[1,1]", "[1,1]"], "fusion.fuse"),
+                              (["branch", "3", "3", "0"], "branching.branch"))),
+])
+def test_internal_error_exits_3(capsys, monkeypatch, error, command, target):
+    """A crash inside a check or a command is an internal error, reported
+    with its traceback: not a counterexample, and not a usage error, which
+    only a ValueError is."""
+    module, name = target.split(".")
 
-    def broken(n, m):
+    def broken(*_):
         raise error("M_0d vanished")
 
-    monkeypatch.setattr(fusion, "verlinde_check", broken)
-    code, _, err = run(capsys, "verify", "verlinde")
+    monkeypatch.setattr(getattr(levelrank, module), name, broken)
+    code, _, err = run(capsys, *command)
     assert code == 3
-    assert err.splitlines()[-1] == f"internal error: {error.__name__}: M_0d vanished"
+    assert "Traceback" in err
+    assert err.splitlines()[-1] == f"internal error: {error.__name__}: {error('M_0d vanished')}"
 
 
 def _raising_suite(bound=2):

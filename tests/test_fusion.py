@@ -8,7 +8,6 @@ from levelrank import fusion, symfunc, verify
 from levelrank.fusion import (
     Decomposition,
     _cheapest_rotation,
-    _fold_into_alcove,
     _fold_lr,
     fuse,
     fuse_decompositions,
@@ -16,10 +15,10 @@ from levelrank.fusion import (
     grading_violations,
     rotation_check,
     verlinde_check,
-    _sort_sign,
 )
 from levelrank.qdim import qdim_weight
-from levelrank.weights import LevelWeight, enumerate_weights, from_partition
+from levelrank.weights import (LevelWeight, _fold_into_alcove, _sort_sign, enumerate_weights,
+                               from_partition)
 from levelrank.partitions import Partition, enumerate_rectangle
 
 

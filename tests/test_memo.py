@@ -23,7 +23,6 @@ MEMO_TABLES = {
     "fusion._fuse_terms",
     "partitions.enumerate_rectangle",
     "qdim._qdim_exact",
-    "qdim._qdim_weight_exact",
     "qdim._weyl_denominator_inverse",
     "qdim.dimension_report",
     "symfunc._lr_strip_states",
@@ -89,7 +88,6 @@ def test_one_hook_content_product_per_rotation_orbit(monkeypatch):
     assert all(verify_exhaustion(n, m, i) for i in range(n * m))
     assert sorted(calls) == sorted(enumerate_weights(n, m))
     assert qdim._qdim_exact.cache_info().misses == len(orbits) < len(enumerate_weights(n, m))
-    assert qdim._qdim_weight_exact.cache_info().misses == len(enumerate_weights(n, m))
 
 
 def test_one_product_per_orbit_pair_in_the_exhaustion_sweep(monkeypatch):

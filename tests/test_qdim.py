@@ -208,30 +208,21 @@ def test_cold_box_inverts_one_denominator(monkeypatch):
 @pytest.mark.parametrize("m", range(2, 6))
 def test_dimension_report_matches_the_sum_of_squares(n, m):
     """The record's orbit-grouped totals equal the by-value sums of squared
-    ``qdim_weight``; its index, classes, orbit ids and dimensions agree with
-    the functions they are read from."""
-    report = dimension_report(n, m)
+    ``qdim_weight``; its dimensions agree with ``qdim_weight`` and with the
+    orbit ids of ``weight_table``, which group exactly the rotation orbits."""
+    report, table = dimension_report(n, m), weight_table(n, m)
     weights = enumerate_weights(n, m)
-    assert report.weights is weights and list(report.dims) == list(weights)
-    assert [report.position[a] for a in weights] == list(range(len(weights)))
-    assert report.classes == tuple(enumerate_graded(n, m, i) for i in range(n))
+    assert list(report.dims) == list(weights)
     tops = [max(a.rotate(k).components for k in range(n)) for a in weights]
-    assert len(set(report.orbit)) == len(set(tops))
+    assert len(report.orbit_dims) == len(set(table.orbit)) == len(set(tops))
     for k, a in enumerate(weights):
-        assert report.dims[a] == qdim_weight(a) == report.orbit_dims[report.orbit[k]]
-        assert report.orbit[report.position[a.rotate()]] == report.orbit[k]
-        assert all(report.orbit[j] == report.orbit[k] for j in range(k) if tops[j] == tops[k])
+        assert report.dims[a] == qdim_weight(a) == report.orbit_dims[table.orbit[k]]
+        assert table.orbit[table.position[a.rotate()]] == table.orbit[k]
+        assert all(table.orbit[j] == table.orbit[k] for j in range(k) if tops[j] == tops[k])
     for i in range(n):
         expected = sum(qdim_weight(a) ** 2 for a in enumerate_graded(n, m, i))
         assert report.graded[i] == graded_dim(n, m, i) == expected
     assert report.total == category_dim(n, m) == sum(qdim_weight(a) ** 2 for a in weights)
-
-
-def test_dimension_report_is_a_view_over_the_weight_table():
-    """The report's index fields are the table's own objects, not copies."""
-    report, table = dimension_report(4, 3), weight_table(4, 3)
-    assert report.weights is table.weights and report.position is table.position
-    assert report.classes is table.graded and report.orbit is table.orbit
 
 
 @pytest.mark.parametrize("n,m", [(0, 3), (0, 0), (1, 4)])

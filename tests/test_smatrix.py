@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from levelrank import Verdict, smatrix
+from levelrank import Verdict, branching
+from levelrank.branching import twist_pairing_check
 from levelrank.cli import main
 from levelrank.cyclotomic import CyclotomicNumber
 from levelrank.qdim import qdim_weight
@@ -18,7 +19,6 @@ from levelrank.smatrix import (
     central_charge,
     conformal_weight,
     s_matrix,
-    twist_pairing_check,
 )
 from levelrank.weights import LevelWeight, enumerate_graded, enumerate_weights
 
@@ -268,12 +268,12 @@ def test_twist_pairing_reports_the_first_failure(monkeypatch, capsys):
     """Shifting every rank-2 level-3 conformal weight by 1/2 breaks the
     pairing at the first weight of class 0; the check stops there and names
     (i, a, total, target)."""
-    weight = smatrix.conformal_weight
+    weight = branching.conformal_weight
 
     def shifted(a):
         return weight(a) + (Fraction(1, 2) if (a.rank, a.level) == (2, 3) else 0)
 
-    monkeypatch.setattr(smatrix, "conformal_weight", shifted)
+    monkeypatch.setattr(branching, "conformal_weight", shifted)
     v = twist_pairing_check(2, 3)
     assert isinstance(v, Verdict) and v.holds is False
     i, a, total, target = v.counterexample

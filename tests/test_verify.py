@@ -50,7 +50,7 @@ def test_run_suites_reads_the_registry_at_call_time(monkeypatch):
 
 
 def test_verdict_suites_look_up_their_check_at_call_time(monkeypatch):
-    from levelrank import smatrix
+    from levelrank import branching
 
     seen = []
 
@@ -59,7 +59,7 @@ def test_verdict_suites_look_up_their_check_at_call_time(monkeypatch):
         holds = (n, m) != (2, 3)
         return Verdict("twist", f"n={n} m={m}", holds, detail=str(holds))
 
-    monkeypatch.setattr(smatrix, "twist_pairing_check", fake)
+    monkeypatch.setattr(branching, "twist_pairing_check", fake)
     results = verify.suite_twist(bound=3)
     assert seen == [(2, 2), (2, 3), (3, 2), (3, 3)]
     assert [r.holds for r in results] == [True, False, True, True]
@@ -72,7 +72,7 @@ def test_verdict_suites_look_up_their_check_at_call_time(monkeypatch):
     ("fusion.verlinde_check", (2, 3), "verlinde", "n=2 m=3"),
     ("branching.verify_equivalence_fusion", (2, 3), "equivalence", "n=2 m=3"),
     ("branching.verify_trace_form", (2, 3), "traceform", "n=2 m=3"),
-    ("smatrix.twist_pairing_check", (2, 3), "twist", "n=2 m=3"),
+    ("branching.twist_pairing_check", (2, 3), "twist", "n=2 m=3"),
 ])
 def test_library_checks_return_a_verdict_of_their_suite(check, args, suite, name):
     module, fn = check.split(".")

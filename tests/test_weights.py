@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levelrank.fusion import _fold_into_alcove
 from levelrank.partitions import Partition, enumerate_rectangle
 from levelrank.weights import (
     LevelWeight,
+    _fold_into_alcove,
     enumerate_graded,
     enumerate_weights,
     from_partition,
