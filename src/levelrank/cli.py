@@ -21,7 +21,7 @@ import sys
 import traceback
 
 from . import branching, fusion, qdim, smatrix, verify
-from .partitions import Partition, ascii_diagram_pair, parse_partition
+from .partitions import ascii_diagram_pair, parse_partition
 from .weights import LevelWeight, parse_components, tau
 
 PRECISION_ENV = "LEVELRANK_PRECISION"

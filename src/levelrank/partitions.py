@@ -138,19 +138,13 @@ def hook_rows(lam: Partition) -> tuple[tuple[int, ...], ...]:
     )
 
 
-@cache
-def enumerate_rectangle(n: int, m: int) -> tuple[Partition, ...]:
-    """All partitions with at most ``n`` rows and ``m`` columns.
-
-    Ordered graded-lexicographically: by size, then by tuple comparison of
-    the parts. The count is binomial(n + m, n).
-
-    Partitions are grown row by row, each prefix before its extensions and
-    the next row in increasing length, which visits them in lexicographic
-    order. Each goes into the bucket of its size as it is grown, so every
-    bucket is already in order and the buckets are read out by size, with
-    no sort.
-    """
+def rectangle_parts(n: int, m: int) -> Iterator[tuple[int, ...]]:
+    """The parts of every partition with at most ``n`` rows and ``m``
+    columns, uncached, in the order of ``enumerate_rectangle``. Partitions
+    are grown row by row, each prefix before its extensions and the next row
+    in increasing length, which visits them in lexicographic order. Each
+    goes into the bucket of its size as it is grown, so every bucket is
+    already in order and the buckets are read out by size, with no sort."""
     if n < 1 or m < 1:
         raise ValueError("rectangle bounds must be positive")
     by_size: list[list[tuple[int, ...]]] = [[] for _ in range(n * m + 1)]
@@ -162,7 +156,15 @@ def enumerate_rectangle(n: int, m: int) -> tuple[Partition, ...]:
                 grow(prefix + (p,), size + p, p, rows_left - 1)
 
     grow((), 0, m, n)
-    result = tuple(Partition._unchecked(t) for bucket in by_size for t in bucket)
+    for bucket in by_size:
+        yield from bucket
+
+
+@cache
+def enumerate_rectangle(n: int, m: int) -> tuple[Partition, ...]:
+    """The binomial(n + m, n) partitions with at most ``n`` rows and ``m``
+    columns from ``rectangle_parts``: by size, then by tuple comparison."""
+    result = tuple(map(Partition._unchecked, rectangle_parts(n, m)))
     assert len(result) == comb(n + m, n)
     return result
 

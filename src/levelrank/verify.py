@@ -12,12 +12,16 @@ as it is. Exhaustion and cauchy run one check per class or degree and
 return the first failing verdict as it is, or one passing record counting
 the identities checked. A suite looks its check up on the module at call
 time, so a replaced check is the one that runs. The other nine suites build
-their records in place.
+their records in place. Among them, grading fuses one pair per unordered
+pair of rotation orbits (``fusion.grading_violations`` says why no check is
+lost), and cardinality counts what the uncached weight and rectangle
+generators yield, building and caching no weight or partition.
 
 A suite sweeps its cases in order, one after another, so the output is
 deterministic. ``run_suites`` runs each suite in isolation: a suite that
-raises gives one ERROR record holding the exception, and the rest still run. Suites with a ``bound`` parameter take the ``--bound``
-override of ``levelrank verify``; the rest have fixed case lists.
+raises gives one ERROR record holding the exception, and the rest still
+run. Suites with a ``bound`` parameter take the ``--bound`` override of
+``levelrank verify``; the rest have fixed case lists.
 """
 
 from __future__ import annotations
@@ -28,9 +32,9 @@ from typing import Callable, Iterable, Iterator
 
 from . import branching, fusion, qdim, smatrix, symfunc, weights
 from .cyclotomic import qint
-from .partitions import Partition, enumerate_rectangle
+from .partitions import Partition, enumerate_rectangle, rectangle_parts
 from .verdict import Verdict
-from .weights import LevelWeight, enumerate_graded, enumerate_weights, tau
+from .weights import LevelWeight, enumerate_graded, enumerate_weights, tau, weight_components
 
 
 def _pairs(bound: int) -> list[tuple[int, int]]:
@@ -70,30 +74,30 @@ def _transpose_images(n: int, m: int) -> Iterator[tuple[Partition, LevelWeight, 
 
 def suite_tau(bound: int = 6) -> list[Verdict]:
     """Bijectivity and involutivity of the duality map, independence of the
-    partition preimage, compatibility with duals and with rotation."""
+    partition preimage, compatibility with duals and with rotation. Each
+    ordered (n, m) maps each weight of class i by ``tau`` once, into
+    images[n, m][i]; the involution check of (n, m) reads those of (m, n)."""
+    images = {(n, m): [{a: tau(a, i) for a in enumerate_graded(n, m, i)} for i in range(n * m)]
+              for n, m in _pairs(bound)}
 
     def check_pair(n: int, m: int) -> Verdict:
-        images = []  # images[i] maps each weight of class i to its image
-        for i in range(n * m):
-            image = {a: tau(a, i) for a in enumerate_graded(n, m, i)}
-            images.append(image)
-            target = sorted(w.components for w in enumerate_graded(m, n, i))
-            if sorted(w.components for w in image.values()) != target:
+        ours, theirs = images[n, m], images[m, n]
+        for i, image in enumerate(ours):
+            if sorted(image.values()) != sorted(theirs[i]):  # the (m, n) class i
                 return Verdict("tau", f"bijection n={n} m={m} i={i}", False)
             for a, b in image.items():
                 if b.degree() != i % m:
                     return Verdict("tau", f"degree n={n} m={m} i={i}", False, detail=str(a))
-                if tau(b, i) != a:
+                if theirs[i][b] != a:
                     return Verdict("tau", f"involution n={n} m={m} i={i}", False, detail=str(a))
         # preimage independence: any partition preimage gives the same image
         for lam, a, i, that in _transpose_images(n, m):
-            if that != images[i][a]:
-                return Verdict(
-                    "tau", f"preimage n={n} m={m}", False, detail=f"lam={lam.parts} i={i}"
-                )
-        # duals commute with the degree-zero map
-        for a in enumerate_graded(n, m, 0):
-            if tau(a.dual(), 0) != tau(a, 0).dual():
+            if that != ours[i][a]:
+                return Verdict("tau", f"preimage n={n} m={m}", False,
+                               detail=f"lam={lam.parts} i={i}")
+        # duals commute with the degree-zero map (duals keep degree zero)
+        for a, b in ours[0].items():
+            if ours[0][a.dual()] != b.dual():
                 return Verdict("tau", f"dual-commute n={n} m={m}", False, detail=str(a))
         # degree shifts by the level under rotation
         for a in enumerate_weights(n, m):
@@ -131,10 +135,8 @@ def suite_branch(bound: int = 4) -> list[Verdict]:
                 return Verdict("branch", f"right degrees n={n} m={m} i={i}", False)
         for lam, a, i, that in _transpose_images(n, m):
             if (a, that) not in pairs[i]:
-                return Verdict(
-                    "branch", f"partition route n={n} m={m}", False,
-                    detail=f"lam={lam.parts} i={i}",
-                )
+                return Verdict("branch", f"partition route n={n} m={m}", False,
+                               detail=f"lam={lam.parts} i={i}")
         sigma_pair_n = (LevelWeight.vacuum(n, m),
                         weights.from_partition(Partition((n,)), m, n))
         if sigma_pair_n not in pairs[n % (n * m)]:
@@ -204,13 +206,11 @@ def suite_cc(bound: int = 50) -> list[Verdict]:
     """Exact equality of the two central charges at level 1, and the
     detected inequality at level 2."""
     results = []
-    for n in range(2, bound + 1):
-        for m in range(2, bound + 1):
-            ambient, pair = smatrix.central_charge(n, m, 1)
-            if ambient != pair or ambient != n * m - 1:
-                results.append(
-                    Verdict("cc", f"level 1 n={n} m={m}", False, detail=f"{ambient} vs {pair}")
-                )
+    for n, m in _pairs(bound):
+        ambient, pair = smatrix.central_charge(n, m, 1)
+        if ambient != pair or ambient != n * m - 1:
+            results.append(
+                Verdict("cc", f"level 1 n={n} m={m}", False, detail=f"{ambient} vs {pair}"))
     ambient2, pair2 = smatrix.central_charge(2, 2, 2)
     results.append(
         Verdict(
@@ -256,20 +256,16 @@ def suite_traceform(
 
 
 def suite_cardinality(bound: int = 8) -> list[Verdict]:
-    """Weight counts match the binomial formula; rectangle counts too."""
-    results = []
-    ok = True
-    for n in range(2, bound + 1):
-        for m in range(1, bound + 1):
-            if len(enumerate_weights(n, m)) != math.comb(n + m - 1, n - 1):
-                ok = False
-                results.append(Verdict("cardinality", f"weights n={n} m={m}", False))
-            if len(enumerate_rectangle(n, m)) != math.comb(n + m, n):
-                ok = False
-                results.append(Verdict("cardinality", f"partitions n={n} m={m}", False))
-    if ok:
-        results.append(Verdict("cardinality", f"all n,m <= {bound} binomial counts", True))
-    return results
+    """The weight and rectangle generators yield the binomial counts, counted
+    as generated: no weight or partition is built and nothing is cached."""
+    failures = [
+        Verdict("cardinality", f"{kind} n={n} m={m}", False)
+        for n in range(2, bound + 1) for m in range(1, bound + 1)
+        for kind, items, count in (("weights", weight_components, math.comb(n + m - 1, n - 1)),
+                                   ("partitions", rectangle_parts, math.comb(n + m, n)))
+        if sum(1 for _ in items(n, m)) != count
+    ]
+    return failures or [Verdict("cardinality", f"all n,m <= {bound} binomial counts", True)]
 
 
 def suite_twist(bound: int = 4) -> list[Verdict]:

@@ -21,7 +21,7 @@ from itertools import accumulate, combinations
 from math import comb
 from operator import mul
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .partitions import Partition
 
@@ -170,27 +170,28 @@ def tau_from_partition(lam: Partition, n: int, m: int, i: int) -> LevelWeight:
     return from_partition(lam.transpose(), m, n).rotate(power)
 
 
-@cache
-def enumerate_weights(n: int, m: int) -> tuple[LevelWeight, ...]:
-    """All rank-n level-m weights in canonical order (vacuum first).
-
-    The count is binomial(n + m - 1, n - 1), one weight per placement of n - 1
-    bars among n + m - 1 slots; bars in reverse lex order give reverse lex order.
-    """
+def weight_components(n: int, m: int) -> Iterator[tuple[int, ...]]:
+    """The components of every rank-n level-m weight, uncached, in the order
+    of ``enumerate_weights``: one per placement of n - 1 bars among n + m - 1
+    slots, and bars in reverse lex order give reverse lex order."""
     if n < 2:
         raise ValueError("rank must be at least 2")
     if m < 0:
         raise ValueError("level must be non-negative")
     slots = n + m - 1
-    out = []
     for bars in reversed(tuple(combinations(range(slots), n - 1))):
         weight, prev = [], -1
-        for b in bars:
+        for b in bars + (slots,):  # the gaps between bars, and at both ends
             weight.append(b - prev - 1)
             prev = b
-        weight.append(slots - 1 - prev)
-        out.append(tuple(weight))
-    result = tuple(map(LevelWeight._unchecked, out))
+        yield tuple(weight)
+
+
+@cache
+def enumerate_weights(n: int, m: int) -> tuple[LevelWeight, ...]:
+    """All rank-n level-m weights in canonical order (vacuum first), built
+    from ``weight_components``; there are binomial(n + m - 1, n - 1)."""
+    result = tuple(map(LevelWeight._unchecked, weight_components(n, m)))
     assert len(result) == comb(n + m - 1, n - 1)
     return result
 

@@ -18,7 +18,7 @@ from levelrank.fusion import (
 )
 from levelrank.qdim import qdim_weight
 from levelrank.weights import (LevelWeight, _fold_into_alcove, _sort_sign, enumerate_weights,
-                               from_partition)
+                               from_partition, weight_table)
 from levelrank.partitions import Partition, enumerate_rectangle
 
 
@@ -224,12 +224,57 @@ def test_in_alcove_read_matches_the_fold(n, m, monkeypatch):
 
 
 def test_grading_reports_a_term_outside_the_weights(monkeypatch):
-    """A term of another rank is not in the per-(n, m) degree table; it is
-    reported by its own degree, 2 here, which no rank-2 sum reaches."""
+    """A term of another rank is reported by its own degree, 2 here, which
+    no rank-2 sum reaches, once per pair of orbit representatives: the
+    orbits of (2, 2) are {[2,0], [0,2]} and {[1,1]}."""
     stray = LevelWeight((0, 0, 1))
     monkeypatch.setattr(fusion, "fuse", lambda a, b: Decomposition._unchecked(2, 2, {stray: 1}))
-    ws = enumerate_weights(2, 2)
-    assert grading_violations(2, 2) == [(a, b, stray) for a in ws for b in ws]
+    v, j = LevelWeight((0, 2)), LevelWeight((1, 1))
+    assert grading_violations(2, 2) == [(v, v, stray), (v, j, stray), (j, j, stray)]
+
+
+@pytest.fixture
+def cold_fusion():
+    """A cold fusion memo, cleared again afterwards so that no patched
+    product outlives the test."""
+    fusion._fuse_terms.cache_clear()
+    yield
+    fusion._fuse_terms.cache_clear()
+
+
+@pytest.mark.parametrize("n,m,pairs", [(4, 4, 55), (5, 5, 351)])
+def test_grading_fuses_one_pair_per_unordered_pair_of_orbits(n, m, pairs, monkeypatch,
+                                                             cold_fusion):
+    """10 orbits at (4, 4) and 26 at (5, 5); each product is a cold miss."""
+    orbits = max(weight_table(n, m).orbit) + 1
+    assert orbits * (orbits + 1) // 2 == pairs
+    calls = []
+    true_fuse = fusion.fuse
+    monkeypatch.setattr(fusion, "fuse", lambda a, b: calls.append((a, b)) or true_fuse(a, b))
+    assert grading_violations(n, m) == []
+    assert len(calls) == len(set(calls)) == pairs
+    assert fusion._fuse_terms.cache_info().misses == pairs
+    orbit = dict(zip(weight_table(n, m).weights, weight_table(n, m).orbit))
+    assert len({frozenset((orbit[a], orbit[b])) for a, b in calls}) == pairs
+
+
+def test_grading_suite_fails_on_an_off_grade_term_of_one_orbit_pair(monkeypatch, cold_fusion):
+    """An off-grade term in the product of one pair of orbits of (3, 3),
+    whichever members reach the plain route, is seen once."""
+    table = weight_table(3, 3)
+    orbit = dict(zip(table.weights, table.orbit))
+    true_fold = fusion._fold_lr
+
+    def fold(a, b):
+        terms = true_fold(a, b)
+        if {orbit.get(a), orbit.get(b)} == {1, 2}:
+            want = (a.degree() + b.degree()) % 3
+            terms[next(c for c in table.weights if c.degree() != want)] = 1
+        return terms
+
+    monkeypatch.setattr(fusion, "_fold_lr", fold)
+    failing = [r.line() for r in verify.suite_grading(bound=3) if not r]
+    assert failing == ["[FAIL] grading: n=3 m=3  (1 violations)"]
 
 
 @pytest.mark.parametrize("n,m", [(3, 3), (4, 2)])

@@ -1,5 +1,6 @@
 """The package's modules form layers: every intra-package import sits at the
-top of its module, and the modules import each other without a cycle."""
+top of its module, and the modules import each other without a cycle. No
+module of the package or of the tests imports a name it never reads."""
 
 import ast
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import levelrank
 
 PACKAGE = Path(levelrank.__file__).parent
+TESTS = Path(__file__).parent
 
 
 def _trees():
@@ -52,3 +54,34 @@ def test_the_module_graph_is_acyclic():
 
     for name in sorted(graph):
         visit(name, ())
+
+
+def _unread_imports(tree: ast.Module) -> list[str]:
+    """Names bound by an import of the module that no expression reads."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(imported - read)
+
+
+def test_every_imported_name_is_read():
+    """The package's ``__init__`` is exempt: its imports are re-exports."""
+    paths = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    paths += sorted(TESTS.glob("*.py"))
+    unread = {
+        f"{path.parent.name}/{path.name}": names
+        for path in paths if (names := _unread_imports(ast.parse(path.read_text())))
+    }
+    assert unread == {}
+
+
+def test_an_unread_import_is_found():
+    tree = ast.parse("from __future__ import annotations\n"
+                     "import os.path\nimport sys as system\nfrom math import comb, gcd\n"
+                     "os.path.join(comb)\n")
+    assert _unread_imports(tree) == ["gcd", "system"]

@@ -7,7 +7,7 @@ from functools import cache
 from importlib import import_module
 
 import levelrank
-from levelrank import branching, fusion, qdim, verify, weights
+from levelrank import branching, fusion, partitions, qdim, verify, weights
 from levelrank.branching import verify_exhaustion
 from levelrank.cyclotomic import CyclotomicNumber, conductor_for, qint
 from levelrank.fusion import fuse
@@ -123,6 +123,27 @@ def test_one_product_per_orbit_pair_in_the_exhaustion_sweep(monkeypatch):
             pairs = {(top(a), top(tau(a, i))) for i in range(n * m)
                      for a in enumerate_graded(n, m, i)}
             assert products[n, m] == len(pairs), (n, m)
+
+
+def test_tau_suite_calls_tau_once_per_weight_and_class(monkeypatch):
+    """From cold caches, ``suite_tau(4)`` calls ``tau`` once per (weight,
+    class) of each ordered (n, m): the involution check reads the images of
+    (m, n), and the dual-commute check those of class 0."""
+    for table in _memo_tables().values():
+        table.cache_clear()
+    calls = Counter()
+    monkeypatch.setattr(verify, "tau", lambda a, i: calls.update([(a, i)]) or tau(a, i))
+    assert all(verify.suite_tau(bound=4))
+    assert calls == Counter((a, i) for n in range(2, 5) for m in range(2, 5)
+                            for i in range(n * m) for a in enumerate_graded(n, m, i))
+
+
+def test_cardinality_counts_without_filling_the_enumerators():
+    for table in _memo_tables().values():
+        table.cache_clear()
+    assert all(verify.suite_cardinality(8))
+    assert enumerate_weights.cache_info().currsize == 0
+    assert partitions.enumerate_rectangle.cache_info().currsize == 0
 
 
 def test_qint_is_keyed_on_the_index_mod_the_conductor():

@@ -14,13 +14,12 @@ from levelrank.cli import main
 from levelrank.cyclotomic import CyclotomicNumber
 from levelrank.qdim import qdim_weight
 from levelrank.smatrix import (
-    SMatrixData,
     category_central_charge,
     central_charge,
     conformal_weight,
     s_matrix,
 )
-from levelrank.weights import LevelWeight, enumerate_graded, enumerate_weights
+from levelrank.weights import LevelWeight, enumerate_graded
 
 
 def matmul(A, B):

@@ -1,11 +1,11 @@
 import inspect
-from itertools import permutations
 
 import pytest
 
 import levelrank
-from levelrank import Verdict, verify, weights
-from levelrank.weights import LevelWeight
+from levelrank import Verdict, partitions, verify, weights
+from levelrank.partitions import enumerate_rectangle, rectangle_parts
+from levelrank.weights import LevelWeight, enumerate_weights, weight_components
 
 NAMES = (
     "golden", "tau", "branch", "exhaustion", "cauchy", "rotation", "level1",
@@ -155,3 +155,46 @@ def test_tau_preimage_check_catches_a_swap_in_one_rotated_class(monkeypatch, i):
     assert failing and all(r.name.startswith("preimage ") for r in failing)
     assert failing[0].name == "preimage n=2 m=3"
     assert failing[0].detail.endswith(f" i={i}")
+
+
+@pytest.mark.parametrize("i", range(6))
+def test_tau_involution_check_catches_a_swap_on_one_side(monkeypatch, i):
+    """Swap the images of the two rank-2 level-3 weights of class i, on the
+    (2, 3) side only. Each class stays a degree-preserving bijection, so
+    the first failure is the involution against the (3, 2) images."""
+    a1, a2 = weights.enumerate_graded(2, 3, i)
+    true_tau = verify.tau
+
+    def swapped(a, j):
+        if j % 6 == i and a in (a1, a2):
+            return true_tau(a2 if a == a1 else a1, j)
+        return true_tau(a, j)
+
+    monkeypatch.setattr(verify, "tau", swapped)
+    failing = [r for r in verify.suite_tau(bound=3) if not r]
+    assert failing[0].line() == f"[FAIL] tau: involution n=2 m=3 i={i}  ({a1})"
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("m", range(0, 7))
+def test_generators_yield_the_enumerators_tuples_in_order(n, m):
+    """Both orders are also rebuilt independently: weights in reverse lex
+    order, partitions by size and then lexicographically."""
+    if m:
+        parts = list(rectangle_parts(n, m))
+        assert parts == [lam.parts for lam in enumerate_rectangle(n, m)]
+        assert parts == sorted(parts, key=lambda t: (sum(t), t))
+    if n >= 2:
+        comps = list(weight_components(n, m))
+        assert comps == [a.components for a in enumerate_weights(n, m)]
+        assert comps == sorted(comps, reverse=True)
+
+
+def test_cardinality_check_catches_a_dropped_partition(monkeypatch):
+    def dropping(n, m):
+        parts = list(partitions.rectangle_parts(n, m))
+        return parts[1:] if (n, m) == (3, 2) else parts
+
+    monkeypatch.setattr(verify, "rectangle_parts", dropping)
+    assert [r.line() for r in verify.suite_cardinality(bound=3)] == [
+        "[FAIL] cardinality: partitions n=3 m=2"]
