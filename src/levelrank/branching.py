@@ -48,12 +48,6 @@ class BranchingTable:
     def partition_pairs(self) -> tuple[tuple[Partition, Partition], ...]:
         return tuple((a.to_partition(), b.to_partition()) for a, b in self.pairs)
 
-    def left_weights(self) -> tuple[LevelWeight, ...]:
-        return tuple(a for a, _ in self.pairs)
-
-    def right_weights(self) -> tuple[LevelWeight, ...]:
-        return tuple(b for _, b in self.pairs)
-
     def __len__(self) -> int:
         return len(self.positions)
 

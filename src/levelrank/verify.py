@@ -12,10 +12,13 @@ as it is. Exhaustion and cauchy run one check per class or degree and
 return the first failing verdict as it is, or one passing record counting
 the identities checked. A suite looks its check up on the module at call
 time, so a replaced check is the one that runs. The other nine suites build
-their records in place. Among them, grading fuses one pair per unordered
-pair of rotation orbits (``fusion.grading_violations`` says why no check is
-lost), and cardinality counts what the uncached weight and rectangle
-generators yield, building and caching no weight or partition.
+their records in place. Among them, tau and branch decide every check on
+the positions of ``weights.weight_table`` (an image outside the table is a
+failure, never a lookup error) and count the identities decided in each
+passing record; grading fuses one pair per unordered pair of rotation
+orbits (``fusion.grading_violations`` says why no check is lost), and
+cardinality counts what the uncached weight and rectangle generators
+yield, building and caching no weight or partition.
 
 A suite sweeps its cases in order, one after another, so the output is
 deterministic. ``run_suites`` runs each suite in isolation: a suite that
@@ -34,7 +37,7 @@ from . import branching, fusion, qdim, smatrix, symfunc, weights
 from .cyclotomic import qint
 from .partitions import Partition, enumerate_rectangle, rectangle_parts
 from .verdict import Verdict
-from .weights import LevelWeight, enumerate_graded, enumerate_weights, tau, weight_components
+from .weights import LevelWeight, enumerate_weights, tau, weight_components, weight_table
 
 
 def _pairs(bound: int) -> list[tuple[int, int]]:
@@ -52,21 +55,24 @@ def _first_failure(verdicts: Iterable[Verdict], suite: str, name: str) -> Verdic
     return Verdict(suite, name, True, checked, detail=f"{checked} identities checked")
 
 
-def _transpose_images(n: int, m: int) -> Iterator[tuple[Partition, LevelWeight, int, LevelWeight]]:
-    """(lam, a, i, tau_from_partition(lam, n, m, i)) for every partition lam
-    in the m x n box, a its weight, and every class i = |lam| (mod n).
+def _transpose_images(n: int, m: int) -> Iterator[tuple[Partition, int, int, int]]:
+    """(lam, p, i, q) for every partition lam in the m x n box and every
+    class i = |lam| (mod n): p is the position of lam's weight in the (n, m)
+    table and q that of tau_from_partition(lam, n, m, i) in the (m, n) one.
 
     The transpose route runs once per partition, at i0 = |lam| mod n. Its
     value at i = i0 + t*n is that image rotated t more times, which is
-    exactly what ``tau_from_partition`` returns there, so every (lam, i)
-    is still checked against the transpose of lam.
+    exactly what ``tau_from_partition`` returns there, so q steps through
+    the (m, n) ``rotation`` column and every (lam, i) is still checked
+    against the transpose of lam.
     """
+    left, right = weight_table(n, m), weight_table(m, n)
     for lam in enumerate_rectangle(n, m):
-        a = weights.from_partition(lam, n, m)
-        i0 = lam.size % n
-        that = weights.tau_from_partition(lam, n, m, i0)
-        for t, i in enumerate(range(i0, n * m, n)):
-            yield lam, a, i, that.rotate(t)
+        p = left.position[weights.from_partition(lam, n, m)]
+        q = right.position[weights.tau_from_partition(lam, n, m, lam.size % n)]
+        for i in range(lam.size % n, n * m, n):
+            yield lam, p, i, q
+            q = right.rotation[q]
 
 
 # -- suites ---------------------------------------------------------------------
@@ -75,35 +81,50 @@ def _transpose_images(n: int, m: int) -> Iterator[tuple[Partition, LevelWeight, 
 def suite_tau(bound: int = 6) -> list[Verdict]:
     """Bijectivity and involutivity of the duality map, independence of the
     partition preimage, compatibility with duals and with rotation. Each
-    ordered (n, m) maps each weight of class i by ``tau`` once, into
-    images[n, m][i]; the involution check of (n, m) reads those of (m, n)."""
-    images = {(n, m): [{a: tau(a, i) for a in enumerate_graded(n, m, i)} for i in range(n * m)]
-              for n, m in _pairs(bound)}
+    ordered (n, m) maps each weight of class i by ``tau`` once: images[n,
+    m][i][p] is the position in the (m, n) table of the image of weights[p]
+    (-1 off class i, and for an image outside the table, which fails the
+    bijection check). The involution check of (n, m) reads those of (m, n).
+    A passing record counts the identities it decided."""
+    images = {}
+    for n, m in _pairs(bound):
+        table, where = weight_table(n, m), weight_table(m, n).position
+        images[n, m] = rows = [[-1] * len(table.weights) for _ in range(n * m)]
+        for i, row in enumerate(rows):
+            for p in table.classes[i % n]:
+                row[p] = where.get(tau(table.weights[p], i), -1)
 
     def check_pair(n: int, m: int) -> Verdict:
+        left, right = weight_table(n, m), weight_table(m, n)
         ours, theirs = images[n, m], images[m, n]
+        checked = 0
         for i, image in enumerate(ours):
-            if sorted(image.values()) != sorted(theirs[i]):  # the (m, n) class i
+            cls = left.classes[i % n]
+            if sorted(image[p] for p in cls) != list(right.classes[i % m]):
                 return Verdict("tau", f"bijection n={n} m={m} i={i}", False)
-            for a, b in image.items():
-                if b.degree() != i % m:
+            for p, a in zip(cls, left.graded[i % n]):
+                if right.degree[image[p]] != i % m:
                     return Verdict("tau", f"degree n={n} m={m} i={i}", False, detail=str(a))
-                if theirs[i][b] != a:
+                if theirs[i][image[p]] != p:
                     return Verdict("tau", f"involution n={n} m={m} i={i}", False, detail=str(a))
+            checked += 1 + 2 * len(cls)
         # preimage independence: any partition preimage gives the same image
-        for lam, a, i, that in _transpose_images(n, m):
-            if that != ours[i][a]:
+        for lam, p, i, q in _transpose_images(n, m):
+            if q != ours[i][p]:
                 return Verdict("tau", f"preimage n={n} m={m}", False,
                                detail=f"lam={lam.parts} i={i}")
+            checked += 1
         # duals commute with the degree-zero map (duals keep degree zero)
-        for a, b in ours[0].items():
-            if ours[0][a.dual()] != b.dual():
+        image = ours[0]
+        for p, a in zip(left.classes[0], left.graded[0]):
+            if image[left.position[a.dual()]] != right.position[right.weights[image[p]].dual()]:
                 return Verdict("tau", f"dual-commute n={n} m={m}", False, detail=str(a))
         # degree shifts by the level under rotation
-        for a in enumerate_weights(n, m):
-            if a.rotate(1).degree() != (a.degree() + m) % n:
+        for a, r, d in zip(left.weights, left.rotation, left.degree):
+            if left.degree[r] != (d + m) % n:
                 return Verdict("tau", f"degree-rotation n={n} m={m}", False, detail=str(a))
-        return Verdict("tau", f"n={n} m={m} all classes", True)
+        checked += len(left.classes[0]) + len(left.weights)
+        return Verdict("tau", f"n={n} m={m} all classes", True, checked)
 
     return [check_pair(n, m) for n, m in _pairs(bound)]
 
@@ -119,33 +140,38 @@ def suite_exhaustion(bound: int = 5) -> list[Verdict]:
 
 
 def suite_branch(bound: int = 4) -> list[Verdict]:
-    """Structural facts about the tables: multiplicity-freeness, degree
-    bookkeeping of right factors, presence of every partition-route pair, and
-    the two invertible-object pairs."""
+    """Structural facts about the tables, on the position pairs of
+    ``BranchingTable.positions``: multiplicity-freeness, degree bookkeeping
+    of right factors, presence of every partition-route pair, and the two
+    invertible-object pairs. A passing record counts the identities it
+    decided."""
 
     def check_pair(n: int, m: int) -> Verdict:
-        pairs = []  # pairs[i] is the set of pairs of class i
+        left, right = weight_table(n, m), weight_table(m, n)
+        pairs = []  # pairs[i] is the set of position pairs of class i
+        checked = 0
         for i in range(n * m):
             table = branching.branch(n, m, i)
-            pairs.append(set(table.pairs))
-            lefts, rights = table.left_weights(), table.right_weights()
-            if len(set(lefts)) != len(lefts) or len(set(rights)) != len(rights):
+            pairs.append(set(table.positions))
+            rights = [q for _, q in table.positions]
+            if len({p for p, _ in table.positions}) != len(table) or len(set(rights)) != len(table):
                 return Verdict("branch", f"multiplicity-free n={n} m={m} i={i}", False)
-            if any(b.degree() != i % m for b in rights):
+            if any(right.degree[q] != i % m for q in rights):
                 return Verdict("branch", f"right degrees n={n} m={m} i={i}", False)
-        for lam, a, i, that in _transpose_images(n, m):
-            if (a, that) not in pairs[i]:
+            checked += 2 + len(table)
+        for lam, p, i, q in _transpose_images(n, m):
+            if (p, q) not in pairs[i]:
                 return Verdict("branch", f"partition route n={n} m={m}", False,
                                detail=f"lam={lam.parts} i={i}")
-        sigma_pair_n = (LevelWeight.vacuum(n, m),
-                        weights.from_partition(Partition((n,)), m, n))
+            checked += 1
+        # the vacuum sits at position 0 of both tables
+        sigma_pair_n = (0, right.position[weights.from_partition(Partition((n,)), m, n)])
         if sigma_pair_n not in pairs[n % (n * m)]:
             return Verdict("branch", f"sigma pair n={n} m={m}", False)
-        sigma_pair_m = (weights.from_partition(Partition((m,)), n, m),
-                        LevelWeight.vacuum(m, n))
+        sigma_pair_m = (left.position[weights.from_partition(Partition((m,)), n, m)], 0)
         if sigma_pair_m not in pairs[m % (n * m)]:
             return Verdict("branch", f"sigma pair m n={n} m={m}", False)
-        return Verdict("branch", f"n={n} m={m} structure", True)
+        return Verdict("branch", f"n={n} m={m} structure", True, checked + 2)
 
     return [check_pair(n, m) for n, m in _pairs(bound)]
 

@@ -206,9 +206,10 @@ class WeightTable:
     """The combinatorics of rank n, level m, built once by ``weight_table``.
 
     ``weights`` are in canonical order and ``position`` maps each back to its
-    index. Per position p: ``rotation[p]``, the position of
-    ``weights[p].rotate()``, and ``orbit[p]``, its rotation-orbit id, the ids
-    numbered in order of first appearance. ``classes[i]`` holds the positions
+    index. Per position p: ``degree[p]``, the degree of ``weights[p]``;
+    ``rotation[p]``, the position of ``weights[p].rotate()``; and
+    ``orbit[p]``, its rotation-orbit id, the ids numbered in order of first
+    appearance. ``classes[i]`` holds the positions
     of degree i and ``graded[i]`` their weights.
 
     For level m >= 2, ``tau[p]`` is the position in the (m, n) table of
@@ -223,6 +224,7 @@ class WeightTable:
     position: Mapping[LevelWeight, int]
     classes: tuple[tuple[int, ...], ...]
     graded: tuple[tuple[LevelWeight, ...], ...]
+    degree: tuple[int, ...]
     rotation: tuple[int, ...]
     orbit: tuple[int, ...]
     tau: tuple[int, ...]
@@ -256,7 +258,7 @@ def weight_table(n: int, m: int) -> WeightTable:
     return WeightTable(n, m, weights, MappingProxyType(position),
                        tuple(map(tuple, classes)),
                        tuple(tuple(weights[p] for p in cls) for cls in classes),
-                       rotation, tuple(orbit), images)
+                       degree, rotation, tuple(orbit), images)
 
 
 # -- the affine Weyl fold ---------------------------------------------------------

@@ -70,8 +70,7 @@ def test_etale_is_branch_zero():
 def test_branch_structure(n, m):
     for i in range(n * m):
         table = branch(n, m, i)
-        lefts = table.left_weights()
-        rights = table.right_weights()
+        lefts, rights = zip(*table.pairs)
         # multiplicity-free in both factors
         assert len(set(lefts)) == len(lefts)
         assert len(set(rights)) == len(rights)
@@ -215,10 +214,9 @@ def test_mirror_transport_trivial():
 
 def test_mirror_left_factors_of_vacuum_table_transport_to_mirror_table():
     for (n, m) in ((2, 3), (3, 2), (2, 4), (4, 2), (3, 4)):
-        lefts = list(branch(n, m, 0).left_weights())
-        transported = mirror_transport(lefts)
+        transported = mirror_transport([a for a, _ in branch(n, m, 0).pairs])
         assert sorted(w.components for w in transported) == sorted(
-            w.components for w in branch(m, n, 0).left_weights()
+            a.components for a, _ in branch(m, n, 0).pairs
         )
 
 

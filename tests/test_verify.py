@@ -1,9 +1,12 @@
 import inspect
+import json
+import math
 
 import pytest
 
 import levelrank
 from levelrank import Verdict, partitions, verify, weights
+from levelrank.cli import main
 from levelrank.partitions import enumerate_rectangle, rectangle_parts
 from levelrank.weights import LevelWeight, enumerate_weights, weight_components
 
@@ -198,3 +201,76 @@ def test_cardinality_check_catches_a_dropped_partition(monkeypatch):
     monkeypatch.setattr(verify, "rectangle_parts", dropping)
     assert [r.line() for r in verify.suite_cardinality(bound=3)] == [
         "[FAIL] cardinality: partitions n=3 m=2"]
+
+
+def test_tau_dual_commute_check_catches_a_wrong_dual(monkeypatch):
+    """A dual that fixes the non-self-dual class-0 weight [0,0,3] of rank 3
+    level 3 leaves tau itself intact, so every check before dual-commute
+    passes and the first failure is dual-commute at (3, 3). Its first
+    witness is [0,3,0], which comes before [0,0,3] and maps to it."""
+    wrong = LevelWeight((0, 0, 3))
+    assert wrong.degree() == 0 and wrong.dual() != wrong
+    true_dual = LevelWeight.dual
+    monkeypatch.setattr(LevelWeight, "dual", lambda a: a if a == wrong else true_dual(a))
+    failing = [r for r in verify.suite_tau(bound=3) if not r]
+    assert failing[0].line() == "[FAIL] tau: dual-commute n=3 m=3  ([0,3,0])"
+
+
+def test_tau_image_outside_the_table_is_a_bijection_failure(monkeypatch):
+    """An image of the wrong rank has no position in the (m, n) table: the
+    suite reports a bijection FAIL for its class, and never an ERROR."""
+    a = weights.enumerate_graded(2, 3, 1)[0]
+    true_tau = verify.tau
+    monkeypatch.setattr(verify, "tau", lambda b, i: (
+        LevelWeight((1, 1, 1, 0)) if (b, i) == (a, 1) else true_tau(b, i)))
+    results = verify.run_suites(["tau"], bound=3)
+    assert all(r.error is None for r in results)
+    failing = [r.line() for r in results if not r]
+    assert failing[0] == "[FAIL] tau: bijection n=2 m=3 i=1"
+
+
+def test_branch_partition_route_check_catches_a_dropped_summand(monkeypatch):
+    """Dropping one summand of ``branch(2, 3, 1)`` keeps the table
+    multiplicity-free and its right degrees right; only the partition route
+    misses the pair."""
+    from levelrank import branching
+
+    true_branch = branching.branch
+
+    def dropping(n, m, i):
+        table = true_branch(n, m, i)
+        if (n, m, i) == (2, 3, 1):
+            return branching.BranchingTable(n, m, i, table.positions[1:])
+        return table
+
+    monkeypatch.setattr(branching, "branch", dropping)
+    failing = [r for r in verify.suite_branch(bound=3) if not r]
+    assert [r.line() for r in failing] == ["[FAIL] branch: partition route n=2 m=3  (lam=(1,) i=1)"]
+
+
+@pytest.mark.parametrize("n", range(2, 5))
+@pytest.mark.parametrize("m", range(2, 5))
+def test_transpose_images_match_the_unrotated_route(n, m):
+    """Each (lam, i) with i = |lam| (mod n) comes once, C(n+m, n)*m items in
+    all, and the rotated image is tau_from_partition called at that i."""
+    left, right = weights.weight_table(n, m), weights.weight_table(m, n)
+    items = list(verify._transpose_images(n, m))
+    seen = [(lam.parts, i) for lam, _, i, _ in items]
+    assert len(seen) == len(set(seen)) == math.comb(n + m, n) * m
+    for lam, p, i, q in items:
+        assert i % n == lam.size % n
+        assert left.weights[p] == weights.from_partition(lam, n, m)
+        assert right.weights[q] == weights.tau_from_partition(lam, n, m, i)
+
+
+def test_tau_and_branch_records_count_the_identities_decided(capsys):
+    """At (2, 2): 3 weights, 2 of degree 0, 6 partitions in the 2 x 2 box and
+    4 classes. tau decides 4 bijections, 6 degrees, 6 involutions, 12
+    preimages, 2 duals and 3 degree shifts; branch 8 multiplicity checks, 6
+    right degrees, 12 partition-route pairs and 2 invertible pairs. The
+    text lines stay bare."""
+    for suite, checked in (("tau", 33), ("branch", 28)):
+        assert main(["verify", suite, "--bound", "2", "--json"]) == 0
+        [record] = json.loads(capsys.readouterr().out)["results"]
+        assert (record["checked"], record["detail"]) == (checked, "")
+        assert verify.SUITES[suite](bound=2)[0].line() == f"[PASS] {suite}: {record['name']}"
