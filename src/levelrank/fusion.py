@@ -8,8 +8,9 @@ The product of two weights is computed in four steps:
    The rotation is fusion with a power of the invertible object J, so
    N_{sigma^k a, sigma^l b}^{sigma^(k+l) c} = N_ab^c (Schellekens-Yankielowicz),
    and steps 1-3 run on the rotated pair; every term is rotated back by
-   -(k+l) at the end. The LR tables of the few orbit representatives are
-   shared by all pairs of their orbits;
+   -(k+l) at the end, by stepping the ``rotation`` column of
+   ``weight_table(n, m)``. The LR tables of the few orbit representatives
+   are shared by all pairs of their orbits;
 1. expand the product of the corresponding finite characters with the LR
    rule, keeping partitions of at most n rows (taller ones vanish for sl_n);
 2. shift each resulting partition by the staircase (n-1, ..., 1, 0). With at
@@ -27,13 +28,16 @@ The product of two weights is computed in four steps:
 3. read the weight off each y = (y_0 > ... > y_{n-1}) in the alcove
    directly with ``weights._alcove_weight``, as a_0 = n + m - 1 -
    (y_0 - y_{n-1}) and a_i = y_{i-1} - y_i - 1 (what un-shifting, stripping
-   full columns and ``from_partition`` would give), and accumulate the
-   signed multiplicities.
+   full columns and ``from_partition`` would give).
 
-The surviving coefficients are the fusion multiplicities. ``_fold_lr`` is
-steps 1-3 alone, the plain route: ``rotation_check`` and the ``level1``
-suite call it directly, since they check the rotation covariance that step
-0 assumes.
+Steps 2-3 depend on the LR term alone, so ``_alcove_term`` runs them once
+per distinct (partition, n, m) and keeps the sign and the weight's position
+in ``weight_table(n, m)``; a product accumulates its signed multiplicities
+in a dict keyed by those positions. The surviving coefficients are the
+fusion multiplicities, and ``fuse`` returns the weight table's own weights.
+``_fold_lr`` is steps 1-3 alone, the plain route: ``rotation_check`` and
+the ``level1`` suite call it directly, since they check the rotation
+covariance that step 0 assumes.
 """
 
 from __future__ import annotations
@@ -41,9 +45,8 @@ from __future__ import annotations
 from functools import cache
 from operator import add
 
-from .cyclotomic import CyclotomicNumber, conductor_for
+from .cyclotomic import CyclotomicNumber
 from .partitions import Partition
-from .qdim import qdim_weight
 from .smatrix import s_matrix
 from .symfunc import lr_expand
 from .verdict import Verdict
@@ -75,12 +78,6 @@ class Decomposition:
 
     def items(self):
         return sorted(self.terms.items(), key=lambda t: t[0].components, reverse=True)
-
-    def total_qdim(self) -> CyclotomicNumber:
-        total = CyclotomicNumber.zero(conductor_for(self.rank, self.level))
-        for w, c in self.terms.items():
-            total = total + qdim_weight(w) * c
-        return total
 
     def to_json(self) -> list[dict]:
         return [
@@ -119,8 +116,15 @@ def fuse(a: LevelWeight, b: LevelWeight) -> Decomposition:
 
 @cache
 def _fuse_terms(a: LevelWeight, b: LevelWeight) -> dict[LevelWeight, int]:
+    table = weight_table(a.rank, a.level)
     k, l = _cheapest_rotation(a), _cheapest_rotation(b)
-    return {w.rotate(-k - l): c for w, c in _fold_lr(a.rotate(k), b.rotate(l)).items()}
+    steps = (-k - l) % a.rank
+    out = {}
+    for p, c in _fold_positions(a.rotate(k), b.rotate(l)).items():
+        for _ in range(steps):
+            p = table.rotation[p]
+        out[table.weights[p]] = c
+    return out
 
 
 def _cheapest_rotation(a: LevelWeight) -> int:
@@ -142,41 +146,46 @@ def _cheapest_rotation(a: LevelWeight) -> int:
 
 def _fold_lr(a: LevelWeight, b: LevelWeight) -> dict[LevelWeight, int]:
     """Fusion terms of a x b by LR expansion and alcove folding alone."""
-    n, m = a.rank, a.level
-    kappa = n + m
-    staircase = range(n - 1, -1, -1)
-    out: dict[LevelWeight, int] = {}
-    for nu, coeff in lr_expand(a.to_partition(), b.to_partition(), nvars=n).items():
-        # at most n rows, so y is strictly decreasing: inside the alcove
-        # exactly when its spread is below kappa, and then read off directly
-        y = list(map(add, nu.padded(n), staircase))
-        if y[0] - y[-1] < kappa:
-            w = _alcove_weight(y, kappa)
-        else:
-            folded = _fold_into_alcove(y, kappa)
-            if folded is None:
-                continue
-            sign, w = folded
-            coeff *= sign
-        out[w] = out.get(w, 0) + coeff
+    weights = weight_table(a.rank, a.level).weights
+    return {weights[p]: c for p, c in _fold_positions(a, b).items()}
 
-    out = {w: c for w, c in out.items() if c}
+
+def _fold_positions(a: LevelWeight, b: LevelWeight) -> dict[int, int]:
+    """``_fold_lr`` keyed by positions in ``weight_table(n, m)``."""
+    n, m = a.rank, a.level
+    out: dict[int, int] = {}
+    for nu, coeff in lr_expand(a.to_partition(), b.to_partition(), nvars=n).items():
+        term = _alcove_term(nu.parts, n, m)
+        if term is not None:
+            sign, p = term
+            out[p] = out.get(p, 0) + sign * coeff
+
+    out = {p: c for p, c in out.items() if c}
     if any(c < 0 for c in out.values()):
-        raise AssertionError(f"negative fusion multiplicity for {a} x {b}: {out}")
+        weights = weight_table(n, m).weights
+        negative = {weights[p]: c for p, c in out.items() if c < 0}
+        raise AssertionError(f"negative fusion multiplicity for {a} x {b}: {negative}")
     return out
+
+
+@cache
+def _alcove_term(nu: tuple[int, ...], n: int, m: int) -> tuple[int, int] | None:
+    """Steps 2-3 on an LR term nu of at most n rows: (sign, position in
+    ``weight_table(n, m)``), or None on a wall."""
+    kappa = n + m
+    y = list(map(add, nu + (0,) * (n - len(nu)), range(n - 1, -1, -1)))
+    if y[0] - y[-1] < kappa:
+        sign, w = 1, _alcove_weight(y, kappa)
+    else:
+        folded = _fold_into_alcove(y, kappa)
+        if folded is None:
+            return None
+        sign, w = folded
+    return sign, weight_table(n, m).position[w]
 
 
 def fusion_coefficient(a: LevelWeight, b: LevelWeight, c: LevelWeight) -> int:
     return fuse(a, b).multiplicity(c)
-
-
-def fuse_decompositions(dec: Decomposition, c: LevelWeight) -> Decomposition:
-    """Fuse every summand of ``dec`` with ``c`` (used for associativity)."""
-    out: dict[LevelWeight, int] = {}
-    for w, mult in dec.terms.items():
-        for v, k in fuse(w, c).terms.items():
-            out[v] = out.get(v, 0) + mult * k
-    return Decomposition(dec.rank, dec.level, out)
 
 
 def rotation_check(a: LevelWeight) -> bool:

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from itertools import combinations, permutations, product
 
 import pytest
@@ -10,7 +12,6 @@ from levelrank.fusion import (
     _cheapest_rotation,
     _fold_lr,
     fuse,
-    fuse_decompositions,
     fusion_coefficient,
     grading_violations,
     rotation_check,
@@ -20,6 +21,8 @@ from levelrank.qdim import qdim_weight
 from levelrank.weights import (LevelWeight, _fold_into_alcove, _sort_sign, enumerate_weights,
                                from_partition, weight_table)
 from levelrank.partitions import Partition, enumerate_rectangle
+
+from fusion_oracles import fuse_decompositions, total_qdim
 
 
 def test_unit_object():
@@ -77,7 +80,7 @@ def test_exact_dimension_multiplicativity(n, m):
     ws = enumerate_weights(n, m)
     for a in ws:
         for b in ws:
-            assert fuse(a, b).total_qdim() == qdim_weight(a) * qdim_weight(b)
+            assert total_qdim(fuse(a, b)) == qdim_weight(a) * qdim_weight(b)
 
 
 @pytest.mark.parametrize("n,m", [(2, 2), (2, 3), (3, 2), (4, 2), (4, 3)])
@@ -263,16 +266,16 @@ def test_grading_suite_fails_on_an_off_grade_term_of_one_orbit_pair(monkeypatch,
     whichever members reach the plain route, is seen once."""
     table = weight_table(3, 3)
     orbit = dict(zip(table.weights, table.orbit))
-    true_fold = fusion._fold_lr
+    true_fold = fusion._fold_positions
 
     def fold(a, b):
         terms = true_fold(a, b)
         if {orbit.get(a), orbit.get(b)} == {1, 2}:
             want = (a.degree() + b.degree()) % 3
-            terms[next(c for c in table.weights if c.degree() != want)] = 1
+            terms[next(p for p, d in enumerate(table.degree) if d != want)] = 1
         return terms
 
-    monkeypatch.setattr(fusion, "_fold_lr", fold)
+    monkeypatch.setattr(fusion, "_fold_positions", fold)
     failing = [r.line() for r in verify.suite_grading(bound=3) if not r]
     assert failing == ["[FAIL] grading: n=3 m=3  (1 violations)"]
 
@@ -307,6 +310,27 @@ def test_fuse_by_orbit_representatives_matches_the_plain_route(n, m):
     for a in ws:
         for b in ws:
             assert fuse(a, b).terms == _fold_lr(a, b), (a, b)
+
+
+@pytest.mark.parametrize("n,m,digest", [
+    (5, 4, "6bc92e46c75868122c79ebb278129d57b5f761783c98a4469a32aeb7a1572ff7"),
+    (4, 5, "bcfc8ae2882d4c4d96a09f6199a39ce6c9a76227e738f97a9d232cc27d8dd72c"),
+    (6, 3, "bde91d12a92ce41b7fafd59ba7478a2290ad7220316b55c71fd362871f6eee5f"),
+    (3, 6, "7f01ab4028e85ad620be4c897a1945d7c6d75d690e4da11711f726faf20f3635"),
+    (6, 4, "f0cd59ae0f637d1400f118b1edc2fe13a4c09c8430f2eb8cb0a87eef7a3ec5db"),
+    (3, 3, "a26cc699df5d8c71f323e20791626d0d1474c64d94c12f0ea237673c88bde132"),
+    (2, 6, "ac4f3dad8c63481b1f8de439d52d2d3717bec7578e64d7d291ea852172020311"),
+])
+def test_every_ordered_product_matches_its_pinned_digest(n, m, digest):
+    """sha256 of the JSON list of [a, b, sorted terms of fuse(a, b)] over
+    every ordered pair in canonical order, each term a [components,
+    multiplicity] pair. The digests were taken when every LR term was folded
+    on its own and each term rotated back as a weight."""
+    ws = enumerate_weights(n, m)
+    rows = [[a.components, b.components,
+             sorted((w.components, c) for w, c in fuse(a, b).terms.items())]
+            for a in ws for b in ws]
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("n,m", [(2, 2), (4, 4), (6, 3), (5, 4), (3, 6)])

@@ -7,7 +7,7 @@ from functools import cache
 from importlib import import_module
 
 import levelrank
-from levelrank import branching, fusion, partitions, qdim, verify, weights
+from levelrank import branching, fusion, partitions, qdim, symfunc, verify, weights
 from levelrank.branching import verify_exhaustion
 from levelrank.cyclotomic import CyclotomicNumber, conductor_for, qint
 from levelrank.fusion import fuse
@@ -20,6 +20,7 @@ MEMO_TABLES = {
     "branching._paired_sum",
     "cyclotomic.cyclotomic_polynomial",
     "cyclotomic._qint",
+    "fusion._alcove_term",
     "fusion._fuse_terms",
     "partitions.enumerate_rectangle",
     "qdim._qdim_exact",
@@ -158,6 +159,24 @@ def test_fuse_fills_one_entry_per_unordered_pair():
     fusion._fuse_terms.cache_clear()
     assert fuse(a, b) == fuse(b, a)
     assert fusion._fuse_terms.cache_info().currsize == 1
+
+
+def test_fusion_at_5_4_expands_once_per_unordered_pair_and_folds_once_per_term(monkeypatch):
+    """From cold fusion, LR and fold memos, the 4900 ordered products of
+    rank 5, level 4 (the benchmark's ``fusion_5x4``) call ``lr_expand`` once
+    per unordered pair, 70 * 71 / 2 = 2485 times, and fold each of the 150
+    distinct LR terms once."""
+    for table in (fusion._fuse_terms, symfunc._lr_strip_states, fusion._alcove_term):
+        table.cache_clear()
+    calls = []
+    monkeypatch.setattr(fusion, "lr_expand",
+                        lambda lam, mu, nvars=None: calls.append(1) or lr_expand(lam, mu, nvars))
+    ws = enumerate_weights(5, 4)
+    for a in ws:
+        for b in ws:
+            fuse(a, b)
+    assert len(calls) == 2485
+    assert fusion._alcove_term.cache_info().misses == 150
 
 
 def test_mutating_a_result_leaves_the_memo_intact():
