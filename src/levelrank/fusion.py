@@ -9,8 +9,10 @@ The product of two weights is computed in four steps:
    N_{sigma^k a, sigma^l b}^{sigma^(k+l) c} = N_ab^c (Schellekens-Yankielowicz),
    and steps 1-3 run on the rotated pair; every term is rotated back by
    -(k+l) at the end, by stepping the ``rotation`` column of
-   ``weight_table(n, m)``. The LR tables of the few orbit representatives
-   are shared by all pairs of their orbits;
+   ``weight_table(n, m)``. The power and the rotated partition depend on the
+   weight alone, so ``_orbit_representative`` works them out once per
+   weight. The LR tables of the few orbit representatives are shared by all
+   pairs of their orbits;
 1. expand the product of the corresponding finite characters with the LR
    rule, keeping partitions of at most n rows (taller ones vanish for sl_n);
 2. shift each resulting partition by the staircase (n-1, ..., 1, 0). With at
@@ -116,15 +118,25 @@ def fuse(a: LevelWeight, b: LevelWeight) -> Decomposition:
 
 @cache
 def _fuse_terms(a: LevelWeight, b: LevelWeight) -> dict[LevelWeight, int]:
-    table = weight_table(a.rank, a.level)
-    k, l = _cheapest_rotation(a), _cheapest_rotation(b)
-    steps = (-k - l) % a.rank
+    n, m = a.rank, a.level
+    table = weight_table(n, m)
+    (k, lam), (l, mu) = _orbit_representative(a.components), _orbit_representative(b.components)
+    steps = (-k - l) % n
     out = {}
-    for p, c in _fold_positions(a.rotate(k), b.rotate(l)).items():
+    for p, c in _fold_positions(lam, mu, n, m).items():
         for _ in range(steps):
             p = table.rotation[p]
         out[table.weights[p]] = c
     return out
+
+
+@cache
+def _orbit_representative(comps: tuple[int, ...]) -> tuple[int, Partition]:
+    """(k, partition of the weight rotated by k), for k the
+    ``_cheapest_rotation`` of the weight with these components."""
+    a = LevelWeight._unchecked(comps)
+    k = _cheapest_rotation(a)
+    return k, a.rotate(k).to_partition()
 
 
 def _cheapest_rotation(a: LevelWeight) -> int:
@@ -146,15 +158,18 @@ def _cheapest_rotation(a: LevelWeight) -> int:
 
 def _fold_lr(a: LevelWeight, b: LevelWeight) -> dict[LevelWeight, int]:
     """Fusion terms of a x b by LR expansion and alcove folding alone."""
-    weights = weight_table(a.rank, a.level).weights
-    return {weights[p]: c for p, c in _fold_positions(a, b).items()}
-
-
-def _fold_positions(a: LevelWeight, b: LevelWeight) -> dict[int, int]:
-    """``_fold_lr`` keyed by positions in ``weight_table(n, m)``."""
     n, m = a.rank, a.level
+    weights = weight_table(n, m).weights
+    terms = _fold_positions(a.to_partition(), b.to_partition(), n, m)
+    return {weights[p]: c for p, c in terms.items()}
+
+
+def _fold_positions(lam: Partition, mu: Partition, n: int, m: int) -> dict[int, int]:
+    """The fusion terms of the rank-n level-m weights of ``lam`` and ``mu``
+    by LR expansion and alcove folding, keyed by positions in
+    ``weight_table(n, m)``."""
     out: dict[int, int] = {}
-    for nu, coeff in lr_expand(a.to_partition(), b.to_partition(), nvars=n).items():
+    for nu, coeff in lr_expand(lam, mu, nvars=n).items():
         term = _alcove_term(nu.parts, n, m)
         if term is not None:
             sign, p = term
@@ -164,6 +179,7 @@ def _fold_positions(a: LevelWeight, b: LevelWeight) -> dict[int, int]:
     if any(c < 0 for c in out.values()):
         weights = weight_table(n, m).weights
         negative = {weights[p]: c for p, c in out.items() if c < 0}
+        a, b = from_partition(lam, n, m), from_partition(mu, n, m)
         raise AssertionError(f"negative fusion multiplicity for {a} x {b}: {negative}")
     return out
 

@@ -126,18 +126,6 @@ def hooks_and_contents(lam: Partition) -> list[tuple[tuple[int, int], int, int]]
     return [((i, j), lam.content(i, j), lam.hook_length(i, j)) for i, j in lam.cells()]
 
 
-def content_rows(lam: Partition) -> tuple[tuple[int, ...], ...]:
-    """Contents arranged like the diagram, one tuple per row."""
-    return tuple(tuple(j - i for j in range(p)) for i, p in enumerate(lam.parts))
-
-
-def hook_rows(lam: Partition) -> tuple[tuple[int, ...], ...]:
-    """Hook lengths arranged like the diagram, one tuple per row."""
-    return tuple(
-        tuple(lam.hook_length(i, j) for j in range(p)) for i, p in enumerate(lam.parts)
-    )
-
-
 def rectangle_parts(n: int, m: int) -> Iterator[tuple[int, ...]]:
     """The parts of every partition with at most ``n`` rows and ``m``
     columns, uncached, in the order of ``enumerate_rectangle``. Partitions

@@ -4,8 +4,9 @@ identity checked as an exact polynomial identity.
 Polynomials are sparse: a map from exponent tuples to integer coefficients.
 Schur polynomials are built by direct semistandard-tableau enumeration; the
 LR rule is implemented independently, by adding horizontal strips with the
-ballot condition and merging equal partial tableau states, so products can
-be cross-checked two ways.
+ballot condition and merging equal partial tableau states, so the tests can
+cross-check it against multiplying Schur polynomials and re-expanding the
+product (``tests/symfunc_oracles.py``).
 """
 
 from __future__ import annotations
@@ -52,25 +53,6 @@ class SymPolynomial:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def coefficient(self, exponents: tuple[int, ...]) -> int:
-        return self.terms.get(exponents, 0)
-
-    def evaluate_ones(self) -> int:
-        return sum(self.terms.values())
-
-    def is_symmetric_spot(self) -> bool:
-        """Spot check: invariance under swapping the first two variables and
-        under reversal of all variables."""
-        if self.nvars < 2:
-            return True
-        for e, c in self.terms.items():
-            swapped = (e[1], e[0]) + e[2:]
-            if self.terms.get(swapped, 0) != c:
-                return False
-            if self.terms.get(e[::-1], 0) != c:
-                return False
-        return True
 
     def __eq__(self, other) -> bool:
         return (
@@ -119,17 +101,6 @@ def _schur(lam: Partition, k: int) -> SymPolynomial:
             fill(nr, nc)
             exp[v - 1] -= 1
     fill(0, 0)
-    return SymPolynomial(k, terms)
-
-
-def elementary(k: int, degree: int) -> SymPolynomial:
-    """Elementary symmetric polynomial e_degree in k variables."""
-    terms: dict[tuple[int, ...], int] = {}
-    for subset in combinations(range(k), degree):
-        e = [0] * k
-        for s in subset:
-            e[s] = 1
-        terms[tuple(e)] = 1
     return SymPolynomial(k, terms)
 
 
@@ -203,24 +174,6 @@ def _strips(shape: tuple[int, ...], prev: tuple[int, ...], ballot: bool, budget:
     if not ballot or budget <= sum(prev[:rows - 1]):
         place(0, budget, 0, (), ())
     return out
-
-
-def schur_expand(poly: SymPolynomial) -> dict[Partition, int]:
-    """Expand a symmetric polynomial in the Schur basis by repeatedly
-    stripping the lexicographically largest monomial. Independent of the LR
-    rule; used as the cross-checking oracle."""
-    remaining = SymPolynomial(poly.nvars, dict(poly.terms))
-    out: dict[Partition, int] = {}
-    while not remaining.is_zero():
-        e = max(remaining.terms)
-        c = remaining.terms[e]
-        stripped = tuple(x for x in e if x)
-        if any(e[i] < e[i + 1] for i in range(len(e) - 1)):
-            raise ValueError(f"leading exponent {e} is not a partition")
-        nu = Partition(stripped)
-        out[nu] = out.get(nu, 0) + c
-        remaining = remaining - schur(nu, poly.nvars).scale(c)
-    return {nu: c for nu, c in out.items() if c}
 
 
 # -- skew Cauchy ---------------------------------------------------------------

@@ -32,7 +32,7 @@ class LevelWeight:
     Rank 1 is rejected; the duality statements all assume rank at least 2.
     """
 
-    __slots__ = ("_components",)
+    __slots__ = ("_components", "_degree")
 
     def __init__(self, components: tuple[int, ...] | list[int]):
         comps = tuple(int(c) for c in components)
@@ -82,9 +82,15 @@ class LevelWeight:
         return Partition._unchecked(tuple(s for s in reversed(sums) if s))
 
     def degree(self) -> int:
-        """Size of the associated partition modulo the rank."""
-        a = self._components
-        return sum(map(mul, range(len(a)), a)) % len(a)
+        """Size of the associated partition modulo the rank. It is computed
+        once per object and kept in the ``_degree`` slot, which comparison
+        and hashing never read."""
+        try:
+            return self._degree
+        except AttributeError:
+            a = self._components
+            self._degree = d = sum(map(mul, range(len(a)), a)) % len(a)
+            return d
 
     def rotate(self, power: int = 1) -> "LevelWeight":
         """Cyclic shift (a_0, ..., a_{n-1}) -> (a_{n-1}, a_0, ..., a_{n-2}),

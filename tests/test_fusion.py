@@ -268,8 +268,9 @@ def test_grading_suite_fails_on_an_off_grade_term_of_one_orbit_pair(monkeypatch,
     orbit = dict(zip(table.weights, table.orbit))
     true_fold = fusion._fold_positions
 
-    def fold(a, b):
-        terms = true_fold(a, b)
+    def fold(lam, mu, n, m):
+        terms = true_fold(lam, mu, n, m)
+        a, b = from_partition(lam, n, m), from_partition(mu, n, m)
         if {orbit.get(a), orbit.get(b)} == {1, 2}:
             want = (a.degree() + b.degree()) % 3
             terms[next(p for p, d in enumerate(table.degree) if d != want)] = 1

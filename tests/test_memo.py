@@ -22,6 +22,7 @@ MEMO_TABLES = {
     "cyclotomic._qint",
     "fusion._alcove_term",
     "fusion._fuse_terms",
+    "fusion._orbit_representative",
     "partitions.enumerate_rectangle",
     "qdim._qdim_exact",
     "qdim._weyl_denominator_inverse",
@@ -164,9 +165,11 @@ def test_fuse_fills_one_entry_per_unordered_pair():
 def test_fusion_at_5_4_expands_once_per_unordered_pair_and_folds_once_per_term(monkeypatch):
     """From cold fusion, LR and fold memos, the 4900 ordered products of
     rank 5, level 4 (the benchmark's ``fusion_5x4``) call ``lr_expand`` once
-    per unordered pair, 70 * 71 / 2 = 2485 times, and fold each of the 150
-    distinct LR terms once."""
-    for table in (fusion._fuse_terms, symfunc._lr_strip_states, fusion._alcove_term):
+    per unordered pair, 70 * 71 / 2 = 2485 times, fold each of the 150
+    distinct LR terms once, and find the orbit representative of each of the
+    70 weights once."""
+    for table in (fusion._fuse_terms, fusion._orbit_representative, symfunc._lr_strip_states,
+                  fusion._alcove_term):
         table.cache_clear()
     calls = []
     monkeypatch.setattr(fusion, "lr_expand",
@@ -177,6 +180,7 @@ def test_fusion_at_5_4_expands_once_per_unordered_pair_and_folds_once_per_term(m
             fuse(a, b)
     assert len(calls) == 2485
     assert fusion._alcove_term.cache_info().misses == 150
+    assert fusion._orbit_representative.cache_info().misses == len(ws) == 70
 
 
 def test_mutating_a_result_leaves_the_memo_intact():

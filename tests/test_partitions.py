@@ -8,12 +8,12 @@ from levelrank.partitions import (
     Partition,
     ascii_diagram,
     ascii_diagram_pair,
-    content_rows,
     enumerate_rectangle,
-    hook_rows,
     hooks_and_contents,
     parse_partition,
 )
+
+from partition_oracles import content_rows, hook_rows
 
 
 def reflect_cells(lam: Partition) -> Partition:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from levelrank.fusion import fuse
 from levelrank.partitions import Partition, enumerate_rectangle
 from levelrank.weights import (
     LevelWeight,
@@ -55,6 +56,52 @@ def test_degree_golden():
 def test_degree_is_the_partition_size_mod_the_rank(n, m):
     for a in enumerate_weights(n, m):
         assert a.degree() == a.to_partition().size % n, a
+
+
+@st.composite
+def _components(draw, n, m):
+    """The components of a rank-n level-m weight: the gaps between n - 1
+    sorted cuts of [0, m]."""
+    cuts = sorted(draw(st.lists(st.integers(0, m), min_size=n - 1, max_size=n - 1)))
+    return tuple(b - a for a, b in zip([0] + cuts, cuts + [m]))
+
+
+def _assert_degree(w: LevelWeight) -> None:
+    """The first and the second ``degree()`` of ``w`` are both the size of
+    its partition mod its rank."""
+    want = w.to_partition().size % w.rank
+    assert w.degree() == want, w
+    assert w.degree() == want, w
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_degree_is_right_on_every_route_before_and_after_it_is_kept(data):
+    """Each route builds a fresh object, so its first ``degree()`` computes
+    the value and the second reads it back."""
+    n, m = data.draw(st.integers(2, 5)), data.draw(st.integers(0, 5))
+    comps = data.draw(_components(n, m))
+    lam = LevelWeight(comps).to_partition()
+    built = [
+        LevelWeight(comps),
+        LevelWeight._unchecked(comps),
+        LevelWeight(comps).rotate(data.draw(st.integers(-7, 7))),
+        LevelWeight(comps).dual(),
+        from_partition(lam, n, m),
+    ]
+    if m >= 2:
+        built += [tau(LevelWeight(comps), i) for i in range(lam.size % n, n * m, n)]
+    built += fuse(LevelWeight(comps), LevelWeight(data.draw(_components(n, m)))).terms
+    for w in built:
+        _assert_degree(w)
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+@pytest.mark.parametrize("m", range(0, 6))
+def test_weight_table_degrees_are_the_weights_own(n, m):
+    table = weight_table(n, m)
+    for p, a in enumerate(table.weights):
+        assert table.degree[p] == a.degree() == a.to_partition().size % n, a
 
 
 @pytest.mark.parametrize("n,m", [(3, 4), (4, 3), (2, 5)])
