@@ -15,7 +15,6 @@ alcove-folded fusion, exact traces of sparse integer matrices).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
@@ -23,22 +22,20 @@ from .cyclotomic import CyclotomicNumber, conductor_for
 from .fusion import fuse
 from .partitions import Partition
 from .qdim import dimension_report, graded_dim
+from .record import ValueRecord
 from .smatrix import conformal_weight
 from .verdict import Verdict
 from .weights import LevelWeight, enumerate_graded, tau, weight_table
 
 
-@dataclass(frozen=True)
-class BranchingTable:
+class BranchingTable(ValueRecord):
     """Multiplicity-free decomposition of one level-1 simple object.
 
     Each summand is held as a pair of positions, in ``weight_table(n, m)``
     and ``weight_table(m, n)``; ``pairs`` reads the weights there."""
 
-    n: int
-    m: int
-    i: int
-    positions: tuple[tuple[int, int], ...]
+    def __init__(self, n: int, m: int, i: int, positions: tuple[tuple[int, int], ...]):
+        vars(self).update(n=n, m=m, i=i, positions=positions)
 
     @property
     def pairs(self) -> tuple[tuple[LevelWeight, LevelWeight], ...]:

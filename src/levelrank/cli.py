@@ -15,10 +15,8 @@ check fails, otherwise 3 when any suite raised.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-import traceback
 
 from . import branching, fusion, qdim, smatrix, verify
 from .partitions import ascii_diagram_pair, parse_partition
@@ -54,7 +52,11 @@ def _weight(text: str, args) -> LevelWeight:
     return LevelWeight(comps)
 
 
-def _emit(payload: dict, args) -> None:
+def _emit(payload: dict, args) -> str:
+    """Write the JSON text of ``payload`` to --out, or print it for --json
+    without --out; return the text."""
+    import json
+
     text = json.dumps(payload, indent=2, sort_keys=True)
     if getattr(args, "out", None):
         try:
@@ -64,6 +66,7 @@ def _emit(payload: dict, args) -> None:
             raise ValueError(f"cannot write {args.out}: {exc.strerror}") from None
     if getattr(args, "json", False) and not getattr(args, "out", None):
         print(text)
+    return text
 
 
 def _cmd_branch(args) -> int:
@@ -142,9 +145,9 @@ def _cmd_smatrix(args) -> int:
     data = smatrix.s_matrix(args.n, args.m, precision_bits=_precision(args))
     payload = data.to_json()
     payload["unitarity_residual"] = 0  # s_matrix raises unless exact unitarity holds
-    _emit(payload, args)
+    text = _emit(payload, args)
     if not args.json and not args.out:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(text)
     return 0
 
 
@@ -197,6 +200,8 @@ def _cmd_verify(args) -> int:
         raised = f", {len(errors)} raised" if errors else ""
         print(f"{passed}/{len(results)} checks passed{raised}")
     for r in errors:
+        import traceback
+
         traceback.print_exception(r.error)
         print(f"internal error: {r.detail}", file=sys.stderr)
     return 1 if failures else 3 if errors else 0
@@ -277,6 +282,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a crash must not read as a counterexample
+        import traceback
+
         traceback.print_exc()
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

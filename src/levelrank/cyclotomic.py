@@ -19,10 +19,10 @@ N = 2(n + m) and zeta = zeta_N (so zeta plays the role of e^{i pi/(n+m)}),
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import cache
 from math import gcd
-from typing import Iterable
 
 
 def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:

@@ -6,9 +6,9 @@ Partitions are stored without trailing zeros, so equality is structural.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from functools import cache
 from math import comb
-from typing import Iterator
 
 
 class Partition:

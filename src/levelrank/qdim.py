@@ -39,14 +39,14 @@ dimension once.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping
 from functools import cache
 from math import prod
 from types import MappingProxyType
-from typing import Iterable, Mapping
 
 from .cyclotomic import CyclotomicNumber, conductor_for, qint, qint_real
 from .partitions import Partition
+from .record import Record
 from .weights import LevelWeight, from_partition, weight_table
 
 
@@ -152,8 +152,7 @@ def category_dim(n: int, m: int) -> CyclotomicNumber:
     return dimension_report(n, m).total
 
 
-@dataclass(frozen=True, eq=False)
-class DimensionReport:
+class DimensionReport(Record):
     """The exact dimension data of rank n, level m, built once. The index,
     degree classes and rotation-orbit ids are those of ``weight_table(n, m)``.
     ``orbit_dims`` is the dimension of each orbit id, ``dims`` maps each
@@ -161,12 +160,11 @@ class DimensionReport:
     its sum of squared dimensions, and ``total`` is their sum.
     """
 
-    n: int
-    m: int
-    orbit_dims: tuple[CyclotomicNumber, ...]
-    dims: Mapping[LevelWeight, CyclotomicNumber]
-    graded: Mapping[int, CyclotomicNumber]
-    total: CyclotomicNumber
+    def __init__(self, n: int, m: int, orbit_dims: tuple[CyclotomicNumber, ...],
+                 dims: Mapping[LevelWeight, CyclotomicNumber],
+                 graded: Mapping[int, CyclotomicNumber], total: CyclotomicNumber):
+        vars(self).update(n=n, m=m, orbit_dims=orbit_dims, dims=dims, graded=graded,
+                          total=total)
 
     def to_json(self) -> dict:
         import mpmath

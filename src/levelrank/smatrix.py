@@ -43,7 +43,6 @@ and M are exact.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import permutations
@@ -87,24 +86,45 @@ def conformal_weight(a: LevelWeight) -> Fraction:
     return Fraction(value - size * (size + n * (n - 1)), 2 * n * (n + m))
 
 
-@dataclass
 class SMatrixData:
     """S-matrix with its index order, the exact unnormalized matrix M, exact
     central charge and twists, and the Galois source of every weight: entry
     a of ``galois_sources`` is (r, k, eps) with weight a = pi_k(r),
     eps = eps_k(r) and r the first weight of a's Galois orbit (r = a, k = 1
-    and eps = 1 for a representative)."""
+    and eps = 1 for a representative). A mutable record: it compares field
+    by field, is unhashable, and its repr shows the first five fields."""
 
-    n: int
-    m: int
-    weights: tuple[LevelWeight, ...]
-    exact: list = field(repr=False)  # rows of CyclotomicNumber, conductor n(n+m)
-    precision_bits: int
-    central_charge: Fraction
-    galois_sources: tuple = field(repr=False)  # (r, k, eps) per weight
-    representatives: tuple[int, ...] = field(repr=False)  # each orbit's r, increasing
-    _histograms: dict = field(repr=False)  # (r, q) -> histogram, r <= q representatives
-    conformal_weights: dict = field(repr=False, default_factory=dict)
+    def __init__(self, n: int, m: int, weights: tuple[LevelWeight, ...], exact: list,
+                 precision_bits: int, central_charge: Fraction, galois_sources: tuple,
+                 representatives: tuple[int, ...], _histograms: dict,
+                 conformal_weights: dict | None = None):
+        self.n = n
+        self.m = m
+        self.weights = weights
+        self.exact = exact  # rows of CyclotomicNumber, conductor n(n+m)
+        self.precision_bits = precision_bits
+        self.central_charge = central_charge
+        self.galois_sources = galois_sources  # (r, k, eps) per weight
+        self.representatives = representatives  # each orbit's r, increasing
+        self._histograms = _histograms  # (r, q) -> histogram, r <= q representatives
+        self.conformal_weights = {} if conformal_weights is None else conformal_weights
+
+    def _fields(self) -> tuple:
+        return (self.n, self.m, self.weights, self.exact, self.precision_bits,
+                self.central_charge, self.galois_sources, self.representatives,
+                self._histograms, self.conformal_weights)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return (f"SMatrixData(n={self.n!r}, m={self.m!r}, weights={self.weights!r}, "
+                f"precision_bits={self.precision_bits!r}, "
+                f"central_charge={self.central_charge!r})")
 
     @cached_property
     def entries(self) -> list:

@@ -10,23 +10,20 @@ crash is never read as a counterexample.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .record import ValueRecord
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(ValueRecord):
     """Outcome of one case of the ``suite`` named by ``verify.SUITES``;
     truthy when the identity holds. ``counterexample`` is the first failure
     (None when it holds) and ``detail`` a short note for the printed line.
     ``error`` is the exception of a suite that raised (it never holds)."""
 
-    suite: str
-    name: str
-    holds: bool
-    checked: int = 1
-    counterexample: object = None
-    detail: str = ""
-    error: Exception | None = None
+    def __init__(self, suite: str, name: str, holds: bool, checked: int = 1,
+                 counterexample: object = None, detail: str = "",
+                 error: Exception | None = None):
+        vars(self).update(suite=suite, name=name, holds=holds, checked=checked,
+                          counterexample=counterexample, detail=detail, error=error)
 
     def __bool__(self) -> bool:
         return self.holds

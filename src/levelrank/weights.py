@@ -14,16 +14,15 @@ weight (m - lam_1 + lam_n, lam_1 - lam_2, ..., lam_{n-1} - lam_n).
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from dataclasses import dataclass
+from collections.abc import Iterator, Mapping, Sequence
 from functools import cache
 from itertools import accumulate, combinations
 from math import comb
 from operator import mul
 from types import MappingProxyType
-from typing import Iterator, Mapping
 
 from .partitions import Partition
+from .record import Record
 
 
 class LevelWeight:
@@ -41,12 +40,14 @@ class LevelWeight:
         if any(c < 0 for c in comps):
             raise ValueError(f"components must be non-negative, got {comps}")
         self._components = comps
+        self._degree = None
 
     @classmethod
     def _unchecked(cls, comps: tuple[int, ...]) -> "LevelWeight":
         """From a tuple of at least two non-negative ints."""
         a = object.__new__(cls)
         a._components = comps
+        a._degree = None
         return a
 
     @property
@@ -83,14 +84,13 @@ class LevelWeight:
 
     def degree(self) -> int:
         """Size of the associated partition modulo the rank. It is computed
-        once per object and kept in the ``_degree`` slot, which comparison
-        and hashing never read."""
-        try:
-            return self._degree
-        except AttributeError:
+        once per object and kept in the ``_degree`` slot (None until then),
+        which comparison and hashing never read."""
+        d = self._degree
+        if d is None:
             a = self._components
             self._degree = d = sum(map(mul, range(len(a)), a)) % len(a)
-            return d
+        return d
 
     def rotate(self, power: int = 1) -> "LevelWeight":
         """Cyclic shift (a_0, ..., a_{n-1}) -> (a_{n-1}, a_0, ..., a_{n-2}),
@@ -207,8 +207,7 @@ def enumerate_graded(n: int, m: int, i: int) -> tuple[LevelWeight, ...]:
     return weight_table(n, m).graded[i % n]
 
 
-@dataclass(frozen=True, eq=False)
-class WeightTable:
+class WeightTable(Record):
     """The combinatorics of rank n, level m, built once by ``weight_table``.
 
     ``weights`` are in canonical order and ``position`` maps each back to its
@@ -224,16 +223,13 @@ class WeightTable:
     its images off this column through the (m, n) ``rotation``.
     """
 
-    n: int
-    m: int
-    weights: tuple[LevelWeight, ...]
-    position: Mapping[LevelWeight, int]
-    classes: tuple[tuple[int, ...], ...]
-    graded: tuple[tuple[LevelWeight, ...], ...]
-    degree: tuple[int, ...]
-    rotation: tuple[int, ...]
-    orbit: tuple[int, ...]
-    tau: tuple[int, ...]
+    def __init__(self, n: int, m: int, weights: tuple[LevelWeight, ...],
+                 position: Mapping[LevelWeight, int], classes: tuple[tuple[int, ...], ...],
+                 graded: tuple[tuple[LevelWeight, ...], ...], degree: tuple[int, ...],
+                 rotation: tuple[int, ...], orbit: tuple[int, ...], tau: tuple[int, ...]):
+        vars(self).update(n=n, m=m, weights=weights, position=position, classes=classes,
+                          graded=graded, degree=degree, rotation=rotation, orbit=orbit,
+                          tau=tau)
 
 
 @cache

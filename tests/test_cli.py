@@ -149,10 +149,19 @@ def test_smatrix_json(capsys):
     assert float(payload["entries"][0][0][0]) == pytest.approx(0.7071067811865475)
 
 
+def _run_fresh(script: str, *flags: str) -> None:
+    """Run ``script`` in a fresh interpreter that imports this package."""
+    src = str(Path(levelrank.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, *flags, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
 def test_exact_commands_do_not_load_mpmath():
     """In a fresh interpreter, ``verify`` leaves mpmath unimported; the float
     commands import it when they run."""
-    script = """
+    _run_fresh("""
 import contextlib, io, sys
 from levelrank.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
@@ -161,12 +170,25 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert main(["qdim", "3", "2", "--partition", "(2,1)", "--backend", "float"]) == 0
     assert main(["smatrix", "2", "2", "--json"]) == 0
 assert "mpmath" in sys.modules
-"""
-    src = str(Path(levelrank.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
+""")
+
+
+def test_verify_loads_only_the_modules_it_needs():
+    """Under ``python -S`` nothing from site-packages is preloaded. There,
+    importing the CLI and running ``verify`` loads none of the listed
+    modules; a ``--json`` run then loads json."""
+    _run_fresh("""
+import contextlib, io, sys
+from levelrank.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["verify", "all", "--bound", "3"]) == 0
+loaded = [name for name in ("dataclasses", "inspect", "traceback", "json", "typing", "mpmath")
+          if name in sys.modules]
+assert not loaded, loaded
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["verify", "golden", "--json"]) == 0
+assert "json" in sys.modules
+""", "-S")
 
 
 def test_smatrix_runs_the_exact_unitarity_pass_once(capsys, monkeypatch):

@@ -1,0 +1,111 @@
+"""The observable behaviour of the package's records: equality, hashing,
+mutability, constructor order and repr."""
+
+import pytest
+
+from levelrank import Verdict
+from levelrank.branching import BranchingTable, branch
+from levelrank.qdim import DimensionReport, dimension_report
+from levelrank.smatrix import SMatrixData, s_matrix
+from levelrank.weights import WeightTable, weight_table
+
+
+def test_verdict_constructor_order_defaults_and_repr():
+    error = ValueError("boom")
+    v = Verdict("tau", "n=2 m=3", False, 4, (1, 2), "off", error)
+    assert (v.suite, v.name, v.holds, v.checked, v.counterexample, v.detail, v.error) == (
+        "tau", "n=2 m=3", False, 4, (1, 2), "off", error)
+    d = Verdict("golden", "case", True)
+    assert (d.checked, d.counterexample, d.detail, d.error) == (1, None, "", None)
+    assert repr(d) == ("Verdict(suite='golden', name='case', holds=True, checked=1, "
+                       "counterexample=None, detail='', error=None)")
+    assert Verdict(suite="golden", name="case", holds=True) == d
+
+
+def test_verdict_compares_and_hashes_field_by_field():
+    a = Verdict("golden", "case", True, detail="x")
+    b = Verdict("golden", "case", True, detail="x")
+    assert a == b and a is not b
+    assert hash(a) == hash(b)
+    assert {a, b} == {a}
+    assert a != Verdict("golden", "case", True, detail="y")
+    assert a != Verdict("golden", "case", False, detail="x")
+    assert a != ("golden", "case", True, 1, None, "x", None)
+
+
+def test_verdict_is_immutable():
+    v = Verdict("golden", "case", True)
+    with pytest.raises(AttributeError):
+        v.holds = False
+    with pytest.raises(AttributeError):
+        v.extra = 1
+    with pytest.raises(AttributeError):
+        del v.detail
+    assert v.holds is True
+
+
+def test_branching_table_compares_and_hashes_field_by_field():
+    table = branch(2, 3, 1)
+    copy = BranchingTable(2, 3, 1, tuple(table.positions))
+    assert copy == table and copy is not table
+    assert hash(copy) == hash(table)
+    assert BranchingTable(n=2, m=3, i=1, positions=table.positions[1:]) != table
+    assert repr(table) == f"BranchingTable(n=2, m=3, i=1, positions={table.positions!r})"
+    with pytest.raises(AttributeError):
+        table.i = 0
+    assert table.i == 1
+
+
+def test_weight_table_compares_by_identity_and_is_immutable():
+    t = weight_table(3, 2)
+    fields = (t.n, t.m, t.weights, t.position, t.classes, t.graded, t.degree,
+              t.rotation, t.orbit, t.tau)
+    twin = WeightTable(*fields)
+    assert (twin.n, twin.m, twin.weights, twin.tau) == (3, 2, t.weights, t.tau)
+    assert twin != t and t == t
+    assert hash(t) == object.__hash__(t)
+    assert len({t, twin}) == 2
+    with pytest.raises(AttributeError):
+        t.n = 4
+    with pytest.raises(AttributeError):
+        t.extra = 1
+    assert t.n == 3
+
+
+def test_dimension_report_compares_by_identity_and_is_immutable():
+    r = dimension_report(2, 3)
+    twin = DimensionReport(r.n, r.m, r.orbit_dims, r.dims, r.graded, r.total)
+    assert twin.total == r.total and twin.dims is r.dims
+    assert twin != r and r == r
+    assert hash(r) == object.__hash__(r)
+    with pytest.raises(AttributeError):
+        r.total = None
+    assert r.total == twin.total
+
+
+def test_smatrix_data_compares_field_by_field_and_is_mutable_and_unhashable():
+    a, b = s_matrix(2, 2), s_matrix(2, 2)
+    assert a == b and a is not b
+    with pytest.raises(TypeError):
+        hash(a)
+    assert repr(a) == (f"SMatrixData(n=2, m=2, weights={a.weights!r}, precision_bits=128, "
+                       f"central_charge={a.central_charge!r})")
+    b.precision_bits = 64
+    assert b.precision_bits == 64
+    assert a != b
+    b.precision_bits = 128
+    assert a == b
+    assert a.entries and "entries" in vars(a) and "entries" not in vars(b)
+    assert a == b  # the cached float entries are not a field
+
+
+def test_smatrix_data_keywords_and_default_conformal_weights():
+    a = s_matrix(2, 1)
+    fields = dict(n=a.n, m=a.m, weights=a.weights, exact=a.exact,
+                  precision_bits=a.precision_bits, central_charge=a.central_charge,
+                  galois_sources=a.galois_sources, representatives=a.representatives,
+                  _histograms=a._histograms)
+    bare, other = SMatrixData(**fields), SMatrixData(**fields)
+    assert bare.conformal_weights == {}
+    assert bare.conformal_weights is not other.conformal_weights
+    assert SMatrixData(**fields, conformal_weights=a.conformal_weights) == a

@@ -44,6 +44,32 @@ def test_run_suites_passes_bound_only_to_bounded_suites():
     assert results[0].name == "all n,m <= 2 binomial counts"
 
 
+def test_run_suites_passes_bound_to_suites_with_a_bound_parameter(monkeypatch):
+    calls = []
+
+    def bounded(bound=5):
+        calls.append(("bounded", bound))
+        return [Verdict("tau", "fake", True)]
+
+    def keyword_only(*, bound=5):
+        calls.append(("keyword_only", bound))
+        return [Verdict("branch", "fake", True)]
+
+    def fixed():
+        bound = 7  # a local, not a parameter
+        calls.append(("fixed", bound))
+        return [Verdict("golden", "fake", True)]
+
+    monkeypatch.setitem(verify.SUITES, "tau", bounded)
+    monkeypatch.setitem(verify.SUITES, "branch", keyword_only)
+    monkeypatch.setitem(verify.SUITES, "golden", fixed)
+    verify.run_suites(["tau", "branch", "golden"], bound=3)
+    assert calls == [("bounded", 3), ("keyword_only", 3), ("fixed", 7)]
+    calls.clear()
+    verify.run_suites(["tau", "branch", "golden"])
+    assert calls == [("bounded", 5), ("keyword_only", 5), ("fixed", 7)]
+
+
 def test_run_suites_reads_the_registry_at_call_time(monkeypatch):
     def fake():
         return [Verdict("golden", "replaced", True)]
