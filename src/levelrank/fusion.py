@@ -109,18 +109,22 @@ class Decomposition:
 
 def fuse(a: LevelWeight, b: LevelWeight) -> Decomposition:
     """Fusion product of two simple objects of equal rank and level."""
-    if a.rank != b.rank or a.level != b.level:
+    x, y = a.components, b.components
+    n, m = len(x), sum(x)
+    if len(y) != n or sum(y) != m:
         raise ValueError("operands must share rank and level")
-    if a.components < b.components:
-        a, b = b, a  # fusion is commutative
-    return Decomposition._unchecked(a.rank, a.level, _fuse_terms(a, b))
+    if x < y:
+        x, y = y, x  # fusion is commutative
+    return Decomposition._unchecked(n, m, _fuse_terms(x, y))
 
 
 @cache
-def _fuse_terms(a: LevelWeight, b: LevelWeight) -> dict[LevelWeight, int]:
-    n, m = a.rank, a.level
+def _fuse_terms(x: tuple[int, ...], y: tuple[int, ...]) -> dict[LevelWeight, int]:
+    """The fusion terms of the weights with components ``x`` and ``y``,
+    keyed by the weight table's own weights."""
+    n, m = len(x), sum(x)
     table = weight_table(n, m)
-    (k, lam), (l, mu) = _orbit_representative(a.components), _orbit_representative(b.components)
+    (k, lam), (l, mu) = _orbit_representative(x), _orbit_representative(y)
     steps = (-k - l) % n
     out = {}
     for p, c in _fold_positions(lam, mu, n, m).items():

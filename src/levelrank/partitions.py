@@ -128,24 +128,30 @@ def hooks_and_contents(lam: Partition) -> list[tuple[tuple[int, int], int, int]]
 
 def rectangle_parts(n: int, m: int) -> Iterator[tuple[int, ...]]:
     """The parts of every partition with at most ``n`` rows and ``m``
-    columns, uncached, in the order of ``enumerate_rectangle``. Partitions
-    are grown row by row, each prefix before its extensions and the next row
-    in increasing length, which visits them in lexicographic order. Each
-    goes into the bucket of its size as it is grown, so every bucket is
-    already in order and the buckets are read out by size, with no sort."""
+    columns, uncached, in the order of ``enumerate_rectangle``. ``_grow``
+    builds the partitions row by row, each prefix before its extensions and
+    the next row in increasing length, which visits them in lexicographic
+    order. Each goes into the bucket of its size as it is grown, so every
+    bucket is already in order and the buckets are read out by size, with
+    no sort."""
     if n < 1 or m < 1:
         raise ValueError("rectangle bounds must be positive")
     by_size: list[list[tuple[int, ...]]] = [[] for _ in range(n * m + 1)]
-
-    def grow(prefix: tuple[int, ...], size: int, maxpart: int, rows_left: int) -> None:
-        by_size[size].append(prefix)  # weakly decreasing and positive by construction
-        if rows_left:
-            for p in range(1, maxpart + 1):
-                grow(prefix + (p,), size + p, p, rows_left - 1)
-
-    grow((), 0, m, n)
+    _grow(by_size, (), 0, m, n)
     for bucket in by_size:
         yield from bucket
+
+
+def _grow(by_size: list[list[tuple[int, ...]]], prefix: tuple[int, ...], size: int,
+          maxpart: int, rows_left: int) -> None:
+    """Append ``prefix`` (weakly decreasing and positive by construction)
+    to the bucket of its ``size``, then every extension of it by at most
+    ``rows_left`` rows of length at most ``maxpart``, depth first."""
+    by_size[size].append(prefix)
+    if rows_left:
+        rows_left -= 1
+        for p in range(1, maxpart + 1):
+            _grow(by_size, prefix + (p,), size + p, p, rows_left)
 
 
 @cache

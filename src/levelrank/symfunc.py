@@ -80,28 +80,31 @@ def _schur(lam: Partition, k: int) -> SymPolynomial:
     parts = lam.parts
     if not parts:
         return SymPolynomial(k, {(0,) * k: 1})
-    rows = len(parts)
-    # column-strict fill, cell by cell in row-major order
-    grid = [[0] * p for p in parts]
-    exp = [0] * k
-
-    def fill(r: int, c: int) -> None:
-        if r == rows:
-            terms[tuple(exp)] = terms.get(tuple(exp), 0) + 1
-            return
-        nr, nc = (r, c + 1) if c + 1 < parts[r] else (r + 1, 0)
-        lo = 1
-        if c > 0:
-            lo = max(lo, grid[r][c - 1])
-        if r > 0 and c < parts[r - 1]:
-            lo = max(lo, grid[r - 1][c] + 1)
-        for v in range(lo, k + 1):
-            grid[r][c] = v
-            exp[v - 1] += 1
-            fill(nr, nc)
-            exp[v - 1] -= 1
-    fill(0, 0)
+    _fill(parts, k, [[0] * p for p in parts], [0] * k, terms, 0, 0)
     return SymPolynomial(k, terms)
+
+
+def _fill(parts: tuple[int, ...], k: int, grid: list[list[int]], exp: list[int],
+          terms: dict[tuple[int, ...], int], r: int, c: int) -> None:
+    """Column-strict fill of shape ``parts`` with entries 1..k, cell by
+    cell in row-major order from cell (r, c): ``grid`` holds the entries
+    placed so far and ``exp`` their content, and each completed tableau
+    adds one to ``terms`` at its content."""
+    if r == len(parts):
+        key = tuple(exp)
+        terms[key] = terms.get(key, 0) + 1
+        return
+    nr, nc = (r, c + 1) if c + 1 < parts[r] else (r + 1, 0)
+    lo = 1
+    if c > 0:
+        lo = max(lo, grid[r][c - 1])
+    if r > 0 and c < parts[r - 1]:
+        lo = max(lo, grid[r - 1][c] + 1)
+    for v in range(lo, k + 1):
+        grid[r][c] = v
+        exp[v - 1] += 1
+        _fill(parts, k, grid, exp, terms, nr, nc)
+        exp[v - 1] -= 1
 
 
 # -- Littlewood-Richardson ----------------------------------------------------
@@ -148,32 +151,42 @@ def _lr_strip_states(lam: tuple[int, ...], mu: tuple[int, ...], cap: int) -> dic
 def _strips(shape: tuple[int, ...], prev: tuple[int, ...], ballot: bool, budget: int,
             cap: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Every horizontal strip of ``budget`` boxes added to ``shape`` in rows
-    below ``cap``, as (new shape, boxes added per row up to the last one).
-    No row grows past the old length of the row above; with ``ballot``, the
-    boxes in rows <= r may not outnumber ``prev``'s in rows <= r - 1."""
+    below ``cap``, as (new shape, boxes added per row up to the last one),
+    placed row by row by ``_place``. No row grows past the old length of the
+    row above; with ``ballot``, the boxes in rows <= r may not outnumber
+    ``prev``'s in rows <= r - 1."""
     rows = min(len(shape) + 1, cap)
     old = shape + (0,)
-    floor = old[rows - 1]
-    out = []
-
-    def place(r: int, remaining: int, slack: int, grown: tuple, counts: tuple) -> None:
-        if remaining == 0:
-            out.append((grown + shape[r:], counts))
-            return
-        hi = remaining
-        if r and old[r - 1] - old[r] < hi:
-            hi = old[r - 1] - old[r]
-        if ballot:
-            if slack < hi:
-                hi = slack
-            slack += prev[r] if r < len(prev) else 0
-        lo = remaining - old[r] + floor  # the rows below r hold old[r] - floor more
-        for c in range(hi, lo - 1 if lo > 0 else -1, -1):
-            place(r + 1, remaining - c, slack - c, grown + (old[r] + c,), counts + (c,))
-
+    out: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     if not ballot or budget <= sum(prev[:rows - 1]):
-        place(0, budget, 0, (), ())
+        _place(out, shape, old, old[rows - 1], prev if ballot else None, 0, budget, 0, (), ())
     return out
+
+
+def _place(out: list, shape: tuple[int, ...], old: tuple[int, ...], floor: int,
+           prev: tuple[int, ...] | None, r: int, remaining: int, slack: int,
+           grown: tuple[int, ...], counts: tuple[int, ...]) -> None:
+    """Place the ``remaining`` boxes of a strip from row r down, most boxes
+    in row r first, and append each completed strip to ``out``. ``grown``
+    and ``counts`` are the new lengths of rows < r and the boxes added to
+    them; ``old`` is the shape padded by one empty row and ``floor`` its
+    length in the last row open to the strip. ``prev`` is None without the
+    ballot condition; with it, ``slack`` is how many more boxes rows <= r
+    may take."""
+    if remaining == 0:
+        out.append((grown + shape[r:], counts))
+        return
+    hi = remaining
+    if r and old[r - 1] - old[r] < hi:
+        hi = old[r - 1] - old[r]
+    if prev is not None:
+        if slack < hi:
+            hi = slack
+        slack += prev[r] if r < len(prev) else 0
+    lo = remaining - old[r] + floor  # the rows below r hold old[r] - floor more
+    for c in range(hi, lo - 1 if lo > 0 else -1, -1):
+        _place(out, shape, old, floor, prev, r + 1, remaining - c, slack - c,
+               grown + (old[r] + c,), counts + (c,))
 
 
 # -- skew Cauchy ---------------------------------------------------------------

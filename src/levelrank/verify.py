@@ -206,11 +206,10 @@ def suite_level1(bound: int = 10) -> list[Verdict]:
     runs on the plain route, which does not assume the rotation covariance."""
 
     def check_rank(N: int) -> Verdict:
-        for i in range(N):
-            for j in range(N):
-                terms = fusion._fold_lr(LevelWeight.fundamental(N, i),
-                                        LevelWeight.fundamental(N, j))
-                if terms != {LevelWeight.fundamental(N, (i + j) % N): 1}:
+        fundamental = [LevelWeight.fundamental(N, i) for i in range(N)]
+        for i, a in enumerate(fundamental):
+            for j, b in enumerate(fundamental):
+                if fusion._fold_lr(a, b) != {fundamental[(i + j) % N]: 1}:
                     return Verdict("level1", f"N={N} fusion", False, detail=f"i={i} j={j}")
         total = qdim.category_dim(N, 1)
         if total != N:

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Mapping, Sequence
 from functools import cache
-from itertools import accumulate, combinations
+from itertools import accumulate
 from math import comb
-from operator import mul
+from operator import mul, sub
 from types import MappingProxyType
 
 from .partitions import Partition
@@ -124,13 +124,13 @@ class LevelWeight:
 
 def from_partition(lam: Partition, n: int, m: int) -> LevelWeight:
     """The rank-n level-m weight of a partition inside an m x n rectangle."""
-    if not lam.fits_in(n, m):
+    p = lam.parts
+    if len(p) > n or (p and p[0] > m):
         raise ValueError(f"{lam!r} does not fit in a {m} x {n} rectangle")
     if n < 2:
         raise ValueError("rank must be at least 2")
-    p = lam.padded(n)
-    return LevelWeight._unchecked(
-        (m - p[0] + p[n - 1],) + tuple(p[i] - p[i + 1] for i in range(n - 1)))
+    p += (0,) * (n - len(p))
+    return LevelWeight._unchecked((m - p[0] + p[-1],) + tuple(map(sub, p, p[1:])))
 
 
 def tau(a: LevelWeight, i: int) -> LevelWeight:
@@ -167,30 +167,35 @@ def tau(a: LevelWeight, i: int) -> LevelWeight:
 
 def tau_from_partition(lam: Partition, n: int, m: int, i: int) -> LevelWeight:
     """Same duality image computed from any partition preimage of a weight."""
-    if not lam.fits_in(n, m):
+    p = lam.parts
+    if len(p) > n or (p and p[0] > m):
         raise ValueError(f"{lam!r} does not fit in a {m} x {n} rectangle")
     i = i % (n * m)
-    if (i - lam.size) % n != 0:
-        raise ValueError(f"degree mismatch: |lam| = {lam.size} is not congruent to i={i} mod {n}")
-    power = (i - lam.size) // n
-    return from_partition(lam.transpose(), m, n).rotate(power)
+    size = sum(p)
+    if (i - size) % n != 0:
+        raise ValueError(f"degree mismatch: |lam| = {size} is not congruent to i={i} mod {n}")
+    return from_partition(lam.transpose(), m, n).rotate((i - size) // n)
 
 
 def weight_components(n: int, m: int) -> Iterator[tuple[int, ...]]:
     """The components of every rank-n level-m weight, uncached, in the order
-    of ``enumerate_weights``: one per placement of n - 1 bars among n + m - 1
-    slots, and bars in reverse lex order give reverse lex order."""
+    of ``enumerate_weights``, reverse lex. They are built one level at a
+    time from a table: ``level[s]`` holds the compositions of s into k
+    parts in reverse lex order, and those of k + 1 parts put each first
+    part a = s, s - 1, ..., 0 before every entry of ``level[s - a]``. The
+    last level, n parts, is yielded as it is built, for s = m alone."""
     if n < 2:
         raise ValueError("rank must be at least 2")
     if m < 0:
         raise ValueError("level must be non-negative")
-    slots = n + m - 1
-    for bars in reversed(tuple(combinations(range(slots), n - 1))):
-        weight, prev = [], -1
-        for b in bars + (slots,):  # the gaps between bars, and at both ends
-            weight.append(b - prev - 1)
-            prev = b
-        yield tuple(weight)
+    level = [[(s,)] for s in range(m + 1)]
+    for _ in range(n - 2):
+        level = [[(a,) + t for a in range(s, -1, -1) for t in level[s - a]]
+                 for s in range(m + 1)]
+    for a in range(m, -1, -1):
+        head = (a,)
+        for t in level[m - a]:
+            yield head + t
 
 
 @cache

@@ -1,6 +1,7 @@
 """The package's modules form layers: every intra-package import sits at the
 top of its module, and the modules import each other without a cycle. No
-module of the package or of the tests imports a name it never reads."""
+module of the package or of the tests imports a name it never reads, and no
+function of the package defines a closure that refers to itself."""
 
 import ast
 from pathlib import Path
@@ -9,6 +10,7 @@ import levelrank
 
 PACKAGE = Path(levelrank.__file__).parent
 TESTS = Path(__file__).parent
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _trees():
@@ -27,7 +29,7 @@ def test_no_function_imports_from_the_package():
     local = [
         f"{name}.{fn.name}: line {node.lineno}"
         for name, tree in _trees().items()
-        for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for fn in ast.walk(tree) if isinstance(fn, _FUNCTIONS)
         for node in ast.walk(fn) if isinstance(node, ast.ImportFrom) and node.level
     ]
     assert local == []
@@ -85,3 +87,38 @@ def test_an_unread_import_is_found():
                      "import os.path\nimport sys as system\nfrom math import comb, gcd\n"
                      "os.path.join(comb)\n")
     assert _unread_imports(tree) == ["gcd", "system"]
+
+
+def _self_recursive_closures(tree: ast.Module) -> list[str]:
+    """``outer.inner: line`` for every function nested in another whose
+    body names itself. Such a closure holds a cell that refers back to the
+    closure, a reference cycle that only the cyclic garbage collector
+    frees, once per call of the enclosing function."""
+    found = set()
+    for outer in ast.walk(tree):
+        if not isinstance(outer, _FUNCTIONS):
+            continue
+        for inner in ast.walk(outer):
+            if inner is not outer and isinstance(inner, _FUNCTIONS) and any(
+                    isinstance(node, ast.Name) and node.id == inner.name
+                    for stmt in inner.body for node in ast.walk(stmt)):
+                found.add(f"{outer.name}.{inner.name}: line {inner.lineno}")
+    return sorted(found)
+
+
+def test_no_closure_refers_to_itself():
+    found = {name: closures for name, tree in _trees().items()
+             if (closures := _self_recursive_closures(tree))}
+    assert found == {}
+
+
+def test_a_self_recursive_closure_is_found():
+    tree = ast.parse("def outer(n):\n"
+                     "    def walk(k):\n"
+                     "        return walk(k - 1) if k else 0\n"
+                     "    def once(k):\n"
+                     "        return k\n"
+                     "    return walk(n) + once(n)\n"
+                     "def top(k):\n"
+                     "    return top(k - 1) if k else 0\n")
+    assert _self_recursive_closures(tree) == ["outer.walk: line 2"]

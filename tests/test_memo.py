@@ -1,6 +1,7 @@
 """Memo tables: every one is a ``functools.cache`` on a canonical key, its
 results are safe to mutate, and clearing them all changes no verdict."""
 
+import gc
 import pkgutil
 from collections import Counter
 from functools import cache
@@ -67,6 +68,23 @@ def test_cold_caches_give_the_warm_verdicts():
         table.cache_clear()
     assert all(t.cache_info().currsize == 0 for t in _memo_tables().values())
     assert verify.run_suites(names, bound=3) == warm
+
+
+def test_suites_leave_no_cyclic_garbage():
+    """From cold memo tables, every suite at bound 3 frees all it made by
+    reference counting: with the cyclic collector off for the run, a
+    collection afterwards finds nothing to collect. Cardinality reaches
+    ``partitions.rectangle_parts``, level1, rotation and grading reach
+    ``symfunc._strips``, and cauchy reaches ``symfunc._schur``."""
+    for table in _memo_tables().values():
+        table.cache_clear()
+    gc.collect()
+    gc.disable()
+    try:
+        verify.run_suites(verify.default_suite_names(), bound=3)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_graded_tables_are_keyed_on_the_class_mod_n():

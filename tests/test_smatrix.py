@@ -237,6 +237,15 @@ def test_central_charge_level_two_differs():
     assert pair == 4
 
 
+@given(st.integers(1, 12), st.integers(1, 12), st.integers(1, 4))
+def test_pair_central_charge_is_the_sum_of_the_two_charges(n, m, k):
+    """The pair's charge, formed over one denominator, against the sum of
+    the rank-n level-mk and rank-m level-nk charges."""
+    _, pair = central_charge(n, m, k)
+    assert pair == Fraction((n * n - 1) * m * k, n + m * k) + Fraction((m * m - 1) * n * k,
+                                                                     m + n * k)
+
+
 def test_central_charge_validation():
     with pytest.raises(ValueError):
         central_charge(0, 2, 1)

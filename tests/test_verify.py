@@ -208,7 +208,9 @@ def test_tau_involution_check_catches_a_swap_on_one_side(monkeypatch, i):
 @pytest.mark.parametrize("m", range(0, 7))
 def test_generators_yield_the_enumerators_tuples_in_order(n, m):
     """Both orders are also rebuilt independently: weights in reverse lex
-    order, partitions by size and then lexicographically."""
+    order, partitions by size and then lexicographically. The weights are
+    distinct rank-n level-m components, as many as there are, so together
+    with the order this pins the generator's exact output."""
     if m:
         parts = list(rectangle_parts(n, m))
         assert parts == [lam.parts for lam in enumerate_rectangle(n, m)]
@@ -217,6 +219,8 @@ def test_generators_yield_the_enumerators_tuples_in_order(n, m):
         comps = list(weight_components(n, m))
         assert comps == [a.components for a in enumerate_weights(n, m)]
         assert comps == sorted(comps, reverse=True)
+        assert all(len(c) == n and min(c) >= 0 and sum(c) == m for c in comps)
+        assert len(set(comps)) == len(comps) == math.comb(n + m - 1, n - 1)
 
 
 def test_cardinality_check_catches_a_dropped_partition(monkeypatch):
