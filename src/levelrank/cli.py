@@ -45,6 +45,8 @@ def _precision(args) -> int:
 
 def _weight(text: str, args) -> LevelWeight:
     """Parse a weight literal and require the command's rank n and level m."""
+    if args.m < 0:
+        raise ValueError("level must be non-negative")
     comps = parse_components(text)
     if len(comps) != args.n or sum(comps) != args.m:
         literal = "[" + ",".join(map(str, comps)) + "]"

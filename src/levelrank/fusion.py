@@ -3,8 +3,9 @@ Littlewood-Richardson expansion into the level alcove.
 
 The product of two weights is computed in four steps:
 
-0. rotate each factor to the cheapest member of its rotation orbit, the one
-   whose partition has the fewest boxes (ties go to the smaller components).
+0. rotate each factor to the representative of its rotation orbit, its
+   largest rotation ``weights.top_rotation``: the orbit's first member in
+   canonical order, the one ``weight_table`` numbers the orbit by.
    The rotation is fusion with a power of the invertible object J, so
    N_{sigma^k a, sigma^l b}^{sigma^(k+l) c} = N_ab^c (Schellekens-Yankielowicz),
    and steps 1-3 run on the rotated pair; every term is rotated back by
@@ -15,22 +16,22 @@ The product of two weights is computed in four steps:
    pairs of their orbits;
 1. expand the product of the corresponding finite characters with the LR
    rule, keeping partitions of at most n rows (taller ones vanish for sl_n);
-2. shift each resulting partition by the staircase (n-1, ..., 1, 0). With at
-   most n rows the shifted vector is strictly decreasing, so when its spread
-   y_0 - y_{n-1} is below n + m it already lies in the shifted alcove of
-   level m and goes to step 3 as it is, with sign +1. Every other vector is
-   folded into that alcove by ``weights._fold_into_alcove``, the fold the
-   S-matrix's Galois action also uses. It applies the affine Weyl group at
-   height n + m: repeatedly sort the coordinates (tracking the permutation
-   sign) and, while the spread exceeds n + m, reflect in the affine wall by
-   moving n + m from the largest coordinate to the smallest (sign -1).
-   Vectors with a repeated coordinate, or spread exactly n + m, sit on a
-   wall and are dropped. The quadratic invariant sum of squares strictly
-   decreases at each reflection, so the loop terminates;
-3. read the weight off each y = (y_0 > ... > y_{n-1}) in the alcove
-   directly with ``weights._alcove_weight``, as a_0 = n + m - 1 -
-   (y_0 - y_{n-1}) and a_i = y_{i-1} - y_i - 1 (what un-shifting, stripping
-   full columns and ``from_partition`` would give).
+2. shift each resulting partition by the staircase (n-1, ..., 1, 0) and
+   fold the shifted vector into the alcove of level m with
+   ``weights._fold_into_alcove``, the fold the S-matrix's Galois action
+   also uses. It applies the affine Weyl group at height n + m: repeatedly
+   sort the coordinates (tracking the permutation sign) and, while the
+   spread y_0 - y_{n-1} exceeds n + m, reflect in the affine wall by moving
+   n + m from the largest coordinate to the smallest (sign -1). Vectors
+   with a repeated coordinate, or spread exactly n + m, sit on a wall and
+   are dropped. The quadratic invariant sum of squares strictly decreases
+   at each reflection, so the loop terminates. A vector already in the
+   alcove, strictly decreasing with spread below n + m, comes back as it is
+   with sign +1;
+3. the fold reads the components of the weight off each y = (y_0 > ... >
+   y_{n-1}) in the alcove directly, as a_0 = n + m - 1 - (y_0 - y_{n-1})
+   and a_i = y_{i-1} - y_i - 1 (what un-shifting, stripping full columns
+   and ``from_partition`` would give).
 
 Steps 2-3 depend on the LR term alone, so ``_alcove_term`` runs them once
 per distinct (partition, n, m) and keeps the sign and the weight's position
@@ -52,7 +53,7 @@ from .partitions import Partition
 from .smatrix import s_matrix
 from .symfunc import lr_expand
 from .verdict import Verdict
-from .weights import LevelWeight, _alcove_weight, _fold_into_alcove, from_partition, weight_table
+from .weights import LevelWeight, _fold_into_alcove, from_partition, top_rotation, weight_table
 
 
 class Decomposition:
@@ -136,28 +137,10 @@ def _fuse_terms(x: tuple[int, ...], y: tuple[int, ...]) -> dict[LevelWeight, int
 
 @cache
 def _orbit_representative(comps: tuple[int, ...]) -> tuple[int, Partition]:
-    """(k, partition of the weight rotated by k), for k the
-    ``_cheapest_rotation`` of the weight with these components."""
-    a = LevelWeight._unchecked(comps)
-    k = _cheapest_rotation(a)
-    return k, a.rotate(k).to_partition()
-
-
-def _cheapest_rotation(a: LevelWeight) -> int:
-    """The power k for which ``a.rotate(k)`` has the smallest partition
-    size sum i*a_i, ties going to the smallest components. Rotating once
-    more adds m - n * (the last component) to the size."""
-    comps = a.components
-    n, m = len(comps), sum(comps)
-    size = sum(i * c for i, c in enumerate(comps))
-    best, best_key = 0, (size, comps)
-    for k in range(1, n):
-        size += m - n * comps[n - k]
-        if size <= best_key[0]:
-            key = size, comps[n - k:] + comps[:n - k]
-            if key < best_key:
-                best, best_key = k, key
-    return best
+    """(k, partition of the weight rotated by k), for (k, rotated
+    components) the ``top_rotation`` of ``comps``."""
+    k, top = top_rotation(comps)
+    return k, LevelWeight._unchecked(top).to_partition()
 
 
 def _fold_lr(a: LevelWeight, b: LevelWeight) -> dict[LevelWeight, int]:
@@ -192,16 +175,12 @@ def _fold_positions(lam: Partition, mu: Partition, n: int, m: int) -> dict[int, 
 def _alcove_term(nu: tuple[int, ...], n: int, m: int) -> tuple[int, int] | None:
     """Steps 2-3 on an LR term nu of at most n rows: (sign, position in
     ``weight_table(n, m)``), or None on a wall."""
-    kappa = n + m
     y = list(map(add, nu + (0,) * (n - len(nu)), range(n - 1, -1, -1)))
-    if y[0] - y[-1] < kappa:
-        sign, w = 1, _alcove_weight(y, kappa)
-    else:
-        folded = _fold_into_alcove(y, kappa)
-        if folded is None:
-            return None
-        sign, w = folded
-    return sign, weight_table(n, m).position[w]
+    folded = _fold_into_alcove(y, n + m)
+    if folded is None:
+        return None
+    sign, comps = folded
+    return sign, weight_table(n, m).position[comps]
 
 
 def fusion_coefficient(a: LevelWeight, b: LevelWeight, c: LevelWeight) -> int:
@@ -244,7 +223,8 @@ def verlinde_check(n: int, m: int) -> Verdict:
             raise ArithmeticError(f"M_0d vanishes at d = {weights[d]}")
     index = weight_table(n, m).position
     products = [
-        (ia, ib, [(index[c], k) for c, k in fuse(weights[ia], weights[ib]).terms.items()])
+        (ia, ib, [(index[c.components], k)
+                  for c, k in fuse(weights[ia], weights[ib]).terms.items()])
         for ia in range(size) for ib in range(ia, size)
     ]
     most = max(sum(k for _, k in terms) for _, _, terms in products)

@@ -29,11 +29,11 @@ evaluate it.
 
 The dimension is constant along the rotation orbit of a weight, so the
 exact products are memoised per orbit: ``qdim_partition`` keys its table on
-the largest rotation of the components of lam's weight, and at (7, 7) the
-1716 weights need only 246 products. ``dimension_report(n, m)`` is the one
-record of a rank and level; its graded totals count the weights of each
-orbit, read from ``weight_table``, as plain ints and square each orbit's
-dimension once.
+the orbit's representative, ``weights.top_rotation`` of the components of
+lam's weight, and at (7, 7) the 1716 weights need only 246 products.
+``dimension_report(n, m)`` is the one record of a rank and level; its
+graded totals count the weights of each orbit, read from ``weight_table``,
+as plain ints and square each orbit's dimension once.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from types import MappingProxyType
 from .cyclotomic import CyclotomicNumber, conductor_for, qint, qint_real
 from .partitions import Partition
 from .record import Record
-from .weights import LevelWeight, from_partition, weight_table
+from .weights import LevelWeight, from_partition, top_rotation, weight_table
 
 
 def hook_content_factors(lam: Partition, n: int) -> tuple[list[int], list[int]]:
@@ -76,18 +76,15 @@ def qdim_partition(lam: Partition, n: int, m: int, backend: str = "exact"):
     """Quantum dimension of the simple object labelled by ``lam``."""
     if n < 2:
         raise ValueError("rank must be at least 2")
+    if m < 0:
+        raise ValueError("level must be non-negative")
     if not lam.fits_in(n, m):
         raise ValueError(f"{lam!r} does not fit in a {m} x {n} rectangle")
     if backend == "float":
         return _qdim_float(lam, n, m)
     if backend != "exact":
         raise ValueError(f"unknown backend {backend!r}")
-    return _qdim_exact(_top_rotation(from_partition(lam, n, m).components))
-
-
-def _top_rotation(comps: tuple[int, ...]) -> tuple[int, ...]:
-    """The largest rotation of a component tuple: its rotation orbit's key."""
-    return max(comps[k:] + comps[:k] for k in range(len(comps)))
+    return _qdim_exact(top_rotation(from_partition(lam, n, m).components)[1])
 
 
 @cache

@@ -15,7 +15,8 @@ exactly in the cyclotomic field Q(zeta_N).
 
 Galois symmetry (Coste-Gannon). For k prime to N, fold k*y_a into the
 alcove at height n+m with ``weights._fold_into_alcove``, the fold of the
-fusion rule; it gives a sign eps_k(a) and a weight pi_k(a), and
+fusion rule; it gives a sign eps_k(a) and the components of a weight
+pi_k(a), which index ``weight_table(n, m).position``, and
 sigma_k(M_ab) = eps_k(a) M_{pi_k a, b}, where sigma_k is zeta -> zeta^k.
 The maps pi_k split the weights into few Galois orbits. ``s_matrix`` builds histograms only for pairs (r, q) of orbit
 representatives and fills every other entry by permuting exponents: for
@@ -279,11 +280,12 @@ def _fill_cells(sources, rep_hists: dict, conductor: int, make) -> list:
     return matrix
 
 
-def _galois_fold(y: tuple[int, ...], k: int, kappa: int) -> tuple[int, LevelWeight] | None:
-    """(eps_k(a), pi_k(a)) for the coordinates y of a: k*y folded into the
-    alcove of height kappa, or None when it lies on a wall. Each coordinate
-    is first reduced mod n*kappa, which moves y by kappa times a root plus a
-    multiple of (1, ..., 1) and so changes neither the sign nor the weight."""
+def _galois_fold(y: tuple[int, ...], k: int, kappa: int) -> tuple[int, tuple[int, ...]] | None:
+    """(eps_k(a), components of pi_k(a)) for the coordinates y of a: k*y
+    folded into the alcove of height kappa, or None when it lies on a wall.
+    Each coordinate is first reduced mod n*kappa, which moves y by kappa
+    times a root plus a multiple of (1, ..., 1) and so changes neither the
+    sign nor the weight."""
     period = len(y) * kappa
     return _fold_into_alcove([k * c % period for c in y], kappa)
 

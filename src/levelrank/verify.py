@@ -67,8 +67,8 @@ def _transpose_images(n: int, m: int) -> Iterator[tuple[Partition, int, int, int
     """
     left, right = weight_table(n, m), weight_table(m, n)
     for lam in enumerate_rectangle(n, m):
-        p = left.position[weights.from_partition(lam, n, m)]
-        q = right.position[weights.tau_from_partition(lam, n, m, lam.size % n)]
+        p = left.position[weights.from_partition(lam, n, m).components]
+        q = right.position[weights.tau_from_partition(lam, n, m, lam.size % n).components]
         for i in range(lam.size % n, n * m, n):
             yield lam, p, i, q
             q = right.rotation[q]
@@ -91,7 +91,7 @@ def suite_tau(bound: int = 6) -> list[Verdict]:
         images[n, m] = rows = [[-1] * len(table.weights) for _ in range(n * m)]
         for i, row in enumerate(rows):
             for p in table.classes[i % n]:
-                row[p] = where.get(tau(table.weights[p], i), -1)
+                row[p] = where.get(tau(table.weights[p], i).components, -1)
 
     def check_pair(n: int, m: int) -> Verdict:
         left, right = weight_table(n, m), weight_table(m, n)
@@ -116,7 +116,8 @@ def suite_tau(bound: int = 6) -> list[Verdict]:
         # duals commute with the degree-zero map (duals keep degree zero)
         image = ours[0]
         for p, a in zip(left.classes[0], left.graded[0]):
-            if image[left.position[a.dual()]] != right.position[right.weights[image[p]].dual()]:
+            dual = right.weights[image[p]].dual()
+            if image[left.position[a.dual().components]] != right.position[dual.components]:
                 return Verdict("tau", f"dual-commute n={n} m={m}", False, detail=str(a))
         # degree shifts by the level under rotation
         for a, r, d in zip(left.weights, left.rotation, left.degree):
@@ -164,10 +165,10 @@ def suite_branch(bound: int = 4) -> list[Verdict]:
                                detail=f"lam={lam.parts} i={i}")
             checked += 1
         # the vacuum sits at position 0 of both tables
-        sigma_pair_n = (0, right.position[weights.from_partition(Partition((n,)), m, n)])
+        sigma_pair_n = (0, right.position[weights.from_partition(Partition((n,)), m, n).components])
         if sigma_pair_n not in pairs[n % (n * m)]:
             return Verdict("branch", f"sigma pair n={n} m={m}", False)
-        sigma_pair_m = (left.position[weights.from_partition(Partition((m,)), n, m)], 0)
+        sigma_pair_m = (left.position[weights.from_partition(Partition((m,)), n, m).components], 0)
         if sigma_pair_m not in pairs[m % (n * m)]:
             return Verdict("branch", f"sigma pair m n={n} m={m}", False)
         return Verdict("branch", f"n={n} m={m} structure", True, checked + 2)

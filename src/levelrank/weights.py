@@ -1,9 +1,9 @@
 """Dominant affine weights of fixed rank and level, the degree grading, the
 cyclic rotation, duals, the transpose-plus-rotation bijection between
 degree classes of dual rank/level pairs, the per-(n, m) table that
-indexes them by position, and the affine Weyl fold of a shifted vector into
-the level alcove, which both the Kac-Walton fusion rule and the Galois
-action on the S-matrix read.
+indexes them by position, the representative of each rotation orbit, and
+the affine Weyl fold of a shifted vector into the level alcove, which both
+the Kac-Walton fusion rule and the Galois action on the S-matrix read.
 
 A weight of rank n and level m is a tuple (a_0, ..., a_{n-1}) of non-negative
 integers summing to m. It corresponds to the partition
@@ -125,6 +125,8 @@ class LevelWeight:
 def from_partition(lam: Partition, n: int, m: int) -> LevelWeight:
     """The rank-n level-m weight of a partition inside an m x n rectangle."""
     p = lam.parts
+    if m < 0:
+        raise ValueError("level must be non-negative")
     if len(p) > n or (p and p[0] > m):
         raise ValueError(f"{lam!r} does not fit in a {m} x {n} rectangle")
     if n < 2:
@@ -198,13 +200,10 @@ def weight_components(n: int, m: int) -> Iterator[tuple[int, ...]]:
             yield head + t
 
 
-@cache
 def enumerate_weights(n: int, m: int) -> tuple[LevelWeight, ...]:
-    """All rank-n level-m weights in canonical order (vacuum first), built
-    from ``weight_components``; there are binomial(n + m - 1, n - 1)."""
-    result = tuple(map(LevelWeight._unchecked, weight_components(n, m)))
-    assert len(result) == comb(n + m - 1, n - 1)
-    return result
+    """All rank-n level-m weights in canonical order (vacuum first): the
+    weights of ``weight_table(n, m)``; there are binomial(n + m - 1, n - 1)."""
+    return weight_table(n, m).weights
 
 
 def enumerate_graded(n: int, m: int, i: int) -> tuple[LevelWeight, ...]:
@@ -215,12 +214,13 @@ def enumerate_graded(n: int, m: int, i: int) -> tuple[LevelWeight, ...]:
 class WeightTable(Record):
     """The combinatorics of rank n, level m, built once by ``weight_table``.
 
-    ``weights`` are in canonical order and ``position`` maps each back to its
-    index. Per position p: ``degree[p]``, the degree of ``weights[p]``;
-    ``rotation[p]``, the position of ``weights[p].rotate()``; and
-    ``orbit[p]``, its rotation-orbit id, the ids numbered in order of first
-    appearance. ``classes[i]`` holds the positions
-    of degree i and ``graded[i]`` their weights.
+    ``weights`` are in canonical order and ``position`` maps the components
+    of each back to its index. Per position p: ``degree[p]``, the degree of
+    ``weights[p]``; ``rotation[p]``, the position of ``weights[p].rotate()``;
+    and ``orbit[p]``, its rotation-orbit id, the ids numbered in order of
+    first appearance, so the first member of each orbit is its
+    ``top_rotation``. ``classes[i]`` holds the positions of degree i and
+    ``graded[i]`` their weights.
 
     For level m >= 2, ``tau[p]`` is the position in the (m, n) table of
     tau(a, deg a), a = weights[p]; otherwise ``tau`` is empty. For t >= 0,
@@ -229,7 +229,7 @@ class WeightTable(Record):
     """
 
     def __init__(self, n: int, m: int, weights: tuple[LevelWeight, ...],
-                 position: Mapping[LevelWeight, int], classes: tuple[tuple[int, ...], ...],
+                 position: Mapping[tuple[int, ...], int], classes: tuple[tuple[int, ...], ...],
                  graded: tuple[tuple[LevelWeight, ...], ...], degree: tuple[int, ...],
                  rotation: tuple[int, ...], orbit: tuple[int, ...], tau: tuple[int, ...]):
         vars(self).update(n=n, m=m, weights=weights, position=position, classes=classes,
@@ -239,16 +239,18 @@ class WeightTable(Record):
 
 @cache
 def weight_table(n: int, m: int) -> WeightTable:
-    """The table of rank n, level m: one pass over the weights for degrees
-    and rotations, one walk of each rotation cycle for the orbit ids, and
-    one ``tau`` call per weight."""
-    weights = enumerate_weights(n, m)
-    position = {a: p for p, a in enumerate(weights)}
+    """The table of rank n, level m, built from ``weight_components``: one
+    pass over the weights for degrees and rotations, one walk of each
+    rotation cycle for the orbit ids, and one ``tau`` call per weight."""
+    comps = tuple(weight_components(n, m))
+    assert len(comps) == comb(n + m - 1, n - 1)
+    weights = tuple(map(LevelWeight._unchecked, comps))
+    position = {c: p for p, c in enumerate(comps)}
     degree = tuple(a.degree() for a in weights)
     classes: list[list[int]] = [[] for _ in range(n)]
     for p, d in enumerate(degree):
         classes[d].append(p)
-    rotation = tuple(position[a.rotate()] for a in weights)
+    rotation = tuple(position[c[-1:] + c[:-1]] for c in comps)
     orbit = [-1] * len(weights)
     ids = 0
     for start in range(len(weights)):
@@ -260,12 +262,22 @@ def weight_table(n: int, m: int) -> WeightTable:
             ids += 1
     images: tuple[int, ...] = ()
     if m >= 2:
-        dual = {b: q for q, b in enumerate(enumerate_weights(m, n))}
-        images = tuple(dual[tau(a, d)] for a, d in zip(weights, degree))
+        dual = {c: q for q, c in enumerate(weight_components(m, n))}
+        images = tuple(dual[tau(a, d).components] for a, d in zip(weights, degree))
     return WeightTable(n, m, weights, MappingProxyType(position),
                        tuple(map(tuple, classes)),
                        tuple(tuple(weights[p] for p in cls) for cls in classes),
                        degree, rotation, tuple(orbit), images)
+
+
+def top_rotation(comps: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """(k, r) for r the largest rotation of the components ``comps`` and k
+    the smallest power with ``LevelWeight(comps).rotate(k)`` equal to r. In
+    canonical order r is the first member of the rotation orbit, the one
+    ``weight_table`` numbers the orbit by."""
+    n = len(comps)
+    top, k = max((comps[n - k:] + comps[:n - k], -k) for k in range(n))
+    return -k, top
 
 
 # -- the affine Weyl fold ---------------------------------------------------------
@@ -289,12 +301,14 @@ def perm_sign(perm: Sequence[int]) -> int:
     return sign
 
 
-def _fold_into_alcove(shifted: list[int], kappa: int) -> tuple[int, LevelWeight] | None:
+def _fold_into_alcove(shifted: list[int], kappa: int) -> tuple[int, tuple[int, ...]] | None:
     """Fold staircase-shifted coordinates into the fundamental alcove.
 
-    Returns (sign, weight of the folded vector) or None when the vector lies
-    on a wall. The alcove condition is strictly decreasing coordinates with
-    first minus last strictly below kappa.
+    Returns (sign, components of the weight of the folded vector) or None
+    when the vector lies on a wall; a vector already in the alcove comes
+    back with sign +1. The alcove condition is strictly decreasing
+    coordinates with first minus last strictly below kappa. The weight of
+    such a y has a_0 = kappa - 1 - (y_0 - y_{n-1}) and a_i = y_{i-1} - y_i - 1.
     """
     y = list(shifted)
     sign = 1
@@ -307,20 +321,13 @@ def _fold_into_alcove(shifted: list[int], kappa: int) -> tuple[int, LevelWeight]
             return None
         spread = y[0] - y[-1]
         if spread < kappa:
-            return sign, _alcove_weight(y, kappa)
+            return sign, (kappa - 1 - spread,) + tuple(a - b - 1 for a, b in zip(y, y[1:]))
         if spread == kappa:
             return None
         # reflect in the affine wall: swap the extreme coordinates and move
         # them kappa towards each other (a single reflection, sign -1)
         y[0], y[-1] = y[-1] + kappa, y[0] - kappa
         sign = -sign
-
-
-def _alcove_weight(y: list[int], kappa: int) -> LevelWeight:
-    """The weight of a strictly decreasing y with y_0 - y_{n-1} < kappa:
-    a_0 = kappa - 1 - (y_0 - y_{n-1}) and a_i = y_{i-1} - y_i - 1."""
-    gaps = tuple(y[i - 1] - y[i] - 1 for i in range(1, len(y)))
-    return LevelWeight._unchecked((kappa - 1 - y[0] + y[-1],) + gaps)
 
 
 def _sort_sign(seq: list[int]) -> int:
@@ -343,8 +350,3 @@ def parse_components(text: str) -> tuple[int, ...]:
         return tuple(int(tok) for tok in s.split(","))
     except ValueError as exc:
         raise ValueError(f"bad weight literal {text!r}") from exc
-
-
-def parse_weight(text: str) -> LevelWeight:
-    """Parse a weight literal such as ``[1,0,0,1,1,0]``."""
-    return LevelWeight(parse_components(text))

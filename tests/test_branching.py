@@ -140,7 +140,7 @@ def test_exhaustion_reports_a_right_factor_from_another_orbit(monkeypatch):
     swap = LevelWeight((1, 1, 1))
     assert swap not in {b.rotate(k) for k in range(3)}
     monkeypatch.setattr(branching, "branch", lambda n, m, i: BranchingTable(
-        n, m, i, ((p, table.position[swap]), *rest)))
+        n, m, i, ((p, table.position[swap.components]), *rest)))
     v = verify_exhaustion(3, 3, 0)
     assert isinstance(v, Verdict) and v.holds is False and v.error is None
     paired, graded = v.counterexample

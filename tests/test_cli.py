@@ -113,6 +113,19 @@ def test_qdim_rank_below_two_exits_2(capsys, n, m):
     assert "rank must be at least 2" in err
 
 
+@pytest.mark.parametrize("command", [
+    ("qdim", "2", "-1", "--partition", "()"),
+    ("qdim", "2", "-1", "--partition", "()", "--backend", "float"),
+    ("fuse", "2", "-1", "[0,0]", "[0,0]"),
+    ("tau", "2", "-1", "0", "[0,0]"),
+])
+def test_negative_level_exits_2_by_name(capsys, command):
+    code, out, err = run(capsys, *command)
+    assert code == 2
+    assert out == ""
+    assert err == "error: level must be non-negative\n"
+
+
 def test_fuse(capsys):
     code, out, _ = run(capsys, "fuse", "2", "2", "[1,1]", "[1,1]")
     assert code == 0

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from levelrank import fusion, symfunc, verify
 from levelrank.fusion import (
     Decomposition,
-    _cheapest_rotation,
     _fold_lr,
     fuse,
     fusion_coefficient,
@@ -19,7 +18,7 @@ from levelrank.fusion import (
 )
 from levelrank.qdim import qdim_weight
 from levelrank.weights import (LevelWeight, _fold_into_alcove, _sort_sign, enumerate_weights,
-                               from_partition, weight_table)
+                               from_partition, top_rotation, weight_table)
 from levelrank.partitions import Partition, enumerate_rectangle
 
 from fusion_oracles import fuse_decompositions, total_qdim
@@ -193,19 +192,19 @@ def test_alcove_weight_matches_the_partition_route(n, m):
         lam_parts = [y[i] - (n - 1 - i) for i in range(n)]
         lam = Partition([p - lam_parts[-1] for p in lam_parts])
         sign, w = _fold_into_alcove(y, kappa)
-        assert (sign, w) == (1, from_partition(lam, n, m)), y
+        assert (sign, w) == (1, from_partition(lam, n, m).components), y
         seen.add(w)
-    assert seen == set(enumerate_weights(n, m))
+    assert seen == {a.components for a in enumerate_weights(n, m)}
 
 
 @pytest.mark.parametrize("n", range(2, 6))
 @pytest.mark.parametrize("m", range(1, 6))
 def test_in_alcove_read_matches_the_fold(n, m, monkeypatch):
-    """_fold_lr reads the weight off nu + delta directly when its spread is
-    below n + m, and folds every other nu. Fed one nu at a time, for every
-    nu of at most n rows with nu_0 <= 2(n + m), it must give what
-    _fold_into_alcove gives on nu + delta: the same weight with sign +1,
-    nothing on a wall, and a sign of -1 is a negative multiplicity."""
+    """Fed one nu at a time, for every nu of at most n rows with nu_0 <=
+    2(n + m), in the alcove (spread of nu + delta below n + m) or not,
+    _fold_lr must give what _fold_into_alcove gives on nu + delta: the same
+    weight with sign +1, nothing on a wall, and a sign of -1 is a negative
+    multiplicity."""
     kappa = n + m
     term = {}
     monkeypatch.setattr(fusion, "lr_expand", lambda lam, mu, nvars=None: term)
@@ -219,7 +218,7 @@ def test_in_alcove_read_matches_the_fold(n, m, monkeypatch):
         if folded is None:
             assert _fold_lr(a, a) == {}, nu
         elif folded[0] == 1:
-            assert _fold_lr(a, a) == {folded[1]: 1}, nu
+            assert _fold_lr(a, a) == {LevelWeight(folded[1]): 1}, nu
         else:
             with pytest.raises(AssertionError, match="negative fusion multiplicity"):
                 _fold_lr(a, a)
@@ -334,12 +333,20 @@ def test_every_ordered_product_matches_its_pinned_digest(n, m, digest):
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("n,m", [(2, 2), (4, 4), (6, 3), (5, 4), (3, 6)])
-def test_cheapest_rotation_has_the_fewest_boxes(n, m):
-    for a in enumerate_weights(n, m):
-        rotations = [a.rotate(k) for k in range(n)]
-        cheapest = min(rotations, key=lambda w: (w.to_partition().size, w.components))
-        assert a.rotate(_cheapest_rotation(a)) == cheapest, a
+@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("m", range(0, 7))
+def test_top_rotation_is_the_first_weight_of_its_orbit(n, m):
+    """The representative is the largest rotation, k rotations give it, and
+    it is the first weight of its orbit id in the table."""
+    table = weight_table(n, m)
+    first = {}
+    for p, o in enumerate(table.orbit):
+        first.setdefault(o, p)
+    for a, o in zip(table.weights, table.orbit):
+        k, top = top_rotation(a.components)
+        assert top == max(a.rotate(j).components for j in range(n)), a
+        assert 0 <= k < n and a.rotate(k).components == top, a
+        assert table.weights[first[o]].components == top, a
 
 
 @settings(max_examples=60, deadline=None)
@@ -382,10 +389,10 @@ def test_fold_is_deterministic_and_lands_on_rank_n_level_m(case):
     assert y == before
     assert _fold_into_alcove(list(y), kappa) == folded
     if folded is not None:
-        sign, w = folded
+        sign, comps = folded
         assert sign in (1, -1)
-        assert w.rank == len(y) and w.level == kappa - len(y)
-        assert min(w.components) >= 0
+        assert len(comps) == len(y) and sum(comps) == kappa - len(y)
+        assert min(comps) >= 0
 
 
 @settings(max_examples=200, deadline=None)

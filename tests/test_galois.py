@@ -16,14 +16,14 @@ from levelrank.smatrix import (
     galois_check,
     s_matrix,
 )
-from levelrank.weights import enumerate_weights
+from levelrank.weights import LevelWeight, enumerate_weights
 
 
 def fold(a, k):
     """(eps_k(a), pi_k(a)); a wall fails the test."""
     folded = _galois_fold(_coordinates(a), k, a.rank + a.level)
     assert folded is not None, (k, a)
-    return folded
+    return folded[0], LevelWeight(folded[1])
 
 
 @settings(max_examples=60, deadline=None)

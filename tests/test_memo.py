@@ -8,7 +8,7 @@ from functools import cache
 from importlib import import_module
 
 import levelrank
-from levelrank import branching, fusion, partitions, qdim, symfunc, verify, weights
+from levelrank import branching, fusion, partitions, qdim, smatrix, symfunc, verify, weights
 from levelrank.branching import verify_exhaustion
 from levelrank.cyclotomic import CyclotomicNumber, conductor_for, qint
 from levelrank.fusion import fuse
@@ -30,7 +30,6 @@ MEMO_TABLES = {
     "qdim.dimension_report",
     "symfunc._lr_strip_states",
     "symfunc._schur",
-    "weights.enumerate_weights",
     "weights.weight_table",
 }
 
@@ -162,7 +161,7 @@ def test_cardinality_counts_without_filling_the_enumerators():
     for table in _memo_tables().values():
         table.cache_clear()
     assert all(verify.suite_cardinality(8))
-    assert enumerate_weights.cache_info().currsize == 0
+    assert weights.weight_table.cache_info().currsize == 0
     assert partitions.enumerate_rectangle.cache_info().currsize == 0
 
 
@@ -171,6 +170,31 @@ def test_qint_is_keyed_on_the_index_mod_the_conductor():
         N = conductor_for(n, m)
         for i in range(-N, N):
             assert qint(i, n, m) is qint(i + N, n, m)
+
+
+def test_no_lookup_hashes_a_weight(monkeypatch):
+    """Every index of a weight is keyed by its components: from cold memo
+    tables, building the tables, the tau and branch suites, the Galois
+    sources and the fold call neither ``LevelWeight.__hash__`` nor
+    ``__eq__``."""
+    for table in _memo_tables().values():
+        table.cache_clear()
+    calls = Counter()
+    for name in ("__hash__", "__eq__"):
+        method = getattr(LevelWeight, name)
+        monkeypatch.setattr(LevelWeight, name,
+                            lambda *args, _m=method, _n=name: calls.update([_n]) or _m(*args))
+    for n in range(2, 5):
+        for m in range(2, 5):
+            weights.weight_table(n, m)
+    assert all(verify.suite_tau(4)) and all(verify.suite_branch(4))
+    ws = enumerate_weights(4, 4)
+    smatrix._galois_sources(ws, [smatrix._coordinates(a) for a in ws], 8)
+    ws = enumerate_weights(3, 3)
+    for a in ws:
+        for b in ws:
+            fusion._fold_positions(a.to_partition(), b.to_partition(), 3, 3)
+    assert calls == Counter()
 
 
 def test_fuse_fills_one_entry_per_unordered_pair():
@@ -183,9 +207,9 @@ def test_fuse_fills_one_entry_per_unordered_pair():
 def test_fusion_at_5_4_expands_once_per_unordered_pair_and_folds_once_per_term(monkeypatch):
     """From cold fusion, LR and fold memos, the 4900 ordered products of
     rank 5, level 4 (the benchmark's ``fusion_5x4``) call ``lr_expand`` once
-    per unordered pair, 70 * 71 / 2 = 2485 times, fold each of the 150
-    distinct LR terms once, and find the orbit representative of each of the
-    70 weights once."""
+    per unordered pair, 70 * 71 / 2 = 2485 times, fold each of the 145
+    distinct LR terms of the top-rotation representatives once, and find
+    the orbit representative of each of the 70 weights once."""
     for table in (fusion._fuse_terms, fusion._orbit_representative, symfunc._lr_strip_states,
                   fusion._alcove_term):
         table.cache_clear()
@@ -197,7 +221,7 @@ def test_fusion_at_5_4_expands_once_per_unordered_pair_and_folds_once_per_term(m
         for b in ws:
             fuse(a, b)
     assert len(calls) == 2485
-    assert fusion._alcove_term.cache_info().misses == 150
+    assert fusion._alcove_term.cache_info().misses == 145
     assert fusion._orbit_representative.cache_info().misses == len(ws) == 70
 
 

@@ -217,7 +217,7 @@ def test_dimension_report_matches_the_sum_of_squares(n, m):
     assert len(report.orbit_dims) == len(set(table.orbit)) == len(set(tops))
     for k, a in enumerate(weights):
         assert report.dims[a] == qdim_weight(a) == report.orbit_dims[table.orbit[k]]
-        assert table.orbit[table.position[a.rotate()]] == table.orbit[k]
+        assert table.orbit[table.position[a.rotate().components]] == table.orbit[k]
         assert all(table.orbit[j] == table.orbit[k] for j in range(k) if tops[j] == tops[k])
     for i in range(n):
         expected = sum(qdim_weight(a) ** 2 for a in enumerate_graded(n, m, i))

@@ -6,13 +6,14 @@ from hypothesis import strategies as st
 
 from levelrank.fusion import fuse
 from levelrank.partitions import Partition, enumerate_rectangle
+from levelrank.qdim import qdim_partition
 from levelrank.weights import (
     LevelWeight,
     _fold_into_alcove,
     enumerate_graded,
     enumerate_weights,
     from_partition,
-    parse_weight,
+    parse_components,
     tau,
     tau_from_partition,
     weight_table,
@@ -182,7 +183,7 @@ def test_weight_table_reads_every_tau_off_one_column(n, m):
     table, dual = weight_table(n, m), weight_table(m, n)
     assert table.weights is enumerate_weights(n, m)
     for p, a in enumerate(table.weights):
-        assert table.position[a] == p
+        assert table.position[a.components] == p
         assert p in table.classes[a.degree()]
         assert table.weights[table.rotation[p]] == a.rotate()
         q = table.tau[p]
@@ -265,12 +266,21 @@ def test_unchecked_sites_build_validated_weights(n, m):
         padded = lam.padded(n)
         folded = _fold_into_alcove([padded[i] + n - 1 - i for i in range(n)], kappa)
         if folded is not None:
-            _assert_validated(folded[1], n, m)
+            _assert_validated(LevelWeight._unchecked(folded[1]), n, m)
 
 
 def test_from_partition_rejects_rank_below_two():
     with pytest.raises(ValueError, match="rank must be at least 2"):
         from_partition(Partition((2,)), 1, 3)
+
+
+def test_a_negative_level_is_rejected_by_name():
+    """The empty partition fits in every rectangle, so only the level check
+    stops it from becoming the weight (-1, 0)."""
+    with pytest.raises(ValueError, match="level must be non-negative"):
+        from_partition(Partition(), 2, -1)
+    with pytest.raises(ValueError, match="level must be non-negative"):
+        qdim_partition(Partition(), 2, -1)
 
 
 @pytest.mark.parametrize("n,m", [(2, 2), (3, 4), (4, 3), (5, 5)])
@@ -330,15 +340,15 @@ def test_enumeration_matches_the_recursive_compositions(n):
 
 
 def test_parse_weight():
-    assert parse_weight("[1,0,0,1,1,0]").components == (1, 0, 0, 1, 1, 0)
+    assert LevelWeight(parse_components("[1,0,0,1,1,0]")).components == (1, 0, 0, 1, 1, 0)
     with pytest.raises(ValueError):
-        parse_weight("[]")
+        LevelWeight(parse_components("[]"))
     with pytest.raises(ValueError):
-        parse_weight("[1,x]")
+        LevelWeight(parse_components("[1,x]"))
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.integers(0, 12), min_size=2, max_size=7))
 def test_parse_weight_round_trips_str(components):
     w = LevelWeight(components)
-    assert parse_weight(str(w)) == w
+    assert LevelWeight(parse_components(str(w))) == w
