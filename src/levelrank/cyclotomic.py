@@ -23,6 +23,7 @@ from collections.abc import Iterable
 from fractions import Fraction
 from functools import cache
 from math import gcd
+from operator import mul
 
 
 def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
@@ -313,25 +314,23 @@ class IntegralPacking:
     that deciding an identity between sums of products costs a few
     big-integer operations.
 
-    Substituting x = 2^k maps the group ring Z[x]/(x^N - 1) homomorphically
-    onto the integers modulo R = 2^(kN) - 1, and the map is injective on
-    elements whose coefficients are below 2^(k-1) in absolute value. An
-    element F of the group ring vanishes in Q(zeta_N) exactly when Phi_N
-    divides it, that is when F * Psi vanishes in the group ring, where
-    Psi = (x^N - 1) / Phi_N. The coefficients of F * Psi are at most
-    ||F||_1 * max|Psi|, and k is chosen so that this stays below 2^(k-1)
-    whenever ||F||_1 <= ``bound``. For such F, ``is_zero`` is therefore an
-    exact decision, not a numerical one. The caller bounds ||F||_1 by the
-    sum over its products of the products of the factors' ``norm``.
+    Substituting zeta -> g = 2^k is a ring map from Z[zeta_N] onto Z/p,
+    p = Phi_N(g). Its kernel has index p and contains the ideal (x) of
+    each x it kills, so p divides |N(x)|, the index of (x), whether or not
+    p is prime (Z[zeta_N] is the ring of integers). Every conjugate of
+    x = sum c_e zeta^e is at most ||x||_1 = sum |c_e| in absolute value, so
+    |N(x)| <= ||x||_1^phi(N) < p = prod |g - zeta^j| (over primitive zeta^j)
+    whenever ||x||_1 < g - 1. k is chosen with g - 1 > ``bound``, so
+    ``is_zero`` decides x = 0 exactly for ||x||_1 <= ``bound``; the caller
+    bounds ||x||_1 by the sum over its products of the products of the
+    factors' ``norm``.
     """
 
     def __init__(self, conductor: int, bound: int):
-        psi = _poly_div_exact([-1] + [0] * (conductor - 1) + [1],
-                              list(cyclotomic_polynomial(conductor)))
-        self._conductor = conductor
-        self._k = (bound * max(map(abs, psi))).bit_length() + 1
-        self._modulus = (1 << (self._k * conductor)) - 1
-        self._psi = self._pack(enumerate(psi))
+        g = 1 << (bound + 1).bit_length()
+        self._modulus = p = sum(c * g**e for e, c in enumerate(cyclotomic_polynomial(conductor)))
+        self._powers = [pow(g, e, p) for e in range(conductor)]
+        self._conjugates = self._powers[:1] + self._powers[:0:-1]  # g^-e = g^(N-e)
 
     @staticmethod
     def norm(z: CyclotomicNumber) -> int:
@@ -340,23 +339,17 @@ class IntegralPacking:
             raise ValueError(f"{z!r} is not integral")
         return sum(map(abs, z._num))
 
-    def _pack(self, terms) -> int:
-        k = self._k
-        return sum(c << (k * e) for e, c in terms if c) % self._modulus
-
     def pack(self, z: CyclotomicNumber, conjugate: bool = False) -> int:
         """The packed form of z, or of its complex conjugate."""
-        if z._conductor != self._conductor or z._den != 1:
-            raise ValueError(f"{z!r} is not integral in conductor {self._conductor}")
-        n = self._conductor
-        if conjugate:
-            return self._pack(((n - e) % n, c) for e, c in enumerate(z._num))
-        return self._pack(enumerate(z._num))
+        if z._conductor != len(self._powers) or z._den != 1:
+            raise ValueError(f"{z!r} is not integral in conductor {len(self._powers)}")
+        powers = self._conjugates if conjugate else self._powers
+        return sum(map(mul, z._num, powers)) % self._modulus
 
     def is_zero(self, value: int) -> bool:
         """Whether the packed value is zero in the field (see the class
         docstring for the norm bound this relies on)."""
-        return value * self._psi % self._modulus == 0
+        return value % self._modulus == 0
 
 
 # -- quantum integers --------------------------------------------------------

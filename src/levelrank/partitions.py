@@ -15,16 +15,18 @@ class Partition:
     """A weakly decreasing sequence of positive integers.
 
     The empty partition is ``Partition()``. Trailing zeros in the input are
-    stripped; anything else that is not weakly decreasing and positive is
-    rejected.
+    stripped; anything else that is not a weakly decreasing sequence of
+    positive integers is rejected.
     """
 
     __slots__ = ("_parts",)
 
     def __init__(self, parts: tuple[int, ...] | list[int] = ()):
         cleaned = []
-        for p in parts:
-            p = int(p)
+        for c in parts:
+            p = int(c)
+            if p != c:
+                raise ValueError(f"partition parts must be integers, got {c!r}")
             if p == 0:
                 continue
             if p < 0:

@@ -18,12 +18,13 @@ that is v_j = lam_j + n - j, and a the weight of lam,
 where v_i - v_j = sum of (a_l + 1) over i <= l < j is at most kappa - 1,
 kappa = n + m, so no factor vanishes. Each [d] is the sum of d powers of
 zeta, so in Z[x]/(x^N - 1) the numerator has non-negative coefficients that
-sum to P = prod (v_i - v_j). Substituting x = 2^k with k = bitlen(P) + 1,
-the substitution of ``cyclotomic.IntegralPacking``, maps it injectively
-into the integers modulo 2^(kN) - 1: the numerator is formed there by
-shifts and adds, unpacked once and reduced mod Phi_N once, then multiplied
-by one cached inverse of the denominator per (n, m). The hook-content
-product stays as the independent route: the float backend,
+sum to P = prod (v_i - v_j). It is formed as one integer of N slots of
+k = bitlen(P) + 1 bits: x = 2^k maps Z[x]/(x^N - 1) into the integers
+modulo 2^(kN) - 1, injectively on coefficients in [0, 2^(k-1)), so each
+coefficient reads back from its slot. Each [d] costs d shifts and adds; the
+numerator is unpacked and reduced mod Phi_N once, then multiplied by one
+cached inverse of the denominator per (n, m). The hook-content product
+stays as the independent route: the float backend,
 ``qdim_product_string``, the golden check of ``verify`` and the tests
 evaluate it.
 

@@ -34,7 +34,11 @@ class LevelWeight:
     __slots__ = ("_components", "_degree")
 
     def __init__(self, components: tuple[int, ...] | list[int]):
-        comps = tuple(int(c) for c in components)
+        given = tuple(components)
+        comps = tuple(map(int, given))
+        if comps != given:
+            bad = next(c for c, i in zip(given, comps) if c != i)
+            raise ValueError(f"components must be integers, got {bad!r}")
         if len(comps) < 2:
             raise ValueError("rank must be at least 2")
         if any(c < 0 for c in comps):

@@ -100,6 +100,32 @@ def test_integral_packing_decides_products_exactly():
         IntegralPacking.norm(CyclotomicNumber(8, (1, 1), 2))
 
 
+_PACKING_CONDUCTORS = (3, 4, 6, 8, 12, 15, 20, 28, 30)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(_PACKING_CONDUCTORS), st.data())
+def test_integral_packing_is_zero_exactly_at_zero(N, data):
+    # coefficient lists up to N long, so that some reduce to zero mod Phi_N
+    x = CyclotomicNumber(N, data.draw(st.lists(st.integers(-3, 3), max_size=N)))
+    norm = IntegralPacking.norm(x)
+    for bound in (norm, norm + data.draw(st.integers(0, 2**20))):
+        packing = IntegralPacking(N, bound)
+        assert packing.is_zero(packing.pack(x)) == x.is_zero()
+        assert packing.pack(x, conjugate=True) == packing.pack(x.conjugate())
+
+
+@pytest.mark.parametrize("N", _PACKING_CONDUCTORS)
+@pytest.mark.parametrize("bound", [0, 1, 2, 3, 6, 7, 100, 2**40])
+def test_integral_packing_kernel_element_lies_above_the_bound(N, bound):
+    # zeta - g packs to 0 and is nonzero, so its norm must exceed the bound
+    packing = IntegralPacking(N, bound)
+    g = packing.pack(CyclotomicNumber.zeta(N))
+    kernel = CyclotomicNumber(N, (-g, 1))
+    assert packing.is_zero(packing.pack(kernel)) and not kernel.is_zero()
+    assert IntegralPacking.norm(kernel) == g + 1 > bound
+
+
 def test_qint_basics():
     for (n, m) in ((2, 3), (4, 4), (3, 7)):
         assert qint(1, n, m) == 1

@@ -108,6 +108,15 @@ def test_vacuum_multiplicity_in_dual_pairing(n, m):
                 assert fuse(a, b).multiplicity(v) == 0
 
 
+@pytest.mark.parametrize("n,m", [(2, 3), (3, 3), (3, 4), (4, 3), (4, 4), (5, 2)])
+def test_frobenius_reciprocity(n, m):
+    # N_ab^c = N_{a c*}^{b*} over every triple
+    ws = enumerate_weights(n, m)
+    products = {(a, b): fuse(a, b) for a in ws for b in ws}
+    for a, b, c in product(ws, repeat=3):
+        assert products[a, b].multiplicity(c) == products[a, c.dual()].multiplicity(b.dual())
+
+
 def test_vacuum_row_coefficients():
     ws = enumerate_weights(2, 3)
     v = LevelWeight.vacuum(2, 3)

@@ -52,6 +52,13 @@ def test_invalid_partitions_rejected():
         Partition((2, 0, 1))
 
 
+def test_non_integral_parts_are_rejected_by_name():
+    for parts, bad in (((3, 0.5), "0.5"), ((3.5,), "3.5")):
+        with pytest.raises(ValueError, match=f"partition parts must be integers, got {bad}"):
+            Partition(parts)
+    assert Partition((3.0, 1)).parts == (3, 1)
+
+
 def test_trailing_zeros_stripped():
     assert Partition((3, 1, 0, 0)) == Partition((3, 1))
     assert Partition((0, 0)) == Partition()

@@ -125,6 +125,12 @@ def test_rank_one_rejected():
         LevelWeight((3,))
 
 
+def test_non_integral_components_are_rejected_by_name():
+    with pytest.raises(ValueError, match="components must be integers, got 1.5"):
+        LevelWeight([1.5, 0.5])
+    assert LevelWeight([2.0, 0]).components == (2, 0)
+
+
 def test_dual():
     assert LevelWeight((1, 0, 0, 1, 1, 0)).dual().components == (1, 0, 1, 1, 0, 0)
     v = LevelWeight.vacuum(5, 3)
