@@ -19,7 +19,7 @@ N = 2(n + m) and zeta = zeta_N (so zeta plays the role of e^{i pi/(n+m)}),
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cache
 from math import gcd
@@ -310,20 +310,23 @@ class CyclotomicNumber:
 
 
 class IntegralPacking:
-    """Integral elements of Q(zeta_N) packed into one Python int each, so
-    that deciding an identity between sums of products costs a few
+    """Elements x = sum c_e zeta^e of the group ring Z[C_N], given by at
+    most N integer coefficients, packed into one Python int each, so that
+    deciding an identity in Q(zeta_N) between sums of products costs a few
     big-integer operations.
 
-    Substituting zeta -> g = 2^k is a ring map from Z[zeta_N] onto Z/p,
-    p = Phi_N(g). Its kernel has index p and contains the ideal (x) of
-    each x it kills, so p divides |N(x)|, the index of (x), whether or not
-    p is prime (Z[zeta_N] is the ring of integers). Every conjugate of
-    x = sum c_e zeta^e is at most ||x||_1 = sum |c_e| in absolute value, so
+    Substituting zeta -> g = 2^k is a ring map from Z[C_N] onto Z/p,
+    p = Phi_N(g), which divides g^N - 1. It kills Phi_N(zeta), so it
+    factors through Z[zeta_N], where its kernel has index p and contains
+    the ideal (x) of each x it kills: p divides |N(x)|, the index of (x),
+    whether or not p is prime (Z[zeta_N] is the ring of integers). Every
+    conjugate of x is at most ||x||_1 = sum |c_e| in absolute value, for
+    any group-ring representative (c_e) of x, reduced mod Phi_N or not, so
     |N(x)| <= ||x||_1^phi(N) < p = prod |g - zeta^j| (over primitive zeta^j)
     whenever ||x||_1 < g - 1. k is chosen with g - 1 > ``bound``, so
     ``is_zero`` decides x = 0 exactly for ||x||_1 <= ``bound``; the caller
     bounds ||x||_1 by the sum over its products of the products of the
-    factors' ``norm``.
+    factors' l1 norms.
     """
 
     def __init__(self, conductor: int, bound: int):
@@ -332,19 +335,13 @@ class IntegralPacking:
         self._powers = [pow(g, e, p) for e in range(conductor)]
         self._conjugates = self._powers[:1] + self._powers[:0:-1]  # g^-e = g^(N-e)
 
-    @staticmethod
-    def norm(z: CyclotomicNumber) -> int:
-        """Sum of the absolute coefficients of an integral element."""
-        if z._den != 1:
-            raise ValueError(f"{z!r} is not integral")
-        return sum(map(abs, z._num))
-
-    def pack(self, z: CyclotomicNumber, conjugate: bool = False) -> int:
-        """The packed form of z, or of its complex conjugate."""
-        if z._conductor != len(self._powers) or z._den != 1:
-            raise ValueError(f"{z!r} is not integral in conductor {len(self._powers)}")
+    def pack(self, coeffs: Sequence[int], conjugate: bool = False) -> int:
+        """The packed form of sum c_e zeta^e, or of its complex conjugate,
+        for at most N integer coefficients c_e."""
+        if len(coeffs) > len(self._powers):
+            raise ValueError(f"{len(coeffs)} coefficients for conductor {len(self._powers)}")
         powers = self._conjugates if conjugate else self._powers
-        return sum(map(mul, z._num, powers)) % self._modulus
+        return sum(map(mul, coeffs, powers)) % self._modulus
 
     def is_zero(self, value: int) -> bool:
         """Whether the packed value is zero in the field (see the class

@@ -206,21 +206,20 @@ def verlinde_check(n: int, m: int) -> Verdict:
     this is N_a S = S diag(S_ad / S_0d), which is equivalent to Verlinde's
     formula N_ab^c = sum_d S_ad S_bd conj(S_cd) / S_0d because M is
     invertible (``s_matrix`` proves M M^dagger = n (n+m)^(n-1) I) and no
-    M_0d is zero. One column per orbit decides all of them: the Galois map
-    sigma_k takes M_cd to eps_k(d) M_{c, pi_k d} for every c (the relation
-    ``smatrix.galois_check`` checks), so it carries the identity at d to
-    eps_k(d)^2 = 1 times the identity at pi_k d. The columns where it fails therefore
-    form a union of Galois orbits, and a wrong coefficient fails at the
-    orbit's representative too. A mismatch is returned as the
-    counterexample (a, b, d, lhs, rhs).
+    M_0d is zero (a zero one raises ArithmeticError). One column per orbit
+    decides all of them: the Galois map sigma_k takes M_cd to
+    eps_k(d) M_{c, pi_k d} for every c (the relation ``smatrix.galois_check``
+    checks), so it carries the identity at d to eps_k(d)^2 = 1 times the
+    identity at pi_k d. The columns where it fails therefore form a union of
+    Galois orbits, and a wrong coefficient fails at the orbit's
+    representative too. Each identity and each M_0d != 0 is one zero test
+    on the rows of ``SMatrixData.pack``; a mismatch is returned as the
+    counterexample (a, b, d, lhs, rhs), read off the exact M.
     """
     data = s_matrix(n, m)
-    weights, M = data.weights, data.exact
+    weights = data.weights
     size = len(weights)
     columns = data.representatives
-    for d in columns:
-        if M[0][d].is_zero():
-            raise ArithmeticError(f"M_0d vanishes at d = {weights[d]}")
     index = weight_table(n, m).position
     products = [
         (ia, ib, [(index[c.components], k)
@@ -228,12 +227,16 @@ def verlinde_check(n: int, m: int) -> Verdict:
         for ia in range(size) for ib in range(ia, size)
     ]
     most = max(sum(k for _, k in terms) for _, _, terms in products)
-    packing, P = data.pack(most + 1, columns=columns)
+    packing, P = data.pack(most + 1)
+    for d in columns:
+        if packing.is_zero(P[0][d]):
+            raise ArithmeticError(f"M_0d vanishes at d = {weights[d]}")
     checked = 0
     for ia, ib, terms in products:
         for d in columns:
             fused = sum(k * P[c][d] for c, k in terms)
             if not packing.is_zero(P[0][d] * fused - P[ia][d] * P[ib][d]):
+                M = data.exact
                 lhs = M[0][d] * sum((M[c][d] * k for c, k in terms),
                                     CyclotomicNumber.zero(M[0][d].conductor))
                 a, b, w = weights[ia], weights[ib], weights[d]

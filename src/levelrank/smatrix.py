@@ -32,9 +32,13 @@ the relation, sigma_k((M M^dagger)_ab) = eps_k(a) eps_k(b) (M M^dagger)_{pi_k a,
 and pi_k permutes the weights, so the rows a of the orbit representatives,
 against every b, decide the whole identity (9 of 35 rows at (4, 4)).
 
-The float entries of S are made on the first read of ``entries``. Each is
-evaluated from its histogram as two integer dot products with fixed-point
-tables of cos and sin of 2 pi e/N, then multiplied by one factor
+M is stored once, as the representative histograms with the Galois source
+of every weight, and ``_fill_cells`` makes each of its three views from
+them: the reduced ``exact`` entries and the float ``entries`` on first
+read, and the packed rows of the exact zero tests. Packing evaluates a
+histogram at zeta -> g, a ring map on the group ring Z[C_N], so it needs
+no reduction mod Phi_N. Each float entry is two integer dot products with
+fixed-point tables of cos and sin of 2 pi e/N, times one factor
 conj(M_00)/(|M_00| sqrt(n (n+m)^(n-1))). By the Weyl denominator formula
 M_00 = prod_{i<j} -2i sin(pi (j-i)/(n+m)), every sine positive, so the
 phase factor is exactly i^(n(n-1)/2). Central charges, conformal weights
@@ -43,7 +47,6 @@ and M are exact.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import permutations
@@ -90,32 +93,33 @@ def conformal_weight(a: LevelWeight) -> Fraction:
 
 
 class SMatrixData:
-    """S-matrix with its index order, the exact unnormalized matrix M, exact
-    central charge and twists, and the Galois source of every weight: entry
-    a of ``galois_sources`` is (r, k, eps) with weight a = pi_k(r),
+    """S-matrix with its index order, exact central charge and twists, and
+    M stored once: the histograms of the pairs of Galois-orbit
+    representatives, and the Galois source of every weight. Entry a of
+    ``galois_sources`` is (r, k, eps) with weight a = pi_k(r),
     eps = eps_k(r) and r the first weight of a's Galois orbit (r = a, k = 1
-    and eps = 1 for a representative). A mutable record: it compares field
-    by field, is unhashable, and its repr shows the first five fields."""
+    and eps = 1 for a representative). The exact M, the float entries and
+    the packed rows are made from them (see the module docstring). A
+    mutable record: it compares field by field, is unhashable, and its repr
+    shows the first five fields."""
 
-    def __init__(self, n: int, m: int, weights: tuple[LevelWeight, ...], exact: list,
-                 precision_bits: int, central_charge: Fraction, galois_sources: tuple,
-                 representatives: tuple[int, ...], _histograms: dict,
-                 conformal_weights: dict | None = None):
+    def __init__(self, n: int, m: int, weights: tuple[LevelWeight, ...], precision_bits: int,
+                 central_charge: Fraction, galois_sources: tuple, representatives: tuple[int, ...],
+                 _histograms: dict, conformal_weights: tuple[Fraction, ...]):
         self.n = n
         self.m = m
         self.weights = weights
-        self.exact = exact  # rows of CyclotomicNumber, conductor n(n+m)
         self.precision_bits = precision_bits
         self.central_charge = central_charge
         self.galois_sources = galois_sources  # (r, k, eps) per weight
         self.representatives = representatives  # each orbit's r, increasing
         self._histograms = _histograms  # (r, q) -> histogram, r <= q representatives
-        self.conformal_weights = {} if conformal_weights is None else conformal_weights
+        self.conformal_weights = conformal_weights  # in ``weights`` order
 
     def _fields(self) -> tuple:
-        return (self.n, self.m, self.weights, self.exact, self.precision_bits,
-                self.central_charge, self.galois_sources, self.representatives,
-                self._histograms, self.conformal_weights)
+        return (self.n, self.m, self.weights, self.precision_bits, self.central_charge,
+                self.galois_sources, self.representatives, self._histograms,
+                self.conformal_weights)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -128,6 +132,16 @@ class SMatrixData:
         return (f"SMatrixData(n={self.n!r}, m={self.m!r}, weights={self.weights!r}, "
                 f"precision_bits={self.precision_bits!r}, "
                 f"central_charge={self.central_charge!r})")
+
+    def _cells(self, make) -> list:
+        """The matrix of ``make`` of each cell of M (see ``_fill_cells``)."""
+        return _fill_cells(self.galois_sources, self._histograms, self.n * (self.n + self.m), make)
+
+    @cached_property
+    def exact(self) -> list:
+        """Rows of CyclotomicNumber, conductor n(n+m), made from the
+        histograms on first read."""
+        return self._cells(partial(CyclotomicNumber, self.n * (self.n + self.m)))
 
     @cached_property
     def entries(self) -> list:
@@ -157,34 +171,18 @@ class SMatrixData:
                               mpmath.mpf((im * inv_sqrt, -3 * bits)))
 
         with mpmath.workprec(self.precision_bits + 32):
-            return _fill_cells(self.galois_sources, self._histograms, conductor, entry)
+            return self._cells(entry)
 
-    def pack(self, products: int, constant: int = 0,
-             columns: Sequence[int] | None = None) -> tuple[IntegralPacking, list]:
+    def pack(self, products: int, constant: int = 0) -> tuple[IntegralPacking, list]:
         """M packed for exact zero tests of sums of at most ``products``
         products of two entries plus an integer of size at most
-        ``constant``; returns the packing and the packed rows. With
-        ``columns``, only those columns are packed (the others are None)."""
-        cells = {id(z): z for row in self.exact for z in row}  # equal entries share one object
-        norm = max(map(IntegralPacking.norm, cells.values()))
+        ``constant``; returns the packing and the packed rows. Every
+        conjugate of an entry is at most the l1 norm of its histogram, and
+        the cells permute the representative histograms, so the largest
+        of their l1 norms bounds every entry."""
+        norm = max(sum(map(abs, hist)) for hist in self._histograms.values())
         packing = IntegralPacking(self.n * (self.n + self.m), products * norm * norm + constant)
-        return packing, self._packed_rows(packing, columns=columns)
-
-    def _packed_rows(self, packing: IntegralPacking, conjugate: bool = False,
-                     columns: Sequence[int] | None = None) -> list:
-        """The rows of M (or of its conjugate) packed, each entry object
-        once: ``s_matrix`` shares one object among equal entries."""
-        size = len(self.weights)
-        rows = [[None] * size for _ in range(size)]
-        done: dict = {}
-        for row, packed in zip(self.exact, rows):
-            for d in range(size) if columns is None else columns:
-                z = row[d]
-                p = done.get(id(z))
-                if p is None:
-                    p = done[id(z)] = packing.pack(z, conjugate)
-                packed[d] = p
-        return rows
+        return packing, self._cells(packing.pack)
 
     def unitarity_residual(self) -> int:
         """Decide M M^dagger = n (n+m)^(n-1) I exactly on the rows of the
@@ -193,11 +191,11 @@ class SMatrixData:
         raises ArithmeticError naming the first entry (a, b) where it fails."""
         size, reps = len(self.weights), self.representatives
         scale = self.n * (self.n + self.m) ** (self.n - 1)
-        packing, packed = self.pack(size, scale, columns=reps)  # M = M^T: column a is row a
-        conj = self._packed_rows(packing, conjugate=True)
+        packing, packed = self.pack(size, scale)
+        conj = self._cells(partial(packing.pack, conjugate=True))
         todo = list(range(size))
         for a in reps:
-            row = [packed_row[a] for packed_row in packed]
+            row = packed[a]
             for b in todo:
                 total = sum(map(mul, row, conj[b]))
                 if not packing.is_zero(total - scale if a == b else total):
@@ -224,7 +222,8 @@ class SMatrixData:
             "entries": rows,
             "central_charge": str(self.central_charge),
             "conformal_weights": {
-                str(list(w.components)): str(h) for w, h in self.conformal_weights.items()
+                str(list(w.components)): str(h)
+                for w, h in zip(self.weights, self.conformal_weights)
             },
         }
 
@@ -248,13 +247,12 @@ def s_matrix(n: int, m: int, precision_bits: int = 128) -> SMatrixData:
         n=n,
         m=m,
         weights=weights,
-        exact=_fill_cells(sources, rep_hists, conductor, partial(CyclotomicNumber, conductor)),
         precision_bits=precision_bits,
         central_charge=category_central_charge(n, m),
-        conformal_weights={a: conformal_weight(a) for a in weights},
         galois_sources=sources,
         representatives=reps,
         _histograms=rep_hists,
+        conformal_weights=tuple(map(conformal_weight, weights)),
     )
     data.unitarity_residual()
     return data

@@ -84,20 +84,25 @@ def test_rational_elements_hash_like_their_value():
     assert hash(CyclotomicNumber.zeta(8)) == hash(CyclotomicNumber.zeta(8, 9))
 
 
+def _integral_coefficients(z):
+    return [int(c) for c in z.coefficients()]
+
+
 def test_integral_packing_decides_products_exactly():
     rng = random.Random(11)
     for N in (8, 12, 28, 54):
-        xs = [CyclotomicNumber(N, [rng.randint(-5, 5) for _ in range(euler_phi(N))])
-              for _ in range(4)]
-        norm = max(IntegralPacking.norm(x) for x in xs)
+        lists = [[rng.randint(-5, 5) for _ in range(euler_phi(N))] for _ in range(4)]
+        norm = max(sum(map(abs, c)) for c in lists)
         packing = IntegralPacking(N, 2 * norm * norm + 1)
-        for x, y in zip(xs, xs[1:]):
-            product = packing.pack(x) * packing.pack(y)
-            assert packing.is_zero(product - packing.pack(x * y))
-            assert not packing.is_zero(product - packing.pack(x * y + 1))
-            assert packing.is_zero(packing.pack(x, conjugate=True) - packing.pack(x.conjugate()))
+        for c, d in zip(lists, lists[1:]):
+            x, y = CyclotomicNumber(N, c), CyclotomicNumber(N, d)
+            product = packing.pack(c) * packing.pack(d)
+            assert packing.is_zero(product - packing.pack(_integral_coefficients(x * y)))
+            assert not packing.is_zero(product - packing.pack(_integral_coefficients(x * y + 1)))
+            assert packing.is_zero(packing.pack(c, conjugate=True)
+                                   - packing.pack(_integral_coefficients(x.conjugate())))
     with pytest.raises(ValueError):
-        IntegralPacking.norm(CyclotomicNumber(8, (1, 1), 2))
+        IntegralPacking(8, 10).pack([0] * 9)
 
 
 _PACKING_CONDUCTORS = (3, 4, 6, 8, 12, 15, 20, 28, 30)
@@ -106,13 +111,16 @@ _PACKING_CONDUCTORS = (3, 4, 6, 8, 12, 15, 20, 28, 30)
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from(_PACKING_CONDUCTORS), st.data())
 def test_integral_packing_is_zero_exactly_at_zero(N, data):
-    # coefficient lists up to N long, so that some reduce to zero mod Phi_N
-    x = CyclotomicNumber(N, data.draw(st.lists(st.integers(-3, 3), max_size=N)))
-    norm = IntegralPacking.norm(x)
+    # unreduced group-ring lists up to N long, some of them zero mod Phi_N,
+    # packed at the l1 norm of the list itself
+    coeffs = data.draw(st.lists(st.integers(-3, 3), max_size=N))
+    x = CyclotomicNumber(N, coeffs)
+    norm = sum(map(abs, coeffs))
     for bound in (norm, norm + data.draw(st.integers(0, 2**20))):
         packing = IntegralPacking(N, bound)
-        assert packing.is_zero(packing.pack(x)) == x.is_zero()
-        assert packing.pack(x, conjugate=True) == packing.pack(x.conjugate())
+        assert packing.is_zero(packing.pack(coeffs)) == x.is_zero()
+        assert packing.pack(coeffs, conjugate=True) == packing.pack(
+            _integral_coefficients(x.conjugate()))
 
 
 @pytest.mark.parametrize("N", _PACKING_CONDUCTORS)
@@ -120,10 +128,10 @@ def test_integral_packing_is_zero_exactly_at_zero(N, data):
 def test_integral_packing_kernel_element_lies_above_the_bound(N, bound):
     # zeta - g packs to 0 and is nonzero, so its norm must exceed the bound
     packing = IntegralPacking(N, bound)
-    g = packing.pack(CyclotomicNumber.zeta(N))
-    kernel = CyclotomicNumber(N, (-g, 1))
-    assert packing.is_zero(packing.pack(kernel)) and not kernel.is_zero()
-    assert IntegralPacking.norm(kernel) == g + 1 > bound
+    g = packing.pack([0, 1])
+    kernel = [-g, 1]
+    assert packing.is_zero(packing.pack(kernel)) and not CyclotomicNumber(N, kernel).is_zero()
+    assert sum(map(abs, kernel)) == g + 1 > bound
 
 
 def test_qint_basics():

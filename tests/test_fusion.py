@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levelrank import fusion, symfunc, verify
+from levelrank import fusion, smatrix, symfunc, verify
+from levelrank.cli import main
 from levelrank.fusion import (
     Decomposition,
     _fold_lr,
@@ -153,6 +154,33 @@ def test_verlinde_reports_a_wrong_coefficient(monkeypatch):
     x, y, d, lhs, rhs = verdict.counterexample
     assert {x, y} == {a, b}
     assert lhs != rhs
+
+
+def test_a_vanishing_m0d_is_an_error_not_a_counterexample(monkeypatch, capsys):
+    """After ``s_matrix`` has proved M unitary, the packed M_0d of the last
+    representative column d is forced to zero: ``verlinde_check`` raises,
+    and ``levelrank verify verlinde`` prints an ERROR record and exits 3."""
+    build, fill = fusion.s_matrix, smatrix._fill_cells
+
+    def zeroing(sources, rep_hists, conductor, make):
+        matrix = fill(sources, rep_hists, conductor, make)
+        d = max(r for r, (q, _, _) in enumerate(sources) if q == r)
+        matrix[0][d] = matrix[d][0] = make([0] * conductor)
+        return matrix
+
+    def s_matrix_then_zero(n, m):
+        monkeypatch.setattr(smatrix, "_fill_cells", fill)
+        data = build(n, m)
+        monkeypatch.setattr(smatrix, "_fill_cells", zeroing)
+        return data
+
+    monkeypatch.setattr(fusion, "s_matrix", s_matrix_then_zero)
+    with pytest.raises(ArithmeticError, match=r"M_0d vanishes at d = \[0,3,0\]"):
+        verlinde_check(3, 3)
+    assert main(["verify", "verlinde"]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith(("[PASS]", "[FAIL]", "[ERROR]"))] == [
+        "[ERROR] verlinde: raised  (ArithmeticError: M_0d vanishes at d = [1,1])"]
 
 
 def test_decomposition_rejects_bad_terms():

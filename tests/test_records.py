@@ -6,7 +6,7 @@ import pytest
 from levelrank import Verdict
 from levelrank.branching import BranchingTable, branch
 from levelrank.qdim import DimensionReport, dimension_report
-from levelrank.smatrix import SMatrixData, s_matrix
+from levelrank.smatrix import SMatrixData, conformal_weight, s_matrix
 from levelrank.weights import WeightTable, weight_table
 
 
@@ -97,15 +97,16 @@ def test_smatrix_data_compares_field_by_field_and_is_mutable_and_unhashable():
     assert a == b
     assert a.entries and "entries" in vars(a) and "entries" not in vars(b)
     assert a == b  # the cached float entries are not a field
+    assert a.exact and "exact" in vars(a) and "exact" not in vars(b)
+    assert a == b  # nor is the cached exact matrix
 
 
-def test_smatrix_data_keywords_and_default_conformal_weights():
+def test_smatrix_data_keywords_and_conformal_weights_by_position():
     a = s_matrix(2, 1)
-    fields = dict(n=a.n, m=a.m, weights=a.weights, exact=a.exact,
-                  precision_bits=a.precision_bits, central_charge=a.central_charge,
-                  galois_sources=a.galois_sources, representatives=a.representatives,
-                  _histograms=a._histograms)
-    bare, other = SMatrixData(**fields), SMatrixData(**fields)
-    assert bare.conformal_weights == {}
-    assert bare.conformal_weights is not other.conformal_weights
+    fields = dict(n=a.n, m=a.m, weights=a.weights, precision_bits=a.precision_bits,
+                  central_charge=a.central_charge, galois_sources=a.galois_sources,
+                  representatives=a.representatives, _histograms=a._histograms)
+    with pytest.raises(TypeError):
+        SMatrixData(**fields)  # the conformal weights have no default
+    assert a.conformal_weights == tuple(map(conformal_weight, a.weights))
     assert SMatrixData(**fields, conformal_weights=a.conformal_weights) == a

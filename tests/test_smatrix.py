@@ -8,10 +8,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from levelrank import Verdict, branching
+from levelrank import Verdict, branching, cyclotomic, smatrix
 from levelrank.branching import twist_pairing_check
 from levelrank.cli import main
 from levelrank.cyclotomic import CyclotomicNumber
+from levelrank.fusion import verlinde_check
 from levelrank.qdim import qdim_weight
 from levelrank.smatrix import (
     category_central_charge,
@@ -138,27 +139,53 @@ def test_exact_matrix_is_symmetric_and_unitary(n, m):
 
 
 @pytest.mark.parametrize("n,m,pairs", [(3, 3, 21), (4, 3, 105), (4, 4, 332)])
-def test_unitarity_catches_a_negated_pair_outside_the_representative_rows(n, m, pairs):
+def test_unitarity_catches_a_negated_pair_outside_the_representative_rows(
+        n, m, pairs, monkeypatch):
     """Negating a nonzero pair M_bc = M_cb with neither b nor c a Galois
     representative leaves every representative row of M as it was, yet
     moves (M M^dagger)_0b by -2 M_0c conj(M_bc), which is nonzero since no
-    M_0c vanishes: each such pair must make ``unitarity_residual`` raise."""
+    M_0c vanishes: each such pair must make ``unitarity_residual`` raise.
+    The pair is negated in every matrix ``smatrix._fill_cells`` makes, so
+    in the packed rows of M and of its conjugate alike."""
     data = s_matrix(n, m)
     M, reps = data.exact, data.representatives
     others = [a for a in range(len(M)) if a not in reps]
+    fill = smatrix._fill_cells
     caught = 0
     for i, b in enumerate(others):
         for c in others[i:]:
-            z = M[b][c]
-            if z.is_zero():
+            if M[b][c].is_zero():
                 continue
-            M[b][c] = M[c][b] = -z
+
+            def negating(*args, b=b, c=c):
+                matrix = fill(*args)
+                matrix[b][c] = matrix[c][b] = -matrix[b][c]
+                return matrix
+
+            monkeypatch.setattr(smatrix, "_fill_cells", negating)
             with pytest.raises(ArithmeticError, match=r"M M\^dagger differs from"):
                 data.unitarity_residual()
-            M[b][c] = M[c][b] = z
             caught += 1
+    monkeypatch.setattr(smatrix, "_fill_cells", fill)
     assert caught == pairs
     assert data.unitarity_residual() == 0
+
+
+def test_building_and_checking_m_reduces_nothing_mod_phi(monkeypatch):
+    """``s_matrix`` and a passing ``verlinde_check`` decide every identity
+    on packed histograms, so no entry is reduced mod Phi_N; reading
+    ``exact`` reduces each distinct cell once."""
+    reduce, calls = cyclotomic._reduce_mod_phi, []
+
+    def counting(coeffs, n):
+        calls.append(n)
+        return reduce(coeffs, n)
+
+    monkeypatch.setattr(cyclotomic, "_reduce_mod_phi", counting)
+    data = s_matrix(4, 4)
+    assert verlinde_check(4, 3).holds
+    assert calls == []
+    assert data.exact and len(calls) == 389
 
 
 EXACT_GOLDEN = Path(__file__).parent / "golden" / "smatrix_exact.txt"
