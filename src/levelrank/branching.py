@@ -97,7 +97,7 @@ def verify_exhaustion(n: int, m: int, i: int) -> Verdict:
 
     The left factor is computed in the rank-n category and the right factor
     in the rank-m category; both live in the conductor-2(n+m) field. The
-    pairs are counted by the rotation-orbit ids at their positions, so
+    pairs are counted by the ``orbit`` positions of their weights, so
     classes with equal counts share one paired sum and each orbit-pair
     product is formed once per (n, m). A failure carries the counterexample
     (paired_sum, graded_total).
@@ -119,8 +119,8 @@ def verify_exhaustion(n: int, m: int, i: int) -> Verdict:
 @cache
 def _paired_sum(n: int, m: int, counts: tuple[tuple[tuple[int, int], int], ...]):
     """Sum of k * qdim(p) * qdim(q) over the ((p, q), k) in ``counts``, with p
-    a rank-n and q a rank-m orbit id."""
-    left, right = dimension_report(n, m).orbit_dims, dimension_report(m, n).orbit_dims
+    and q ``orbit`` positions of the rank-n and rank-m weight tables."""
+    left, right = dimension_report(n, m).dims, dimension_report(m, n).dims
     return sum((left[p] * right[q] * k for (p, q), k in counts),
                CyclotomicNumber.zero(conductor_for(n, m)))
 

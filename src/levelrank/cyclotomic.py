@@ -333,15 +333,13 @@ class IntegralPacking:
         g = 1 << (bound + 1).bit_length()
         self._modulus = p = sum(c * g**e for e, c in enumerate(cyclotomic_polynomial(conductor)))
         self._powers = [pow(g, e, p) for e in range(conductor)]
-        self._conjugates = self._powers[:1] + self._powers[:0:-1]  # g^-e = g^(N-e)
 
-    def pack(self, coeffs: Sequence[int], conjugate: bool = False) -> int:
-        """The packed form of sum c_e zeta^e, or of its complex conjugate,
-        for at most N integer coefficients c_e."""
+    def pack(self, coeffs: Sequence[int]) -> int:
+        """The packed form of sum c_e zeta^e, for at most N integer
+        coefficients c_e: its value at zeta -> g, reduced mod p."""
         if len(coeffs) > len(self._powers):
             raise ValueError(f"{len(coeffs)} coefficients for conductor {len(self._powers)}")
-        powers = self._conjugates if conjugate else self._powers
-        return sum(map(mul, coeffs, powers)) % self._modulus
+        return sum(map(mul, coeffs, self._powers)) % self._modulus
 
     def is_zero(self, value: int) -> bool:
         """Whether the packed value is zero in the field (see the class

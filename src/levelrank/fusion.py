@@ -5,7 +5,7 @@ The product of two weights is computed in four steps:
 
 0. rotate each factor to the representative of its rotation orbit, its
    largest rotation ``weights.top_rotation``: the orbit's first member in
-   canonical order, the one ``weight_table`` numbers the orbit by.
+   canonical order, at the position the ``weight_table`` orbit column holds.
    The rotation is fusion with a power of the invertible object J, so
    N_{sigma^k a, sigma^l b}^{sigma^(k+l) c} = N_ab^c (Schellekens-Yankielowicz),
    and steps 1-3 run on the rotated pair; every term is rotated back by
@@ -251,15 +251,16 @@ def verlinde_check(n: int, m: int) -> Verdict:
 
 def grading_violations(n: int, m: int) -> list[tuple[LevelWeight, LevelWeight, LevelWeight]]:
     """Triples (a, b, c) with c in a x b of degree other than deg a + deg b
-    (mod n), for a and b taken one per rotation orbit of ``weight_table(n,
-    m)``: one product per unordered pair of orbits (55 at (4, 4), against 630
-    pairs of weights). A term outside the weights is reported by its own
-    degree. No check is lost: for other members sigma^k a, sigma^l b, ``fuse``
-    returns these terms rotated by k + l, adding (k + l) * m to the degree on
-    both sides; the tau suite checks that shift on every weight, and the
-    tests of the orbit route against ``_fold_lr`` check the rotate-back."""
+    (mod n), for a and b the rotation-orbit representatives, at the p with
+    ``weight_table(n, m).orbit[p] == p``: one product per unordered pair of
+    orbits (55 at (4, 4), against 630 pairs of weights). A term outside the
+    weights is reported by its own degree. No check is lost: for other
+    members sigma^k a, sigma^l b, ``fuse`` returns these terms rotated by
+    k + l, adding (k + l) * m to the degree on both sides; the tau suite
+    checks that shift on every weight, and the tests of the orbit route
+    against ``_fold_lr`` check the rotate-back."""
     table = weight_table(n, m)
-    reps = list(dict(zip(table.orbit, table.weights)).values())  # one per orbit, in id order
+    reps = [a for p, a in enumerate(table.weights) if table.orbit[p] == p]
     bad = []
     for i, a in enumerate(reps):
         for b in reps[i:]:

@@ -32,18 +32,17 @@ The dimension is constant along the rotation orbit of a weight, so the
 exact products are memoised per orbit: ``qdim_partition`` keys its table on
 the orbit's representative, ``weights.top_rotation`` of the components of
 lam's weight, and at (7, 7) the 1716 weights need only 246 products.
-``dimension_report(n, m)`` is the one record of a rank and level; its
-graded totals count the weights of each orbit, read from ``weight_table``,
-as plain ints and square each orbit's dimension once.
+``dimension_report(n, m)`` is the one record of a rank and level, by
+``weight_table`` position; its graded totals count the weights of each
+orbit as plain ints and square each orbit's dimension once.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable
 from functools import cache
 from math import prod
-from types import MappingProxyType
 
 from .cyclotomic import CyclotomicNumber, conductor_for, qint, qint_real
 from .partitions import Partition
@@ -151,18 +150,15 @@ def category_dim(n: int, m: int) -> CyclotomicNumber:
 
 
 class DimensionReport(Record):
-    """The exact dimension data of rank n, level m, built once. The index,
-    degree classes and rotation-orbit ids are those of ``weight_table(n, m)``.
-    ``orbit_dims`` is the dimension of each orbit id, ``dims`` maps each
-    weight, in canonical order, to its dimension, ``graded`` each degree to
-    its sum of squared dimensions, and ``total`` is their sum.
+    """The exact dimension data of rank n, level m, built once, indexed like
+    ``weight_table(n, m)``: ``dims[p]`` is the dimension of the weight at
+    position p, ``graded[i]`` the sum of squared dimensions of degree i,
+    and ``total`` their sum.
     """
 
-    def __init__(self, n: int, m: int, orbit_dims: tuple[CyclotomicNumber, ...],
-                 dims: Mapping[LevelWeight, CyclotomicNumber],
-                 graded: Mapping[int, CyclotomicNumber], total: CyclotomicNumber):
-        vars(self).update(n=n, m=m, orbit_dims=orbit_dims, dims=dims, graded=graded,
-                          total=total)
+    def __init__(self, n: int, m: int, dims: tuple[CyclotomicNumber, ...],
+                 graded: tuple[CyclotomicNumber, ...], total: CyclotomicNumber):
+        vars(self).update(n=n, m=m, dims=dims, graded=graded, total=total)
 
     def to_json(self) -> dict:
         import mpmath
@@ -176,10 +172,10 @@ class DimensionReport(Record):
                     "dimension": d.to_json(),
                     "value": mpmath.nstr(d.embed_real(20), 15),
                 }
-                for a, d in self.dims.items()
+                for a, d in zip(weight_table(self.n, self.m).weights, self.dims)
             ],
             "total": self.total.to_json(),
-            "graded": {str(i): g.to_json() for i, g in self.graded.items()},
+            "graded": {str(i): g.to_json() for i, g in enumerate(self.graded)},
         }
 
 
@@ -187,17 +183,15 @@ class DimensionReport(Record):
 def dimension_report(n: int, m: int) -> DimensionReport:
     """The record of rank n, level m: dimensions from ``qdim_weight``, and
     graded totals that square each orbit's dimension once and scale it by
-    the orbit's count in the class, both read from ``weight_table``."""
+    the orbit's count in the class, both read from ``weight_table.orbit``."""
     table = weight_table(n, m)
     orbit = table.orbit
-    dims = {a: qdim_weight(a) for a in table.weights}
-    orbit_dims = tuple(dict(zip(orbit, dims.values())).values())  # keys come in id order
-    squares = [d * d for d in orbit_dims]
+    dims = tuple(map(qdim_weight, table.weights))
+    squares = {p: dims[p] * dims[p] for p, o in enumerate(orbit) if o == p}
     zero = CyclotomicNumber.zero(conductor_for(n, m))
-    graded = {i: sum((squares[p] * k for p, k in Counter(orbit[q] for q in cls).items()), zero)
-              for i, cls in enumerate(table.classes)}
-    return DimensionReport(n, m, orbit_dims, MappingProxyType(dims), MappingProxyType(graded),
-                           sum(graded.values(), zero))
+    graded = tuple(sum((squares[o] * k for o, k in Counter(orbit[q] for q in cls).items()), zero)
+                   for cls in table.classes)
+    return DimensionReport(n, m, dims, graded, sum(graded, zero))
 
 
 def qdim_product_string(lam: Partition, n: int) -> str:

@@ -30,7 +30,9 @@ relation for every unit k; the exact digests of the built M are pinned in
 the tests. Unitarity is the exact identity M M^dagger = n (n+m)^(n-1) I. By
 the relation, sigma_k((M M^dagger)_ab) = eps_k(a) eps_k(b) (M M^dagger)_{pi_k a, pi_k b}
 and pi_k permutes the weights, so the rows a of the orbit representatives,
-against every b, decide the whole identity (9 of 35 rows at (4, 4)).
+against every b, decide the whole identity (9 of 35 rows at (4, 4)). At
+k = -1 it reads conj(M_bc) = (-1)^(n(n-1)/2) M_{b*c}, b* the dual of b, so
+the conjugate rows are signed rows of M, and M is packed once.
 
 M is stored once, as the representative histograms with the Galois source
 of every weight, and ``_fill_cells`` makes each of its three views from
@@ -54,6 +56,7 @@ from math import factorial, gcd, isqrt
 from operator import mul
 
 from .cyclotomic import CyclotomicNumber, IntegralPacking
+from .record import Record
 from .verdict import Verdict
 from .weights import LevelWeight, _fold_into_alcove, enumerate_weights, perm_sign, weight_table
 
@@ -92,41 +95,24 @@ def conformal_weight(a: LevelWeight) -> Fraction:
     return Fraction(value - size * (size + n * (n - 1)), 2 * n * (n + m))
 
 
-class SMatrixData:
+class SMatrixData(Record):
     """S-matrix with its index order, exact central charge and twists, and
-    M stored once: the histograms of the pairs of Galois-orbit
-    representatives, and the Galois source of every weight. Entry a of
-    ``galois_sources`` is (r, k, eps) with weight a = pi_k(r),
-    eps = eps_k(r) and r the first weight of a's Galois orbit (r = a, k = 1
-    and eps = 1 for a representative). The exact M, the float entries and
-    the packed rows are made from them (see the module docstring). A
-    mutable record: it compares field by field, is unhashable, and its repr
-    shows the first five fields."""
+    M stored once: the histograms of the pairs r <= q of Galois-orbit
+    representatives, listed increasing in ``representatives``, and the
+    Galois source of every weight. Entry a of ``galois_sources`` is
+    (r, k, eps) with a = pi_k(r), eps = eps_k(r) and r the first weight of
+    a's Galois orbit (r = a, k = 1 and eps = 1 for a representative). The
+    exact M, the float entries and the packed rows are made from them (see
+    the module docstring). An immutable record compared by identity; its
+    repr shows the first five fields."""
 
     def __init__(self, n: int, m: int, weights: tuple[LevelWeight, ...], precision_bits: int,
                  central_charge: Fraction, galois_sources: tuple, representatives: tuple[int, ...],
                  _histograms: dict, conformal_weights: tuple[Fraction, ...]):
-        self.n = n
-        self.m = m
-        self.weights = weights
-        self.precision_bits = precision_bits
-        self.central_charge = central_charge
-        self.galois_sources = galois_sources  # (r, k, eps) per weight
-        self.representatives = representatives  # each orbit's r, increasing
-        self._histograms = _histograms  # (r, q) -> histogram, r <= q representatives
-        self.conformal_weights = conformal_weights  # in ``weights`` order
-
-    def _fields(self) -> tuple:
-        return (self.n, self.m, self.weights, self.precision_bits, self.central_charge,
-                self.galois_sources, self.representatives, self._histograms,
-                self.conformal_weights)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    __hash__ = None
+        vars(self).update(n=n, m=m, weights=weights, precision_bits=precision_bits,
+                          central_charge=central_charge, galois_sources=galois_sources,
+                          representatives=representatives, _histograms=_histograms,
+                          conformal_weights=conformal_weights)
 
     def __repr__(self) -> str:
         return (f"SMatrixData(n={self.n!r}, m={self.m!r}, weights={self.weights!r}, "
@@ -188,17 +174,27 @@ class SMatrixData:
         """Decide M M^dagger = n (n+m)^(n-1) I exactly on the rows of the
         Galois-orbit representatives (see the module docstring), which makes
         the normalized entries unitary. Returns 0 when the identity holds and
-        raises ArithmeticError naming the first entry (a, b) where it fails."""
-        size, reps = len(self.weights), self.representatives
-        scale = self.n * (self.n + self.m) ** (self.n - 1)
+        raises ArithmeticError naming the first entry (a, b) where it fails.
+
+        M is packed once. Conjugation is sigma_{-1}, so by the Galois relation
+        conj(M_bc) = eps_{-1}(b) M_{pi_{-1} b, c}. The coordinates y of b fall
+        strictly with y_0 - y_{n-1} < n + m, so folding -y only reverses it,
+        a permutation of sign (-1)^(n(n-1)/2), into (-y_{n-1}, ..., -y_0),
+        whose weight is (b_0, b_{n-1}, ..., b_1) = b*. Hence
+        (M M^dagger)_ab = (-1)^(n(n-1)/2) sum_c M_ac M_{b*c}, a sum of
+        ``size`` products within the bound of ``pack``."""
+        n, size, reps = self.n, len(self.weights), self.representatives
+        scale = n * (n + self.m) ** (n - 1)
+        diagonal = (-1) ** (n * (n - 1) // 2) * scale
         packing, packed = self.pack(size, scale)
-        conj = self._cells(partial(packing.pack, conjugate=True))
+        position = weight_table(n, self.m).position
+        dual_rows = [packed[position[b.dual().components]] for b in self.weights]
         todo = list(range(size))
         for a in reps:
             row = packed[a]
             for b in todo:
-                total = sum(map(mul, row, conj[b]))
-                if not packing.is_zero(total - scale if a == b else total):
+                total = sum(map(mul, row, dual_rows[b]))
+                if not packing.is_zero(total - diagonal if a == b else total):
                     raise ArithmeticError(
                         f"M M^dagger differs from {scale} I at "
                         f"({self.weights[a]}, {self.weights[b]})"
@@ -243,17 +239,8 @@ def s_matrix(n: int, m: int, precision_bits: int = 128) -> SMatrixData:
     reps = tuple(r for r, (q, _, _) in enumerate(sources) if q == r)
     rep_hists = _exponent_histograms(
         n, coords, conductor, [(r, q) for i, r in enumerate(reps) for q in reps[i:]])
-    data = SMatrixData(
-        n=n,
-        m=m,
-        weights=weights,
-        precision_bits=precision_bits,
-        central_charge=category_central_charge(n, m),
-        galois_sources=sources,
-        representatives=reps,
-        _histograms=rep_hists,
-        conformal_weights=tuple(map(conformal_weight, weights)),
-    )
+    data = SMatrixData(n, m, weights, precision_bits, category_central_charge(n, m), sources,
+                       reps, rep_hists, tuple(map(conformal_weight, weights)))
     data.unitarity_residual()
     return data
 

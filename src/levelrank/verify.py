@@ -220,11 +220,12 @@ def suite_level1(bound: int = 10) -> list[Verdict]:
     return [check_rank(N) for N in range(2, bound + 1)]
 
 
-def suite_verlinde(
-    cases: tuple[tuple[int, int], ...] = ((2, 2), (2, 3), (3, 2), (2, 4), (3, 3)),
-) -> list[Verdict]:
+VERLINDE_CASES = ((2, 2), (2, 3), (3, 2), (2, 4), (3, 3))
+
+
+def suite_verlinde() -> list[Verdict]:
     """Combinatorial fusion against the exact S-matrix relation."""
-    return [fusion.verlinde_check(n, m) for n, m in cases]
+    return [fusion.verlinde_check(n, m) for n, m in VERLINDE_CASES]
 
 
 def suite_cc(bound: int = 50) -> list[Verdict]:
@@ -248,11 +249,12 @@ def suite_cc(bound: int = 50) -> list[Verdict]:
     return results
 
 
-def suite_equivalence(
-    cases: tuple[tuple[int, int], ...] = ((2, 3), (3, 2), (2, 4), (2, 5)),
-) -> list[Verdict]:
+EQUIVALENCE_CASES = ((2, 3), (3, 2), (2, 4), (2, 5))
+
+
+def suite_equivalence() -> list[Verdict]:
     """Fusion coefficients are preserved by the degree-zero transport."""
-    return [branching.verify_equivalence_fusion(n, m) for n, m in cases]
+    return [branching.verify_equivalence_fusion(n, m) for n, m in EQUIVALENCE_CASES]
 
 
 def suite_mirror() -> list[Verdict]:
@@ -272,12 +274,13 @@ def suite_mirror() -> list[Verdict]:
     ]
 
 
-def suite_traceform(
-    cases: tuple[tuple[int, int], ...] = ((2, 2), (2, 3), (3, 2), (3, 3)),
-) -> list[Verdict]:
+TRACEFORM_CASES = ((2, 2), (2, 3), (3, 2), (3, 3))
+
+
+def suite_traceform() -> list[Verdict]:
     """The trace form of sl(nm) restricts to m and n times those of sl(n) and
     sl(m) on the embedded blocks, with vanishing cross terms."""
-    return [branching.verify_trace_form(n, m) for n, m in cases]
+    return [branching.verify_trace_form(n, m) for n, m in TRACEFORM_CASES]
 
 
 def suite_cardinality(bound: int = 8) -> list[Verdict]:

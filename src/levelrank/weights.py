@@ -221,10 +221,10 @@ class WeightTable(Record):
     ``weights`` are in canonical order and ``position`` maps the components
     of each back to its index. Per position p: ``degree[p]``, the degree of
     ``weights[p]``; ``rotation[p]``, the position of ``weights[p].rotate()``;
-    and ``orbit[p]``, its rotation-orbit id, the ids numbered in order of
-    first appearance, so the first member of each orbit is its
-    ``top_rotation``. ``classes[i]`` holds the positions of degree i and
-    ``graded[i]`` their weights.
+    and ``orbit[p]``, the position of the first member of its rotation
+    orbit, which is the orbit's ``top_rotation``, so ``orbit[q] == q``
+    exactly at the representatives. ``classes[i]`` holds the positions of
+    degree i and ``graded[i]`` their weights.
 
     For level m >= 2, ``tau[p]`` is the position in the (m, n) table of
     tau(a, deg a), a = weights[p]; otherwise ``tau`` is empty. For t >= 0,
@@ -245,7 +245,7 @@ class WeightTable(Record):
 def weight_table(n: int, m: int) -> WeightTable:
     """The table of rank n, level m, built from ``weight_components``: one
     pass over the weights for degrees and rotations, one walk of each
-    rotation cycle for the orbit ids, and one ``tau`` call per weight."""
+    rotation cycle from its first member, and one ``tau`` call per weight."""
     comps = tuple(weight_components(n, m))
     assert len(comps) == comb(n + m - 1, n - 1)
     weights = tuple(map(LevelWeight._unchecked, comps))
@@ -256,14 +256,11 @@ def weight_table(n: int, m: int) -> WeightTable:
         classes[d].append(p)
     rotation = tuple(position[c[-1:] + c[:-1]] for c in comps)
     orbit = [-1] * len(weights)
-    ids = 0
     for start in range(len(weights)):
-        if orbit[start] < 0:
-            p = start
-            while orbit[p] < 0:
-                orbit[p] = ids
-                p = rotation[p]
-            ids += 1
+        p = start
+        while orbit[p] < 0:
+            orbit[p] = start
+            p = rotation[p]
     images: tuple[int, ...] = ()
     if m >= 2:
         dual = {c: q for q, c in enumerate(weight_components(m, n))}
@@ -277,8 +274,8 @@ def weight_table(n: int, m: int) -> WeightTable:
 def top_rotation(comps: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     """(k, r) for r the largest rotation of the components ``comps`` and k
     the smallest power with ``LevelWeight(comps).rotate(k)`` equal to r. In
-    canonical order r is the first member of the rotation orbit, the one
-    ``weight_table`` numbers the orbit by."""
+    canonical order r is the first member of the rotation orbit, the
+    position ``weight_table`` records in its ``orbit`` column."""
     n = len(comps)
     top, k = max((comps[n - k:] + comps[:n - k], -k) for k in range(n))
     return -k, top

@@ -264,11 +264,12 @@ def test_in_alcove_read_matches_the_fold(n, m, monkeypatch):
 
 def test_grading_reports_a_term_outside_the_weights(monkeypatch):
     """A term of another rank is reported by its own degree, 2 here, which
-    no rank-2 sum reaches, once per pair of orbit representatives: the
-    orbits of (2, 2) are {[2,0], [0,2]} and {[1,1]}."""
+    no rank-2 sum reaches, once per pair of orbit representatives, the
+    first members [2,0] and [1,1] of the orbits {[2,0], [0,2]} and {[1,1]}
+    of (2, 2)."""
     stray = LevelWeight((0, 0, 1))
     monkeypatch.setattr(fusion, "fuse", lambda a, b: Decomposition._unchecked(2, 2, {stray: 1}))
-    v, j = LevelWeight((0, 2)), LevelWeight((1, 1))
+    v, j = LevelWeight((2, 0)), LevelWeight((1, 1))
     assert grading_violations(2, 2) == [(v, v, stray), (v, j, stray), (j, j, stray)]
 
 
@@ -285,7 +286,7 @@ def cold_fusion():
 def test_grading_fuses_one_pair_per_unordered_pair_of_orbits(n, m, pairs, monkeypatch,
                                                              cold_fusion):
     """10 orbits at (4, 4) and 26 at (5, 5); each product is a cold miss."""
-    orbits = max(weight_table(n, m).orbit) + 1
+    orbits = len(set(weight_table(n, m).orbit))
     assert orbits * (orbits + 1) // 2 == pairs
     calls = []
     true_fuse = fusion.fuse

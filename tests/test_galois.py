@@ -50,6 +50,18 @@ def test_no_fold_lands_on_a_wall(n, m):
             fold(a, k)
 
 
+@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("m", range(1, 7))
+def test_minus_one_folds_every_weight_to_its_dual(n, m):
+    """pi_{-1}(a) = a* with eps_{-1}(a) = (-1)^(n(n-1)/2) for every weight:
+    the identity conj(M_bc) = eps M_{b*c} on which ``unitarity_residual``
+    packs M once."""
+    N = n * (n + m)
+    for a in enumerate_weights(n, m):
+        assert _galois_fold(_coordinates(a), N - 1, n + m) == (
+            (-1) ** (n * (n - 1) // 2), a.dual().components), a
+
+
 @pytest.mark.parametrize("n,m,orbits", [
     (5, 4, 8), (6, 4, 24), (7, 3, 8), (8, 2, 7), (9, 2, 3), (10, 2, 10), (8, 3, 8),
 ])

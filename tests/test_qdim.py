@@ -1,3 +1,5 @@
+import hashlib
+import json
 from math import prod
 
 import mpmath
@@ -149,11 +151,24 @@ def test_unknown_backend_rejected():
 
 def test_dimension_report_consistency():
     report = dimension_report(3, 2)
-    total = sum(d * d for d in report.dims.values())
+    total = sum(d * d for d in report.dims)
     assert total == report.total
-    assert sum(report.graded.values()) == report.total
+    assert sum(report.graded) == report.total
     payload = report.to_json()
     assert len(payload["objects"]) == len(report.dims)
+
+
+@pytest.mark.parametrize("n,m,digest", [
+    (3, 2, "4a4c6c7c9e75c1dd2c0e78b62c7b06f6f77e6807714cf5bf1ae87d85faebf03e"),
+    (2, 5, "7284f4ef9747e04434902790baa246c744f5aded10f140cd379f2a1dd2575a35"),
+    (3, 3, "d5f2a64259275ac0e1af357d6f5f84515a27a56c06d3123d8ad42e93a2799aa5"),
+    (4, 3, "364f63dd8f2b37202fa0ed5b6761cd6d9e4f1a8aa0eedfc9c8fd90ea4ca8ae9b"),
+])
+def test_dimension_report_json_is_pinned(n, m, digest):
+    """The JSON of the record, weights, dimensions and graded totals alike,
+    is pinned byte for byte."""
+    text = json.dumps(dimension_report(n, m).to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_product_string_golden():
@@ -208,15 +223,16 @@ def test_cold_box_inverts_one_denominator(monkeypatch):
 @pytest.mark.parametrize("m", range(2, 6))
 def test_dimension_report_matches_the_sum_of_squares(n, m):
     """The record's orbit-grouped totals equal the by-value sums of squared
-    ``qdim_weight``; its dimensions agree with ``qdim_weight`` and with the
-    orbit ids of ``weight_table``, which group exactly the rotation orbits."""
+    ``qdim_weight``; its dimensions, one per table position, agree with
+    ``qdim_weight`` and with the dimension at the ``orbit`` position of
+    ``weight_table``, which groups exactly the rotation orbits."""
     report, table = dimension_report(n, m), weight_table(n, m)
     weights = enumerate_weights(n, m)
-    assert list(report.dims) == list(weights)
+    assert len(report.dims) == len(weights)
     tops = [max(a.rotate(k).components for k in range(n)) for a in weights]
-    assert len(report.orbit_dims) == len(set(table.orbit)) == len(set(tops))
+    assert len(set(table.orbit)) == len(set(tops))
     for k, a in enumerate(weights):
-        assert report.dims[a] == qdim_weight(a) == report.orbit_dims[table.orbit[k]]
+        assert report.dims[k] == qdim_weight(a) == report.dims[table.orbit[k]]
         assert table.orbit[table.position[a.rotate().components]] == table.orbit[k]
         assert all(table.orbit[j] == table.orbit[k] for j in range(k) if tops[j] == tops[k])
     for i in range(n):

@@ -185,7 +185,8 @@ def test_tau_involution_and_bijection(n, m):
 def test_weight_table_reads_every_tau_off_one_column(n, m):
     """The table's tau column, rotated t times through the (m, n) table, is
     tau(a, deg a + t*n) for every weight a and every t < m; its index,
-    class, rotation and orbit columns agree with the weights."""
+    class, rotation and orbit columns agree with the weights, each orbit
+    entry the position of the first weight with the same top rotation."""
     table, dual = weight_table(n, m), weight_table(m, n)
     assert table.weights is enumerate_weights(n, m)
     for p, a in enumerate(table.weights):
@@ -200,7 +201,8 @@ def test_weight_table_reads_every_tau_off_one_column(n, m):
                for i in range(n))
     tops = [max(a.rotate(k).components for k in range(n)) for a in table.weights]
     first = {}
-    assert table.orbit == tuple(first.setdefault(top, len(first)) for top in tops)
+    assert table.orbit == tuple(first.setdefault(top, p) for p, top in enumerate(tops))
+    assert all(table.orbit[o] == o for o in table.orbit)
 
 
 def test_weight_table_below_level_two_has_no_tau_column():
