@@ -4,6 +4,12 @@ Commands: branch, tau, qdim, fuse, smatrix, cc, etale, mirror, verify.
 Weight literals are comma-separated components in square brackets, for
 example [1,0,0,1,1,0]; partition literals use parentheses, (3,1).
 
+Each command returns its report: the JSON payload, the text lines (None for
+smatrix, whose text is the JSON) and, for verify, its exit status and ERROR
+records. ``main`` alone writes it: --json prints only the JSON; --out FILE
+writes it, and the text still prints except for smatrix. A reader that
+closes stdout early ends the output quietly, at the command's own status.
+
 Exit status: 0 on success or a fully verified sweep, 1 when a verification
 finds a counterexample, 2 on usage errors (a ValueError: bad input, or an
 --out path that cannot be written), 3 on an internal error (any other
@@ -54,64 +60,35 @@ def _weight(text: str, args) -> LevelWeight:
     return LevelWeight(comps)
 
 
-def _emit(payload: dict, args) -> str:
-    """Write the JSON text of ``payload`` to --out, or print it for --json
-    without --out; return the text."""
-    import json
-
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if getattr(args, "out", None):
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(text + "\n")
-        except OSError as exc:
-            raise ValueError(f"cannot write {args.out}: {exc.strerror}") from None
-    if getattr(args, "json", False) and not getattr(args, "out", None):
-        print(text)
-    return text
-
-
-def _cmd_branch(args) -> int:
+def _cmd_branch(args):
     table = branching.branch(args.n, args.m, args.i)
-    if args.json or args.out:
-        _emit(table.to_json(), args)
-    if args.json:
-        return 0
-    if args.young:
-        for a, b in table.pairs:
-            print(ascii_diagram_pair(a.to_partition(), b.to_partition()))
-            print()
+    if args.young:  # each pair of diagrams, then a blank line
+        lines = [ascii_diagram_pair(a.to_partition(), b.to_partition()) + "\n"
+                 for a, b in table.pairs]
     else:
-        print(f"class {table.i} of rank {args.n} level {args.m} "
-              f"restricts to {len(table)} summands:")
-        for a, b in table.pairs:
-            print(f"  {a} x {b}    "
-                  f"({tuple(a.to_partition().parts)} x {tuple(b.to_partition().parts)})")
-    return 0
+        lines = [f"class {table.i} of rank {args.n} level {args.m} "
+                 f"restricts to {len(table)} summands:"]
+        lines += [f"  {a} x {b}    "
+                  f"({tuple(a.to_partition().parts)} x {tuple(b.to_partition().parts)})"
+                  for a, b in table.pairs]
+    return table.to_json(), lines
 
 
-def _cmd_tau(args) -> int:
+def _cmd_tau(args):
     a = _weight(args.weight, args)
     image = tau(a, args.i)
-    if args.json or args.out:
-        _emit({"input": list(a.components), "i": args.i,
-               "image": list(image.components)}, args)
-    if not args.json:
-        print(image)
-    return 0
+    return {"input": list(a.components), "i": args.i, "image": list(image.components)}, [image]
 
 
-def _cmd_qdim(args) -> int:
+def _cmd_qdim(args):
     import mpmath
 
     if args.weight and args.partition:
         raise ValueError("give a weight literal or --partition, not both")
-    if args.partition:
-        lam = parse_partition(args.partition)
-    else:
-        if not args.weight:
-            raise ValueError("give a weight literal or --partition")
-        lam = _weight(args.weight, args).to_partition()
+    if not args.weight and not args.partition:
+        raise ValueError("give a weight literal or --partition")
+    lam = (parse_partition(args.partition) if args.partition
+           else _weight(args.weight, args).to_partition())
     product = qdim.qdim_product_string(lam, args.n)
     precision = _precision(args)
     if args.backend == "float":
@@ -123,90 +100,53 @@ def _cmd_qdim(args) -> int:
         exact = qdim.qdim_partition(lam, args.n, args.m)
         numeric = mpmath.nstr(exact.embed_real(30), 20)
         exact_json = exact.to_json()
-    if args.json or args.out:
-        _emit({"partition": list(lam.parts), "n": args.n, "m": args.m,
-               "product": product, "value": numeric, "exact": exact_json}, args)
-    if not args.json:
-        print(f"qdim{tuple(lam.parts)} = {product} = {numeric}")
-    return 0
+    return ({"partition": list(lam.parts), "n": args.n, "m": args.m, "product": product,
+             "value": numeric, "exact": exact_json},
+            [f"qdim{tuple(lam.parts)} = {product} = {numeric}"])
 
 
-def _cmd_fuse(args) -> int:
+def _cmd_fuse(args):
     a = _weight(args.a, args)
     b = _weight(args.b, args)
     dec = fusion.fuse(a, b)
-    if args.json or args.out:
-        _emit({"a": list(a.components), "b": list(b.components),
-               "result": dec.to_json()}, args)
-    if not args.json:
-        print(dec)
-    return 0
+    return {"a": list(a.components), "b": list(b.components), "result": dec.to_json()}, [dec]
 
 
-def _cmd_smatrix(args) -> int:
-    data = smatrix.s_matrix(args.n, args.m, precision_bits=_precision(args))
-    payload = data.to_json()
+def _cmd_smatrix(args):
+    payload = smatrix.s_matrix(args.n, args.m, precision_bits=_precision(args)).to_json()
     payload["unitarity_residual"] = 0  # s_matrix raises unless exact unitarity holds
-    text = _emit(payload, args)
-    if not args.json and not args.out:
-        print(text)
-    return 0
+    return payload, None
 
 
-def _cmd_cc(args) -> int:
+def _cmd_cc(args):
     ambient, pair = smatrix.central_charge(args.n, args.m, args.k)
     equal = ambient == pair
-    if args.json or args.out:
-        _emit({"n": args.n, "m": args.m, "k": args.k, "ambient": str(ambient),
-               "pair": str(pair), "equal": equal}, args)
-    if not args.json:
-        rel = "=" if equal else "!="
-        print(f"ambient {ambient} {rel} pair {pair}")
-    return 0
+    return ({"n": args.n, "m": args.m, "k": args.k, "ambient": str(ambient),
+             "pair": str(pair), "equal": equal},
+            [f"ambient {ambient} {'=' if equal else '!='} pair {pair}"])
 
 
-def _cmd_etale(args) -> int:
-    args.i = 0
-    return _cmd_branch(args)
-
-
-def _cmd_mirror(args) -> int:
+def _cmd_mirror(args):
     summands = [_weight(tok, args) for tok in args.weights]
     out = branching.mirror_transport(summands)
     conditions = branching.etale_necessary_conditions(out)
-    if args.json or args.out:
-        _emit({"input": [list(w.components) for w in summands],
-               "transported": [list(w.components) for w in out],
-               "conditions": conditions}, args)
-    if not args.json:
-        for w in out:
-            print(w)
-        print("necessary conditions:", conditions)
-    return 0
+    return ({"input": [list(w.components) for w in summands],
+             "transported": [list(w.components) for w in out], "conditions": conditions},
+            [*out, f"necessary conditions: {conditions}"])
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     if args.bound is not None and args.bound < 2:
         raise ValueError(f"--bound must be at least 2, got {args.bound}")
-    names = verify.default_suite_names() if args.suite == "all" else [args.suite]
+    names = list(verify.SUITES) if args.suite == "all" else [args.suite]
     results = verify.run_suites(names, bound=args.bound)
     errors = [r for r in results if r.error is not None]
     failures = [r for r in results if not r.holds and r.error is None]
-    if args.json or args.out:
-        _emit({"results": [r.to_json() for r in results],
-               "passed": not failures and not errors}, args)
-    if not args.json:
-        for r in results:
-            print(r.line())
-        passed = len(results) - len(failures) - len(errors)
-        raised = f", {len(errors)} raised" if errors else ""
-        print(f"{passed}/{len(results)} checks passed{raised}")
-    for r in errors:
-        import traceback
-
-        traceback.print_exception(r.error)
-        print(f"internal error: {r.detail}", file=sys.stderr)
-    return 1 if failures else 3 if errors else 0
+    passed = len(results) - len(failures) - len(errors)
+    raised = f", {len(errors)} raised" if errors else ""
+    return ({"results": [r.to_json() for r in results], "passed": not failures and not errors},
+            [r.line() for r in results] + [f"{passed}/{len(results)} checks passed{raised}"],
+            1 if failures else 3 if errors else 0, errors)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -216,14 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "for the rank/level duality of the special linear series.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, precision=False):
-        p.add_argument("--json", action="store_true", help="emit JSON on stdout")
-        p.add_argument("--out", metavar="FILE", help="write the JSON report to FILE")
-        if precision:
-            p.add_argument("--precision", type=int, default=None,
-                           help="binary precision in bits, at least 32 (default: "
-                                f"{PRECISION_ENV}, else 128)")
 
     def command(name, func, summary, *ints):
         """A subcommand with its integer positionals, n and m first."""
@@ -235,51 +167,72 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("branch", _cmd_branch, "branching table of one level-1 class", "n", "m", "i")
     p.add_argument("--young", action="store_true", help="render diagram pairs")
-    common(p)
 
     p = command("tau", _cmd_tau, "duality image of one weight", "n", "m", "i")
     p.add_argument("weight", help="weight literal, e.g. [4,6]")
-    common(p)
 
     p = command("qdim", _cmd_qdim, "quantum dimension of a weight or partition", "n", "m")
     p.add_argument("weight", nargs="?", help="weight literal, e.g. [1,1,0]")
     p.add_argument("--partition", help="partition literal, e.g. (4,3,1)")
     p.add_argument("--backend", choices=("exact", "float"), default="exact")
-    common(p, precision=True)
 
     p = command("fuse", _cmd_fuse, "fusion product of two weights", "n", "m")
     p.add_argument("a", help="weight literal")
     p.add_argument("b", help="weight literal")
-    common(p)
 
-    common(command("smatrix", _cmd_smatrix, "modular S-matrix as JSON", "n", "m"), precision=True)
+    command("smatrix", _cmd_smatrix, "modular S-matrix as JSON", "n", "m")
 
     p = command("cc", _cmd_cc, "central charges of the level-k embedding", "n", "m")
     p.add_argument("k", type=int, nargs="?", default=1)
-    common(p)
 
-    p = command("etale", _cmd_etale, "the degree-zero algebra object (branch i=0)", "n", "m")
+    p = command("etale", _cmd_branch, "the degree-zero algebra object (branch i=0)", "n", "m")
     p.add_argument("--young", action="store_true")
-    common(p)
+    p.set_defaults(i=0)
 
     p = command("mirror", _cmd_mirror, "transport algebra summands across the duality", "n", "m")
     p.add_argument("weights", nargs="+", help="weight literals, vacuum included")
-    common(p)
 
     p = command("verify", _cmd_verify, "run a named verification suite (or 'all')")
     p.add_argument("suite", choices=sorted(verify.SUITES) + ["all"])
     p.add_argument("--bound", type=int, default=None,
                    help="sweep bound for rank and level, at least 2 (suite defaults otherwise)")
-    common(p)
 
+    # shared options last, so that usage lines list them after the command's own
+    for name, p in sub.choices.items():
+        p.add_argument("--json", action="store_true", help="emit JSON on stdout")
+        p.add_argument("--out", metavar="FILE", help="write the JSON report to FILE")
+        if name in ("qdim", "smatrix"):
+            p.add_argument("--precision", type=int, default=None,
+                           help="binary precision in bits, at least 32 (default: "
+                                f"{PRECISION_ENV}, else 128)")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        payload, lines, *verdict = args.func(args)
+        status, errors = verdict or (0, ())
+        if args.json or args.out or lines is None:
+            import json
+
+            text = json.dumps(payload, indent=2, sort_keys=True)
+            if args.json or lines is None:
+                lines = [] if args.out else [text]
+        if args.out:
+            try:
+                with open(args.out, "w") as fh:
+                    fh.write(text + "\n")
+            except OSError as exc:
+                raise ValueError(f"cannot write {args.out}: {exc.strerror}") from None
+        try:
+            for line in lines:
+                print(line)
+            sys.stdout.flush()
+        except BrokenPipeError:  # the reader stopped early: drop the rest, here and at exit
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -289,6 +242,12 @@ def main(argv: list[str] | None = None) -> int:
         traceback.print_exc()
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    for r in errors:
+        import traceback
+
+        traceback.print_exception(r.error)
+        print(f"internal error: {r.detail}", file=sys.stderr)
+    return status
 
 
 if __name__ == "__main__":

@@ -165,16 +165,16 @@ def enumerate_rectangle(n: int, m: int) -> tuple[Partition, ...]:
     return result
 
 
-def ascii_diagram(lam: Partition, box: str = "[]") -> str:
+def ascii_diagram(lam: Partition) -> str:
     """Rows of boxes, one text line per row; the empty diagram renders as '1'
     (the label of the unit object)."""
     if lam.height == 0:
         return "1"
-    return "\n".join(box * p for p in lam.parts)
+    return "\n".join("[]" * p for p in lam.parts)
 
 
-def ascii_diagram_pair(left: Partition, right: Partition, sep: str = " x ") -> str:
-    """Two diagrams side by side, joined by ``sep`` on the first line."""
+def ascii_diagram_pair(left: Partition, right: Partition) -> str:
+    """Two diagrams side by side, joined by " x " on the first line."""
     lrows = ascii_diagram(left).split("\n")
     rrows = ascii_diagram(right).split("\n")
     width = max(len(r) for r in lrows)
@@ -182,21 +182,24 @@ def ascii_diagram_pair(left: Partition, right: Partition, sep: str = " x ") -> s
     for k in range(max(len(lrows), len(rrows))):
         lcell = lrows[k] if k < len(lrows) else ""
         rcell = rrows[k] if k < len(rrows) else ""
-        joiner = sep if k == 0 else " " * len(sep)
+        joiner = " x " if k == 0 else "   "
         lines.append((lcell.ljust(width) + joiner + rcell).rstrip())
     return "\n".join(lines)
 
 
-def parse_partition(text: str) -> Partition:
-    """Parse a partition literal such as ``(3,1)`` or ``()``."""
+def parse_literal(text: str, kind: str, brackets: str) -> tuple[int, ...]:
+    """The integers of a ``kind`` literal: comma-separated, optionally inside
+    the two ``brackets``, as in ``(3,1)``; ``()`` when it holds none."""
     s = text.strip()
-    if s.startswith("(") and s.endswith(")"):
+    if s.startswith(brackets[0]) and s.endswith(brackets[1]):
         s = s[1:-1]
     s = s.strip().rstrip(",")
-    if not s:
-        return Partition()
     try:
-        parts = [int(tok) for tok in s.split(",")]
+        return tuple(int(tok) for tok in s.split(",")) if s else ()
     except ValueError as exc:
-        raise ValueError(f"bad partition literal {text!r}") from exc
-    return Partition(parts)
+        raise ValueError(f"bad {kind} literal {text!r}") from exc
+
+
+def parse_partition(text: str) -> Partition:
+    """Parse a partition literal such as ``(3,1)`` or ``()``."""
+    return Partition(parse_literal(text, "partition", "()"))

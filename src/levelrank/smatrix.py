@@ -66,11 +66,8 @@ def central_charge(n: int, m: int, k: int = 1) -> tuple[Fraction, Fraction]:
     and the embedded rank-n level-mk plus rank-m level-nk pair. Both exact."""
     if n < 1 or m < 1 or k < 1:
         raise ValueError("arguments must be positive")
-    ambient = Fraction((n * n * m * m - 1) * k, n * m + k)
-    # (n^2 - 1) m k / (n + m k) + (m^2 - 1) n k / (m + n k) over one denominator
-    pair = Fraction((n * n - 1) * m * k * (m + n * k) + (m * m - 1) * n * k * (n + m * k),
-                    (n + m * k) * (m + n * k))
-    return ambient, pair
+    return (category_central_charge(n * m, k),
+            category_central_charge(n, m * k) + category_central_charge(m, n * k))
 
 
 def category_central_charge(n: int, m: int) -> Fraction:

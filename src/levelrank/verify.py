@@ -383,7 +383,3 @@ def run_suites(names: list[str], bound: int | None = None) -> list[Verdict]:
             results.append(Verdict(name, "raised", False, 0,
                                    detail=f"{type(exc).__name__}: {exc}", error=exc))
     return results
-
-
-def default_suite_names() -> list[str]:
-    return list(SUITES)

@@ -21,7 +21,7 @@ from math import comb
 from operator import mul, sub
 from types import MappingProxyType
 
-from .partitions import Partition
+from .partitions import Partition, parse_literal
 from .record import Record
 
 
@@ -341,13 +341,7 @@ def _sort_sign(seq: list[int]) -> int:
 def parse_components(text: str) -> tuple[int, ...]:
     """The integers of a weight literal such as ``[1,0,0,1,1,0]``, before
     any check of rank or sign."""
-    s = text.strip()
-    if s.startswith("[") and s.endswith("]"):
-        s = s[1:-1]
-    s = s.strip().rstrip(",")
-    if not s:
+    components = parse_literal(text, "weight", "[]")
+    if not components:
         raise ValueError("empty weight literal")
-    try:
-        return tuple(int(tok) for tok in s.split(","))
-    except ValueError as exc:
-        raise ValueError(f"bad weight literal {text!r}") from exc
+    return components

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -162,12 +164,16 @@ def test_smatrix_json(capsys):
     assert float(payload["entries"][0][0][0]) == pytest.approx(0.7071067811865475)
 
 
+def _fresh_env() -> dict[str, str]:
+    """The environment of a fresh interpreter that imports this package."""
+    src = str(Path(levelrank.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
 def _run_fresh(script: str, *flags: str) -> None:
     """Run ``script`` in a fresh interpreter that imports this package."""
-    src = str(Path(levelrank.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, *flags, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=120)
+    done = subprocess.run([sys.executable, *flags, "-c", script], env=_fresh_env(),
+                          capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
 
 
@@ -456,3 +462,105 @@ def test_a_failure_outranks_an_error(capsys, monkeypatch):
            if not r["holds"]]
     assert bad == [("golden", False, None),
                    ("rotation", False, "AssertionError: negative fusion multiplicity")]
+
+
+def test_a_closed_stdout_ends_quietly():
+    """A reader that stops early, as in ``levelrank smatrix 5 4 | head -1``,
+    is not an internal error: the command keeps its own exit status and
+    writes nothing to stderr, at interpreter shutdown included. The JSON
+    (about 367 KB) is larger than a pipe buffer, so the write meets the
+    closed pipe."""
+    proc = subprocess.Popen([sys.executable, "-m", "levelrank.cli", "smatrix", "5", "4"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_fresh_env())
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0
+    assert err == b""
+
+
+# Every command in text, --json, --out and --young mode, pinned byte for
+# byte in tests/golden/cli_transcript.txt: exit status, stdout, stderr and
+# the --out file. DIR in an argument stands for a fresh directory. Usage
+# and help text are laid out for 80 columns.
+PINNED = [
+    "branch 3 6 0",
+    "branch 3 6 0 --json",
+    "branch 3 6 0 --out DIR/report.json",
+    "branch 3 6 0 --json --out DIR/report.json",
+    "branch 2 4 1 --young",
+    "branch 2 4 1 --young --json",
+    "branch 2 4 1 --young --out DIR/report.json",
+    "etale 3 3",
+    "etale 3 3 --young",
+    "etale 3 3 --json",
+    "etale 3 3 --out DIR/report.json",
+    "tau 2 10 0 [4,6]",
+    "tau 3 6 13 [3,2,1] --json",
+    "tau 2 10 0 [4,6] --out DIR/report.json",
+    "qdim 4 4 --partition (4,3,1)",
+    "qdim 3 3 [1,1,1]",
+    "qdim 3 3 [2,1,0] --json",
+    "qdim 4 4 --partition (4,3,1) --out DIR/report.json",
+    "qdim 2 2 [1,1] --backend float",
+    "qdim 3 2 --partition (2,1) --backend float --precision 64 --json",
+    "qdim 3 2 --partition (2,1) --backend float --out DIR/report.json",
+    "fuse 2 2 [1,1] [1,1]",
+    "fuse 3 2 [1,1,0] [0,1,1] --json",
+    "fuse 3 2 [1,1,0] [0,1,1] --out DIR/report.json",
+    "smatrix 2 1",
+    "smatrix 2 2 --json",
+    "smatrix 3 2 --precision 64",
+    "smatrix 2 2 --out DIR/report.json",
+    "smatrix 2 2 --json --out DIR/report.json",
+    "cc 4 5 1",
+    "cc 2 2 2",
+    "cc 3 4 --json",
+    "cc 2 2 2 --out DIR/report.json",
+    "mirror 2 10 [10,0] [4,6]",
+    "mirror 2 10 [10,0] [4,6] --json",
+    "mirror 2 10 [10,0] [4,6] --out DIR/report.json",
+    "verify golden",
+    "verify golden --json",
+    "verify golden --out DIR/report.json",
+    "verify exhaustion --bound 3 --json --out DIR/report.json",
+    "verify all --bound 2",
+    "tau 3 6 0 [4,6]",
+    "tau 3 6 0 [4,6] --json",
+    "branch 3 3 0 --out DIR/missing/report.json",
+    "branch three 6 0",
+    "qdim 2 2 [1,1] --backend bogus",
+    "qdim -h",
+    "-h",
+]
+
+
+def _transcript(command: str, directory: Path) -> str:
+    """Run one pinned command line in-process and record what it left."""
+    out, err = io.StringIO(), io.StringIO()
+    argv = [token.replace("DIR", str(directory)) for token in command.split()]
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejected the command line
+            code = exc.code
+    report = directory / "report.json"
+    streams = [("stdout", out.getvalue()), ("stderr", err.getvalue())]
+    if report.exists():
+        streams.append(("DIR/report.json", report.read_text()))
+    lines = [f"$ levelrank {command}\nexit {code}\n"]
+    for name, text in streams:
+        text = text.replace(str(directory), "DIR")
+        lines.append(f"{name} ({len(text.encode())} bytes):\n{text}")
+    return "".join(lines)
+
+
+def test_every_command_and_mode_is_pinned_byte_for_byte(tmp_path, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("LEVELRANK_PRECISION", raising=False)
+    got = []
+    for k, command in enumerate(PINNED):
+        directory = tmp_path / str(k)
+        directory.mkdir()
+        got.append(_transcript(command, directory))
+    assert "".join(got) == (GOLDEN / "cli_transcript.txt").read_text()

@@ -61,7 +61,7 @@ def test_memo_inventory():
 
 
 def test_cold_caches_give_the_warm_verdicts():
-    names = verify.default_suite_names()
+    names = list(verify.SUITES)
     warm = verify.run_suites(names, bound=3)
     for table in _memo_tables().values():
         table.cache_clear()
@@ -80,7 +80,7 @@ def test_suites_leave_no_cyclic_garbage():
     gc.collect()
     gc.disable()
     try:
-        verify.run_suites(verify.default_suite_names(), bound=3)
+        verify.run_suites(list(verify.SUITES), bound=3)
         assert gc.collect() == 0
     finally:
         gc.enable()

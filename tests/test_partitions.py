@@ -12,6 +12,7 @@ from levelrank.partitions import (
     hooks_and_contents,
     parse_partition,
 )
+from levelrank.weights import parse_components
 
 from partition_oracles import content_rows, hook_rows
 
@@ -140,6 +141,28 @@ def test_parse_partition():
     assert parse_partition("()") == Partition()
     with pytest.raises(ValueError):
         parse_partition("(a,b)")
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_components, "[]", "empty weight literal"),
+    (parse_components, "[,]", "empty weight literal"),
+    (parse_components, "[1,x]", "bad weight literal '[1,x]'"),
+    (parse_components, "(1,1)", "bad weight literal '(1,1)'"),
+    (parse_partition, "(a,b)", "bad partition literal '(a,b)'"),
+    (parse_partition, "[2,1]", "bad partition literal '[2,1]'"),
+])
+def test_weight_and_partition_literals_name_what_is_wrong(parse, text, message):
+    """Each parser strips only its own brackets and names the kind of
+    literal it could not read."""
+    with pytest.raises(ValueError) as err:
+        parse(text)
+    assert str(err.value) == message
+
+
+def test_literals_allow_spaces_and_a_trailing_comma():
+    assert parse_components(" [ 2, 0 , ] ") == (2, 0)
+    assert parse_partition(" ( 2, 1, ) ") == Partition((2, 1))
+    assert parse_partition(" ( ) ") == Partition()
 
 
 @settings(max_examples=25, deadline=None)
