@@ -90,9 +90,8 @@ def _cmd_qdim(args):
     lam = (parse_partition(args.partition) if args.partition
            else _weight(args.weight, args).to_partition())
     product = qdim.qdim_product_string(lam, args.n)
-    precision = _precision(args)
     if args.backend == "float":
-        with mpmath.workprec(precision):
+        with mpmath.workprec(_precision(args)):
             value = qdim.qdim_partition(lam, args.n, args.m, backend="float")
             numeric = mpmath.nstr(value, 20)
         exact_json = None

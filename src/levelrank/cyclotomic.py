@@ -23,7 +23,7 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cache
 from math import gcd
-from operator import mul
+from operator import add, mul, sub
 
 
 def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
@@ -59,19 +59,24 @@ def euler_phi(n: int) -> int:
 
 def _reduce_mod_phi(coeffs: list[int], n: int) -> list[int]:
     """Reduce an integer coefficient vector modulo the n-th cyclotomic
-    polynomial, folding exponents mod n first (zeta^n = 1)."""
-    folded = [0] * n
-    for e, c in enumerate(coeffs):
-        if c:
-            folded[e % n] += c
+    polynomial. Exponents fold mod n (zeta^n = 1), and for even n mod n/2
+    with sign (-1)^(e // (n/2)), as Phi_n divides x^(n/2) + 1; then the
+    rows left above the degree are divided out by the nonzero terms of
+    Phi_n alone."""
+    step = n // 2 if n % 2 == 0 else n
+    folded = [0] * step
+    for start in range(0, len(coeffs), step):
+        chunk = coeffs[start:start + step]
+        op = sub if step < n and start // step % 2 else add
+        folded[:len(chunk)] = map(op, folded, chunk)
     phi = cyclotomic_polynomial(n)
     deg = len(phi) - 1
-    for i in range(n - 1, deg - 1, -1):
+    terms = [(j - deg, c) for j, c in enumerate(phi[:deg]) if c]
+    for i in range(step - 1, deg - 1, -1):
         c = folded[i]
         if c:
-            folded[i] = 0
-            for j in range(deg):
-                folded[i - deg + j] -= c * phi[j]
+            for j, p in terms:
+                folded[i + j] -= c * p
     return folded[:deg]
 
 

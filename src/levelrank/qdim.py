@@ -21,10 +21,13 @@ zeta, so in Z[x]/(x^N - 1) the numerator has non-negative coefficients that
 sum to P = prod (v_i - v_j). It is formed as one integer of N slots of
 k = bitlen(P) + 1 bits: x = 2^k maps Z[x]/(x^N - 1) into the integers
 modulo 2^(kN) - 1, injectively on coefficients in [0, 2^(k-1)), so each
-coefficient reads back from its slot. Each [d] costs d shifts and adds; the
-numerator is unpacked and reduced mod Phi_N once, then multiplied by one
-cached inverse of the denominator per (n, m). The hook-content product
-stays as the independent route: the float backend,
+coefficient reads back from its slot. Each [d] enters as x^(d-1) [d] =
+1 + x^2 + ... + x^(2d-2) = (x^(2d) - 1)/(x^2 - 1): the value v becomes
+((v << 2kd) - v) // (2^(2k) - 1), an exact division by a small integer,
+folded mod 2^(kN) - 1. The numerator is unpacked with its slots rotated
+back by the total shift sum (d - 1), reduced mod Phi_N once, then
+multiplied by one cached inverse of the denominator per (n, m). The
+hook-content product stays as the independent route: the float backend,
 ``qdim_product_string``, the golden check of ``verify`` and the tests
 evaluate it.
 
@@ -90,26 +93,30 @@ def qdim_partition(lam: Partition, n: int, m: int, backend: str = "exact"):
 @cache
 def _qdim_exact(top: tuple[int, ...]) -> CyclotomicNumber:
     """The Weyl product of the weight with components ``top`` (see the
-    module docstring): the numerator as one packed integer, unpacked and
-    reduced mod Phi_N once, times the cached inverse of the denominator."""
+    module docstring): the numerator as one packed integer, one shift, exact
+    division and fold per factor, unpacked and reduced mod Phi_N once, times
+    the cached inverse of the denominator."""
     n, m = len(top), sum(top)
     N = conductor_for(n, m)
-    diffs = []  # v_i - v_j for 1 <= i < j <= n
+    diffs = []  # v_i - v_j > 1 for 1 <= i < j <= n; a factor [1] = 1 drops out
     for i in range(1, n):
         d = 0
         for a in top[i:]:
             d += a + 1
-            diffs.append(d)
+            if d > 1:
+                diffs.append(d)
     k = prod(diffs).bit_length() + 1
     width = k * N
     modulus = (1 << width) - 1
+    g = (1 << 2 * k) - 1  # x^2 - 1 at x = 2^k
     value = 1
-    for d in diffs:  # times [d], the shifts by k * (d - 1 - 2j) mod N, j < d
-        value = sum(value << k * ((d - 1 - 2 * j) % N) for j in range(d))
+    for d in diffs:  # times x^(d-1) [d] = (x^(2d) - 1)/(x^2 - 1)
+        value = ((value << 2 * k * d) - value) // g
         while value >> width:
             value = (value & modulus) + (value >> width)
+    shift = sum(diffs) - len(diffs)  # the x^(d-1) of each factor, undone below
     mask = (1 << k) - 1
-    numerator = CyclotomicNumber(N, [value >> k * e & mask for e in range(N)])
+    numerator = CyclotomicNumber(N, [value >> k * ((e + shift) % N) & mask for e in range(N)])
     return numerator * _weyl_denominator_inverse(n, m)
 
 

@@ -277,8 +277,9 @@ def top_rotation(comps: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     canonical order r is the first member of the rotation orbit, the
     position ``weight_table`` records in its ``orbit`` column."""
     n = len(comps)
-    top, k = max((comps[n - k:] + comps[:n - k], -k) for k in range(n))
-    return -k, top
+    rotations = [comps[n - k:] + comps[:n - k] for k in range(n)]
+    top = max(rotations)
+    return rotations.index(top), top
 
 
 # -- the affine Weyl fold ---------------------------------------------------------

@@ -400,6 +400,23 @@ def test_qdim_float_precision_validated(capsys):
     assert code == 2
 
 
+def test_exact_qdim_ignores_the_precision(capsys, monkeypatch):
+    """Only the float backend reads the precision, so neither a low
+    LEVELRANK_PRECISION nor a low --precision stops an exact dimension."""
+    expected = run(capsys, "qdim", "3", "3", "[1,1,1]")
+    assert expected[0] == 0
+    monkeypatch.setenv("LEVELRANK_PRECISION", "16")
+    assert run(capsys, "qdim", "3", "3", "[1,1,1]") == expected
+    assert run(capsys, "qdim", "3", "3", "[1,1,1]", "--precision", "16") == expected
+
+
+def test_float_qdim_checks_the_precision_environment(capsys, monkeypatch):
+    monkeypatch.setenv("LEVELRANK_PRECISION", "16")
+    code, _, err = run(capsys, "qdim", "3", "3", "[1,1,1]", "--backend", "float")
+    assert code == 2
+    assert "LEVELRANK_PRECISION must be at least 32 bits, got 16" in err
+
+
 @pytest.mark.parametrize("error, command, target", [
     pytest.param(ArithmeticError, ["verify", "verlinde"], "fusion.verlinde_check",
                  id="ArithmeticError"),

@@ -10,12 +10,15 @@ from hypothesis import strategies as st
 from levelrank.cyclotomic import (
     CyclotomicNumber,
     IntegralPacking,
+    _reduce_mod_phi,
     conductor_for,
     cyclotomic_polynomial,
     euler_phi,
     qint,
     qint_real,
 )
+
+from cyclotomic_oracles import reduce_mod_phi_dense
 
 
 def test_cyclotomic_polynomials_small():
@@ -109,6 +112,26 @@ def test_integral_packing_decides_products_exactly():
                                    - packing.pack(_integral_coefficients(x.conjugate())))
     with pytest.raises(ValueError):
         IntegralPacking(8, 10).pack([0] * 9)
+
+
+_REDUCTION_CONDUCTORS = {
+    "odd": list(range(1, 61, 2)),
+    "twice odd": list(range(2, 61, 4)),
+    "4k": list(range(4, 61, 4)),
+    "prime power": [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32, 37,
+                    41, 43, 47, 49, 53, 59],
+}
+
+
+@pytest.mark.parametrize("kind", _REDUCTION_CONDUCTORS)
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_reduction_mod_phi_matches_the_long_division(kind, data):
+    """The half fold and sparse rows give the plain long division's result
+    for coefficient lists up to 3N long, large coefficients included."""
+    N = data.draw(st.sampled_from(_REDUCTION_CONDUCTORS[kind]))
+    coeffs = data.draw(st.lists(st.integers(), max_size=3 * N))
+    assert _reduce_mod_phi(coeffs, N) == reduce_mod_phi_dense(coeffs, N)
 
 
 _PACKING_CONDUCTORS = (3, 4, 6, 8, 12, 15, 20, 28, 30)

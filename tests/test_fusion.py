@@ -374,17 +374,29 @@ def test_every_ordered_product_matches_its_pinned_digest(n, m, digest):
 @pytest.mark.parametrize("n", range(2, 7))
 @pytest.mark.parametrize("m", range(0, 7))
 def test_top_rotation_is_the_first_weight_of_its_orbit(n, m):
-    """The representative is the largest rotation, k rotations give it, and
-    it is the first weight of its orbit id in the table."""
+    """The representative is the largest rotation, k is the smallest power
+    of the rotation that gives it, and it is the first weight of its orbit
+    id in the table."""
     table = weight_table(n, m)
     first = {}
     for p, o in enumerate(table.orbit):
         first.setdefault(o, p)
     for a, o in zip(table.weights, table.orbit):
         k, top = top_rotation(a.components)
-        assert top == max(a.rotate(j).components for j in range(n)), a
-        assert 0 <= k < n and a.rotate(k).components == top, a
+        rotations = [a.rotate(j).components for j in range(n)]
+        assert top == max(rotations), a
+        assert 0 <= k < n and rotations[k] == top and top not in rotations[:k], a
         assert table.weights[first[o]].components == top, a
+
+
+@pytest.mark.parametrize("comps, k", [
+    ((1, 0, 1, 0), 0), ((0, 1, 0, 1), 1), ((2, 2), 0), ((0, 1, 1, 0, 1, 1), 2),
+    ((0, 0, 1, 0, 0, 1), 1),
+])
+def test_top_rotation_of_a_periodic_weight_takes_the_smallest_power(comps, k):
+    """A weight fixed by a rotation reaches its top at several powers; the
+    smallest is the one returned."""
+    assert top_rotation(comps) == (k, LevelWeight(comps).rotate(k).components)
 
 
 @settings(max_examples=60, deadline=None)
