@@ -71,16 +71,15 @@ class BranchingTable(ValueRecord):
 def branch(n: int, m: int, i: int) -> BranchingTable:
     """The full decomposition of the i-th level-1 object, one pair
     (a, tau_i(a)) per weight a of degree i, in canonical order on a, read
-    off the tau column of ``weight_table(n, m)``."""
+    off the tau column of ``weight_table(n, m)`` through the power
+    ``rotation[i // n]`` of ``weight_table(m, n)``."""
     if n < 2 or m < 2:
         raise ValueError("need rank and level at least 2")
     i = i % (n * m)
     left, right = weight_table(n, m), weight_table(m, n)
-    cls = left.classes[i % n]
-    images = [left.tau[p] for p in cls]
-    for _ in range(i // n):  # tau_{d + t n}(a) is tau_d(a) rotated t times
-        images = [right.rotation[q] for q in images]
-    return BranchingTable(n=n, m=m, i=i, positions=tuple(zip(cls, images)))
+    rotate = right.rotation[i // n]  # tau_{d + t n}(a) is tau_d(a) rotated t times
+    return BranchingTable(n=n, m=m, i=i, positions=tuple(
+        (p, rotate[left.tau[p]]) for p in left.classes[i % n]))
 
 
 def etale_vacuum_algebra(n: int, m: int) -> BranchingTable:

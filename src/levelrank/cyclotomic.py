@@ -370,12 +370,7 @@ def qint(i: int, n: int, m: int) -> CyclotomicNumber:
     qint(-i) = -qint(i).
     """
     N = conductor_for(n, m)
-    return _qint(N, i % N)
-
-
-@cache
-def _qint(N: int, i: int) -> CyclotomicNumber:
-    """qint at conductor N and index 0 <= i < N."""
+    i %= N
     coeffs = [0] * N
     for j in range(i):
         coeffs[(i - 1 - 2 * j) % N] += 1

@@ -3,17 +3,17 @@ Littlewood-Richardson expansion into the level alcove.
 
 The product of two weights is computed in four steps:
 
-0. rotate each factor to the representative of its rotation orbit, its
-   largest rotation ``weights.top_rotation``: the orbit's first member in
-   canonical order, at the position the ``weight_table`` orbit column holds.
-   The rotation is fusion with a power of the invertible object J, so
+0. rotate each factor to the representative of its rotation orbit, the
+   position the ``orbit`` column of ``weight_table(n, m)`` holds: the
+   orbit's first member in canonical order, its largest rotation. The power
+   k is the smallest t with ``rotation[t]`` taking the factor there. The
+   rotation is fusion with a power of the invertible object J, so
    N_{sigma^k a, sigma^l b}^{sigma^(k+l) c} = N_ab^c (Schellekens-Yankielowicz),
-   and steps 1-3 run on the rotated pair; every term is rotated back by
-   -(k+l) at the end, by stepping the ``rotation`` column of
-   ``weight_table(n, m)``. The power and the rotated partition depend on the
-   weight alone, so ``_orbit_representative`` works them out once per
-   weight. The LR tables of the few orbit representatives are shared by all
-   pairs of their orbits;
+   and steps 1-3 run on the rotated pair; every term is rotated back at the
+   end through the table's power ``rotation[-(k+l) mod n]``. The power and
+   the rotated partition depend on the weight alone, so
+   ``_orbit_representative`` works them out once per weight. The LR tables
+   of the few orbit representatives are shared by all pairs of their orbits;
 1. expand the product of the corresponding finite characters with the LR
    rule, keeping partitions of at most n rows (taller ones vanish for sl_n);
 2. shift each resulting partition by the staircase (n-1, ..., 1, 0) and
@@ -53,7 +53,7 @@ from .partitions import Partition
 from .smatrix import s_matrix
 from .symfunc import lr_expand
 from .verdict import Verdict
-from .weights import LevelWeight, _fold_into_alcove, from_partition, top_rotation, weight_table
+from .weights import LevelWeight, _fold_into_alcove, from_partition, weight_table
 
 
 class Decomposition:
@@ -126,21 +126,20 @@ def _fuse_terms(x: tuple[int, ...], y: tuple[int, ...]) -> dict[LevelWeight, int
     n, m = len(x), sum(x)
     table = weight_table(n, m)
     (k, lam), (l, mu) = _orbit_representative(x), _orbit_representative(y)
-    steps = (-k - l) % n
-    out = {}
-    for p, c in _fold_positions(lam, mu, n, m).items():
-        for _ in range(steps):
-            p = table.rotation[p]
-        out[table.weights[p]] = c
-    return out
+    back = table.rotation[(-k - l) % n]
+    return {table.weights[back[p]]: c for p, c in _fold_positions(lam, mu, n, m).items()}
 
 
 @cache
 def _orbit_representative(comps: tuple[int, ...]) -> tuple[int, Partition]:
-    """(k, partition of the weight rotated by k), for (k, rotated
-    components) the ``top_rotation`` of ``comps``."""
-    k, top = top_rotation(comps)
-    return k, LevelWeight._unchecked(top).to_partition()
+    """(k, partition of the weight rotated by k), for k the smallest power
+    of the rotation that takes the weight with components ``comps`` to its
+    ``orbit`` position in ``weight_table``."""
+    table = weight_table(len(comps), sum(comps))
+    p = table.position[comps]
+    o = table.orbit[p]
+    k = next(t for t, power in enumerate(table.rotation) if power[p] == o)
+    return k, table.weights[o].to_partition()
 
 
 def _fold_lr(a: LevelWeight, b: LevelWeight) -> dict[LevelWeight, int]:

@@ -33,8 +33,12 @@ evaluate it.
 
 The dimension is constant along the rotation orbit of a weight, so the
 exact products are memoised per orbit: ``qdim_partition`` keys its table on
-the orbit's representative, ``weights.top_rotation`` of the components of
-lam's weight, and at (7, 7) the 1716 weights need only 246 products.
+the largest rotation of lam's weight, the orbit's first member in
+canonical order and so the weight at its ``orbit`` position in
+``weight_table(n, m)``. It takes that rotation off the components without
+building the table, which holds binomial(n + m - 1, n - 1) weights, so
+one dimension stays cheap at any rank and level. At (7, 7) the 1716
+weights need only 246 products.
 ``dimension_report(n, m)`` is the one record of a rank and level, by
 ``weight_table`` position; its graded totals count the weights of each
 orbit as plain ints and square each orbit's dimension once.
@@ -50,7 +54,7 @@ from math import prod
 from .cyclotomic import CyclotomicNumber, conductor_for, qint, qint_real
 from .partitions import Partition
 from .record import Record
-from .weights import LevelWeight, from_partition, top_rotation, weight_table
+from .weights import LevelWeight, from_partition, weight_table
 
 
 def hook_content_factors(lam: Partition, n: int) -> tuple[list[int], list[int]]:
@@ -87,7 +91,8 @@ def qdim_partition(lam: Partition, n: int, m: int, backend: str = "exact"):
         return _qdim_float(lam, n, m)
     if backend != "exact":
         raise ValueError(f"unknown backend {backend!r}")
-    return _qdim_exact(top_rotation(from_partition(lam, n, m).components)[1])
+    comps = from_partition(lam, n, m).components
+    return _qdim_exact(max(comps[k:] + comps[:k] for k in range(n)))
 
 
 @cache

@@ -61,17 +61,16 @@ def _transpose_images(n: int, m: int) -> Iterator[tuple[Partition, int, int, int
 
     The transpose route runs once per partition, at i0 = |lam| mod n. Its
     value at i = i0 + t*n is that image rotated t more times, which is
-    exactly what ``tau_from_partition`` returns there, so q steps through
-    the (m, n) ``rotation`` column and every (lam, i) is still checked
-    against the transpose of lam.
+    exactly what ``tau_from_partition`` returns there, so q is read through
+    the (m, n) ``rotation[t]`` and every (lam, i) is still checked against
+    the transpose of lam.
     """
     left, right = weight_table(n, m), weight_table(m, n)
     for lam in enumerate_rectangle(n, m):
         p = left.position[weights.from_partition(lam, n, m).components]
         q = right.position[weights.tau_from_partition(lam, n, m, lam.size % n).components]
-        for i in range(lam.size % n, n * m, n):
-            yield lam, p, i, q
-            q = right.rotation[q]
+        for power, i in zip(right.rotation, range(lam.size % n, n * m, n)):
+            yield lam, p, i, power[q]
 
 
 # -- suites ---------------------------------------------------------------------
@@ -120,7 +119,7 @@ def suite_tau(bound: int = 6) -> list[Verdict]:
             if image[left.position[a.dual().components]] != right.position[dual.components]:
                 return Verdict("tau", f"dual-commute n={n} m={m}", False, detail=str(a))
         # degree shifts by the level under rotation
-        for a, r, d in zip(left.weights, left.rotation, left.degree):
+        for a, r, d in zip(left.weights, left.rotation[1], left.degree):
             if left.degree[r] != (d + m) % n:
                 return Verdict("tau", f"degree-rotation n={n} m={m}", False, detail=str(a))
         checked += len(left.classes[0]) + len(left.weights)
@@ -358,8 +357,8 @@ SUITES: dict[str, Callable[..., list[Verdict]]] = {
 
 def _takes_bound(fn: Callable) -> bool:
     """Whether the suite function ``fn`` has a parameter named ``bound``,
-    read off its code object."""
-    code = fn.__code__
+    read off its code object, or off that of the function it wraps."""
+    code = getattr(fn, "__wrapped__", fn).__code__
     return "bound" in code.co_varnames[:code.co_argcount + code.co_kwonlyargcount]
 
 

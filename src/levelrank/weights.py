@@ -1,7 +1,8 @@
 """Dominant affine weights of fixed rank and level, the degree grading, the
 cyclic rotation, duals, the transpose-plus-rotation bijection between
 degree classes of dual rank/level pairs, the per-(n, m) table that
-indexes them by position, the representative of each rotation orbit, and
+indexes them by position with every power of the rotation and the
+representative of each rotation orbit, and
 the affine Weyl fold of a shifted vector into the level alcove, which both
 the Kac-Walton fusion rule and the Galois action on the S-matrix read.
 
@@ -219,23 +220,27 @@ class WeightTable(Record):
     """The combinatorics of rank n, level m, built once by ``weight_table``.
 
     ``weights`` are in canonical order and ``position`` maps the components
-    of each back to its index. Per position p: ``degree[p]``, the degree of
-    ``weights[p]``; ``rotation[p]``, the position of ``weights[p].rotate()``;
-    and ``orbit[p]``, the position of the first member of its rotation
-    orbit, which is the orbit's ``top_rotation``, so ``orbit[q] == q``
-    exactly at the representatives. ``classes[i]`` holds the positions of
-    degree i and ``graded[i]`` their weights.
+    of each back to its index. ``rotation`` holds the n powers of the
+    rotation: ``rotation[t][p]`` is the position of ``weights[p].rotate(t)``
+    for 0 <= t < n. Per position p: ``degree[p]``, the degree of
+    ``weights[p]``, and ``orbit[p]``, the smallest position among its
+    rotations. That is the orbit's first member in canonical order, its
+    largest rotation, so ``orbit[q] == q`` exactly at the representatives.
+    ``classes[i]`` holds the positions of degree i and ``graded[i]`` their
+    weights.
 
     For level m >= 2, ``tau[p]`` is the position in the (m, n) table of
-    tau(a, deg a), a = weights[p]; otherwise ``tau`` is empty. For t >= 0,
-    tau(a, deg a + t*n) is that image rotated t times, so every class reads
-    its images off this column through the (m, n) ``rotation``.
+    tau(a, deg a), a = weights[p]; otherwise ``tau`` is empty. For
+    0 <= t < m, tau(a, deg a + t*n) is that image rotated t times, so every
+    class reads its images off this column through the (m, n)
+    ``rotation[t]``.
     """
 
     def __init__(self, n: int, m: int, weights: tuple[LevelWeight, ...],
                  position: Mapping[tuple[int, ...], int], classes: tuple[tuple[int, ...], ...],
                  graded: tuple[tuple[LevelWeight, ...], ...], degree: tuple[int, ...],
-                 rotation: tuple[int, ...], orbit: tuple[int, ...], tau: tuple[int, ...]):
+                 rotation: tuple[tuple[int, ...], ...], orbit: tuple[int, ...],
+                 tau: tuple[int, ...]):
         vars(self).update(n=n, m=m, weights=weights, position=position, classes=classes,
                           graded=graded, degree=degree, rotation=rotation, orbit=orbit,
                           tau=tau)
@@ -244,8 +249,8 @@ class WeightTable(Record):
 @cache
 def weight_table(n: int, m: int) -> WeightTable:
     """The table of rank n, level m, built from ``weight_components``: one
-    pass over the weights for degrees and rotations, one walk of each
-    rotation cycle from its first member, and one ``tau`` call per weight."""
+    pass over the weights for degrees and the one-step rotation, composed
+    n - 1 times for the other powers, and one ``tau`` call per weight."""
     comps = tuple(weight_components(n, m))
     assert len(comps) == comb(n + m - 1, n - 1)
     weights = tuple(map(LevelWeight._unchecked, comps))
@@ -254,13 +259,10 @@ def weight_table(n: int, m: int) -> WeightTable:
     classes: list[list[int]] = [[] for _ in range(n)]
     for p, d in enumerate(degree):
         classes[d].append(p)
-    rotation = tuple(position[c[-1:] + c[:-1]] for c in comps)
-    orbit = [-1] * len(weights)
-    for start in range(len(weights)):
-        p = start
-        while orbit[p] < 0:
-            orbit[p] = start
-            p = rotation[p]
+    step = tuple(position[c[-1:] + c[:-1]] for c in comps)
+    rotation = [tuple(range(len(comps)))]
+    for _ in range(n - 1):
+        rotation.append(tuple(map(step.__getitem__, rotation[-1])))
     images: tuple[int, ...] = ()
     if m >= 2:
         dual = {c: q for q, c in enumerate(weight_components(m, n))}
@@ -268,18 +270,7 @@ def weight_table(n: int, m: int) -> WeightTable:
     return WeightTable(n, m, weights, MappingProxyType(position),
                        tuple(map(tuple, classes)),
                        tuple(tuple(weights[p] for p in cls) for cls in classes),
-                       degree, rotation, tuple(orbit), images)
-
-
-def top_rotation(comps: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    """(k, r) for r the largest rotation of the components ``comps`` and k
-    the smallest power with ``LevelWeight(comps).rotate(k)`` equal to r. In
-    canonical order r is the first member of the rotation orbit, the
-    position ``weight_table`` records in its ``orbit`` column."""
-    n = len(comps)
-    rotations = [comps[n - k:] + comps[:n - k] for k in range(n)]
-    top = max(rotations)
-    return rotations.index(top), top
+                       degree, tuple(rotation), tuple(map(min, zip(*rotation))), images)
 
 
 # -- the affine Weyl fold ---------------------------------------------------------

@@ -19,7 +19,7 @@ from levelrank.fusion import (
 )
 from levelrank.qdim import qdim_weight
 from levelrank.weights import (LevelWeight, _fold_into_alcove, _sort_sign, enumerate_weights,
-                               from_partition, top_rotation, weight_table)
+                               from_partition, weight_table)
 from levelrank.partitions import Partition, enumerate_rectangle
 
 from fusion_oracles import fuse_decompositions, total_qdim
@@ -53,21 +53,30 @@ def test_rank_level_mismatch_rejected():
         fuse(LevelWeight((1, 1)), LevelWeight((2, 1)))
 
 
-def test_commutativity():
-    ws = enumerate_weights(3, 2)
-    for a in ws:
-        for b in ws:
-            assert fuse(a, b) == fuse(b, a)
+# Every rank and level up to 5, so that the orbit route of ``fuse`` rotates
+# its terms back at ranks 4 and 5 too.
+UP_TO_FIVE = [(n, m) for n in range(2, 6) for m in range(1, 6)]
 
 
-@pytest.mark.parametrize("n,m", [(2, 2), (2, 3), (3, 2), (3, 3)])
-def test_associativity(n, m):
+def _draw_weights(data, n: int, m: int, count: int) -> list[LevelWeight]:
     ws = enumerate_weights(n, m)
-    for a in ws:
-        for b in ws:
-            ab = fuse(a, b)
-            for c in ws:
-                assert fuse_decompositions(ab, c) == fuse_decompositions(fuse(b, c), a)
+    return [data.draw(st.sampled_from(ws)) for _ in range(count)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_commutativity(data):
+    n, m = data.draw(st.sampled_from(UP_TO_FIVE))
+    a, b = _draw_weights(data, n, m, 2)
+    assert fuse(a, b) == fuse(b, a)
+
+
+@pytest.mark.parametrize("n,m", UP_TO_FIVE)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_associativity(n, m, data):
+    a, b, c = _draw_weights(data, n, m, 3)
+    assert fuse_decompositions(fuse(a, b), c) == fuse_decompositions(fuse(b, c), a)
 
 
 @pytest.mark.parametrize("n,m", [(2, 2), (2, 4), (3, 3), (4, 2), (4, 4), (3, 4)])
@@ -98,15 +107,14 @@ def test_rotation_of_vacuum_is_sigma():
     assert LevelWeight.vacuum(n, m).rotate(1).components == (0, m) + (0,) * (n - 2)
 
 
-@pytest.mark.parametrize("n,m", [(2, 4), (3, 3)])
-def test_vacuum_multiplicity_in_dual_pairing(n, m):
+@pytest.mark.parametrize("n,m", UP_TO_FIVE)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_vacuum_multiplicity_in_dual_pairing(n, m, data):
+    a, b = _draw_weights(data, n, m, 2)
     v = LevelWeight.vacuum(n, m)
-    for a in enumerate_weights(n, m):
-        dec = fuse(a, a.dual())
-        assert dec.multiplicity(v) == 1
-        for b in enumerate_weights(n, m):
-            if b != a.dual():
-                assert fuse(a, b).multiplicity(v) == 0
+    assert fuse(a, a.dual()).multiplicity(v) == 1
+    assert fuse(a, b).multiplicity(v) == (b == a.dual())
 
 
 @pytest.mark.parametrize("n,m", [(2, 3), (3, 3), (3, 4), (4, 3), (4, 4), (5, 2)])
@@ -374,17 +382,18 @@ def test_every_ordered_product_matches_its_pinned_digest(n, m, digest):
 @pytest.mark.parametrize("n", range(2, 7))
 @pytest.mark.parametrize("m", range(0, 7))
 def test_top_rotation_is_the_first_weight_of_its_orbit(n, m):
-    """The representative is the largest rotation, k is the smallest power
-    of the rotation that gives it, and it is the first weight of its orbit
-    id in the table."""
+    """The orbit representative fusion rotates each factor to is the
+    largest rotation, k is the smallest power of the rotation that gives
+    it, and it is the first weight of its orbit id in the table."""
     table = weight_table(n, m)
     first = {}
     for p, o in enumerate(table.orbit):
         first.setdefault(o, p)
     for a, o in zip(table.weights, table.orbit):
-        k, top = top_rotation(a.components)
+        k, lam = fusion._orbit_representative(a.components)
         rotations = [a.rotate(j).components for j in range(n)]
-        assert top == max(rotations), a
+        top = max(rotations)
+        assert lam == LevelWeight(top).to_partition(), a
         assert 0 <= k < n and rotations[k] == top and top not in rotations[:k], a
         assert table.weights[first[o]].components == top, a
 
@@ -395,8 +404,10 @@ def test_top_rotation_is_the_first_weight_of_its_orbit(n, m):
 ])
 def test_top_rotation_of_a_periodic_weight_takes_the_smallest_power(comps, k):
     """A weight fixed by a rotation reaches its top at several powers; the
-    smallest is the one returned."""
-    assert top_rotation(comps) == (k, LevelWeight(comps).rotate(k).components)
+    smallest is the one returned, with the partition of that rotation."""
+    a = LevelWeight(comps)
+    assert a.rotate(k).components == max(a.rotate(j).components for j in range(a.rank))
+    assert fusion._orbit_representative(comps) == (k, a.rotate(k).to_partition())
 
 
 @settings(max_examples=60, deadline=None)

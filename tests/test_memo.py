@@ -20,7 +20,6 @@ from levelrank.weights import LevelWeight, enumerate_graded, enumerate_weights, 
 MEMO_TABLES = {
     "branching._paired_sum",
     "cyclotomic.cyclotomic_polynomial",
-    "cyclotomic._qint",
     "fusion._alcove_term",
     "fusion._fuse_terms",
     "fusion._orbit_representative",
@@ -169,7 +168,7 @@ def test_qint_is_keyed_on_the_index_mod_the_conductor():
     for n, m in [(2, 2), (3, 4)]:
         N = conductor_for(n, m)
         for i in range(-N, N):
-            assert qint(i, n, m) is qint(i + N, n, m)
+            assert qint(i, n, m) == qint(i + N, n, m)
 
 
 def test_no_lookup_hashes_a_weight(monkeypatch):

@@ -1,3 +1,4 @@
+import functools
 import inspect
 import json
 import math
@@ -68,6 +69,19 @@ def test_run_suites_passes_bound_to_suites_with_a_bound_parameter(monkeypatch):
     calls.clear()
     verify.run_suites(["tau", "branch", "golden"])
     assert calls == [("bounded", 5), ("keyword_only", 5), ("fixed", 7)]
+
+
+def test_run_suites_passes_bound_to_a_wrapped_suite(monkeypatch):
+    """A suite wrapped with ``functools.wraps``, as a tracer wraps it, still
+    takes the override: its parameters are read off the wrapped function."""
+    suite = verify.SUITES["twist"]
+
+    @functools.wraps(suite)
+    def wrapper(*args, **kwargs):
+        return suite(*args, **kwargs)
+
+    monkeypatch.setitem(verify.SUITES, "twist", wrapper)
+    assert [r.name for r in verify.run_suites(["twist"], bound=2)] == ["n=2 m=2"]
 
 
 def test_run_suites_reads_the_registry_at_call_time(monkeypatch):

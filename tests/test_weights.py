@@ -183,20 +183,22 @@ def test_tau_involution_and_bijection(n, m):
 
 @pytest.mark.parametrize("n,m", SMALL)
 def test_weight_table_reads_every_tau_off_one_column(n, m):
-    """The table's tau column, rotated t times through the (m, n) table, is
-    tau(a, deg a + t*n) for every weight a and every t < m; its index,
-    class, rotation and orbit columns agree with the weights, each orbit
-    entry the position of the first weight with the same top rotation."""
+    """The table's tau column, read through the power rotation[t] of the
+    (m, n) table, is tau(a, deg a + t*n) for every weight a and every
+    t < m; its index, class, rotation and orbit columns agree with the
+    weights: rotation[t][p] is the position of weights[p].rotate(t) for
+    every t < n, and each orbit entry is the position of the first weight
+    with the same top rotation."""
     table, dual = weight_table(n, m), weight_table(m, n)
     assert table.weights is enumerate_weights(n, m)
+    assert len(table.rotation) == n and len(dual.rotation) == m
     for p, a in enumerate(table.weights):
         assert table.position[a.components] == p
         assert p in table.classes[a.degree()]
-        assert table.weights[table.rotation[p]] == a.rotate()
-        q = table.tau[p]
-        for i in range(a.degree(), n * m, n):
-            assert dual.weights[q] == tau(a, i)
-            q = dual.rotation[q]
+        for t, power in enumerate(table.rotation):
+            assert table.weights[power[p]] == a.rotate(t)
+        for t, i in enumerate(range(a.degree(), n * m, n)):
+            assert dual.weights[dual.rotation[t][table.tau[p]]] == tau(a, i)
     assert all(table.graded[i] == tuple(table.weights[p] for p in table.classes[i])
                for i in range(n))
     tops = [max(a.rotate(k).components for k in range(n)) for a in table.weights]
