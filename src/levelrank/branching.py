@@ -18,7 +18,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cache
 
-from .cyclotomic import CyclotomicNumber, conductor_for
+from .cyclotomic import conductor_for, packed_sums
 from .fusion import fuse
 from .partitions import Partition
 from .qdim import dimension_report, graded_dim
@@ -118,10 +118,10 @@ def verify_exhaustion(n: int, m: int, i: int) -> Verdict:
 @cache
 def _paired_sum(n: int, m: int, counts: tuple[tuple[tuple[int, int], int], ...]):
     """Sum of k * qdim(p) * qdim(q) over the ((p, q), k) in ``counts``, with p
-    and q ``orbit`` positions of the rank-n and rank-m weight tables."""
+    and q ``orbit`` positions of the rank-n and rank-m weight tables, as one
+    row of ``packed_sums``."""
     left, right = dimension_report(n, m).dims, dimension_report(m, n).dims
-    return sum((left[p] * right[q] * k for (p, q), k in counts),
-               CyclotomicNumber.zero(conductor_for(n, m)))
+    return packed_sums(conductor_for(n, m), left, right, [counts])[0]
 
 
 def twist_pairing_check(n: int, m: int) -> Verdict:

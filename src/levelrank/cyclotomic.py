@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cache
-from math import gcd
+from math import gcd, lcm
 from operator import add, mul, sub
 
 
@@ -350,6 +350,57 @@ class IntegralPacking:
         """Whether the packed value is zero in the field (see the class
         docstring for the norm bound this relies on)."""
         return value % self._modulus == 0
+
+
+def packed_sums(conductor: int, xs: Sequence[CyclotomicNumber], ys: Sequence[CyclotomicNumber],
+                rows: Iterable[Iterable[tuple[tuple[int, int], int]]]) -> list[CyclotomicNumber]:
+    """For each row of ((i, j), k) terms, the sum of k * xs[i] * ys[j].
+
+    By Kronecker packing: each factor a row names is scaled to the common
+    denominator of its side and evaluated once at zeta -> 2^b as one
+    integer (once in all when ``ys is xs``); a row is one big-integer
+    multiply-add per term, unpacked into its 2 phi(N) - 1 coefficients and
+    reduced mod Phi_N once. No coefficient of a row exceeds sum |k| times
+    the largest l1 norms of the two sides' numerators, which b bounds with
+    a bit to spare, so every slot reads back exactly as a balanced digit.
+    """
+    rows = [list(row) for row in rows]
+
+    def scaled(factors, keys):
+        for i in keys:
+            if factors[i]._conductor != conductor:
+                raise ValueError(f"conductor mismatch: {factors[i]._conductor} vs {conductor}")
+        den = lcm(*(factors[i]._den for i in keys))
+        return den, {i: [c * (den // factors[i]._den) for c in factors[i]._num] for i in keys}
+
+    def norm(side):
+        return max((sum(map(abs, num)) for num in side[1].values()), default=0)
+
+    def pack(side):
+        return {i: sum(c << bits * e for e, c in enumerate(num)) for i, num in side[1].items()}
+
+    lkeys = {i for row in rows for (i, _), _ in row}
+    rkeys = {j for row in rows for (_, j), _ in row}
+    if ys is xs:
+        left = right = scaled(xs, lkeys | rkeys)
+    else:
+        left, right = scaled(xs, lkeys), scaled(ys, rkeys)
+    bound = max((sum(abs(k) for _, k in row) for row in rows), default=0)
+    bits = (bound * norm(left) * norm(right)).bit_length() + 1
+    lp = pack(left)
+    rp = lp if right is left else pack(right)
+    low = 1 << bits - 1
+    size = 2 * euler_phi(conductor) - 1
+    bias = low * ((1 << bits * size) - 1) // ((1 << bits) - 1)
+    slot = (1 << bits) - 1
+    out = []
+    for row in rows:
+        value = bias
+        for (i, j), k in row:
+            value += lp[i] * rp[j] * k
+        out.append(CyclotomicNumber(conductor, [(value >> bits * e & slot) - low
+                                                for e in range(size)], left[0] * right[0]))
+    return out
 
 
 # -- quantum integers --------------------------------------------------------

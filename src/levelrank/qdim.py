@@ -10,38 +10,49 @@ are sums of squared dimensions. Everything is exact by default; a floating
 backend evaluates the same products as sine ratios at the current mpmath
 precision.
 
-The exact route is the Weyl form of the same number. With v = lam + rho,
-that is v_j = lam_j + n - j, and a the weight of lam,
+The exact route is the q-analogue of Weyl's dimension formula
+(Macdonald, Symmetric Functions and Hall Polynomials, I.3). With
+v = lam + rho, that is v_j = lam_j + n - j, and
 
-    qdim = prod over i < j of [v_i - v_j]  /  prod over k < n of [k]^(n-k),
+    V(y) = prod over i < j of (zeta^(y_i - y_j) - zeta^(y_j - y_i)),
 
-where v_i - v_j = sum of (a_l + 1) over i <= l < j is at most kappa - 1,
-kappa = n + m, so no factor vanishes. Each [d] is the sum of d powers of
-zeta, so in Z[x]/(x^N - 1) the numerator has non-negative coefficients that
-sum to P = prod (v_i - v_j). It is formed as one integer of N slots of
-k = bitlen(P) + 1 bits: x = 2^k maps Z[x]/(x^N - 1) into the integers
-modulo 2^(kN) - 1, injectively on coefficients in [0, 2^(k-1)), so each
-coefficient reads back from its slot. Each [d] enters as x^(d-1) [d] =
-1 + x^2 + ... + x^(2d-2) = (x^(2d) - 1)/(x^2 - 1): the value v becomes
-((v << 2kd) - v) // (2^(2k) - 1), an exact division by a small integer,
-folded mod 2^(kN) - 1. The numerator is unpacked with its slots rotated
-back by the total shift sum (d - 1), reduced mod Phi_N once, then
-multiplied by one cached inverse of the denominator per (n, m). The
-hook-content product stays as the independent route: the float backend,
-``qdim_product_string``, the golden check of ``verify`` and the tests
-evaluate it.
+the dimension is V(v) / V(rho). Here d = v_i - v_j = sum of (a_l + 1) over
+i <= l < j, a the weight of lam, so 0 < d < kappa = n + m = N/2 and no
+factor vanishes. There are F = n(n - 1)/2 factors, and each is
+zeta^-d (zeta^(2d) - 1), so V(v) is zeta^-(sum d) times the product of the
+binomials x^(2d) - 1 in Z[x]/(x^(N/2) + 1), which Phi_N divides as
+zeta^(N/2) = -1. Each binomial has l1 norm 2, and folding x^(N/2) to -1
+never raises the l1 norm, so the product has l1 norm at most 2^F.
+V(rho) is D (zeta - zeta^-1)^F, where D = prod over k < n of [k]^(n-k) is
+built from ``qint``; it is inverted once per (n, m), and 1 / V(rho) is
+Q / c for an integer polynomial Q of degree below phi(N) <= N/2 and an
+integer c > 0. So every coefficient of the product times Q, in
+Z[x]/(x^(N/2) + 1), is at most 2^F max |Q_j| in size. Both products are
+formed in one integer of N/2 signed slots of b = F + 1 + bitlen(max |Q_j|)
+bits, which is F + 2 when Q is a sign vector: x = 2^b maps
+Z[x]/(x^(N/2) + 1) onto the integers modulo 2^(b N/2) + 1. A factor is
+one shift by 2d slots, folded (the slots past N/2 come back negated), and
+one subtraction; no factor needs a division. Q, packed once per (n, m),
+enters as one big-integer product. The slots then read back exactly as
+balanced digits; they are rotated back by -(sum d) and reduced mod Phi_N
+once, over c. The hook-content product stays as the independent route:
+the float backend, ``qdim_product_string``, the golden check of
+``verify`` and the tests evaluate it.
 
 The dimension is constant along the rotation orbit of a weight, so the
 exact products are memoised per orbit: ``qdim_partition`` keys its table on
 the largest rotation of lam's weight, the orbit's first member in
 canonical order and so the weight at its ``orbit`` position in
-``weight_table(n, m)``. It takes that rotation off the components without
+``weight_table(n, m)``. It takes that rotation off the components,
+comparing only the rotations that start at a largest component, without
 building the table, which holds binomial(n + m - 1, n - 1) weights, so
 one dimension stays cheap at any rank and level. At (7, 7) the 1716
 weights need only 246 products.
 ``dimension_report(n, m)`` is the one record of a rank and level, by
 ``weight_table`` position; its graded totals count the weights of each
-orbit as plain ints and square each orbit's dimension once.
+orbit as plain ints and sum k times the square of each orbit's dimension
+as packed integers (``cyclotomic.packed_sums``), one multiply-add per
+orbit and one reduction per class.
 """
 
 from __future__ import annotations
@@ -49,9 +60,9 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable
 from functools import cache
-from math import prod
+from math import lcm
 
-from .cyclotomic import CyclotomicNumber, conductor_for, qint, qint_real
+from .cyclotomic import CyclotomicNumber, conductor_for, packed_sums, qint, qint_real
 from .partitions import Partition
 from .record import Record
 from .weights import LevelWeight, from_partition, weight_table
@@ -92,46 +103,62 @@ def qdim_partition(lam: Partition, n: int, m: int, backend: str = "exact"):
     if backend != "exact":
         raise ValueError(f"unknown backend {backend!r}")
     comps = from_partition(lam, n, m).components
-    return _qdim_exact(max(comps[k:] + comps[:k] for k in range(n)))
+    top = max(comps)  # the largest rotation starts at a largest component
+    return _qdim_exact(max(comps[k:] + comps[:k] for k, a in enumerate(comps) if a == top))
 
 
 @cache
 def _qdim_exact(top: tuple[int, ...]) -> CyclotomicNumber:
-    """The Weyl product of the weight with components ``top`` (see the
-    module docstring): the numerator as one packed integer, one shift, exact
-    division and fold per factor, unpacked and reduced mod Phi_N once, times
-    the cached inverse of the denominator."""
+    """V(v) / V(rho) for the weight with components ``top`` (see the module
+    docstring): V(v) as one integer of N/2 signed slots modulo
+    2^(bits N/2) + 1, one shift and subtraction per factor, times the
+    packed numerator of 1 / V(rho), decoded as balanced digits and rotated
+    back by -sum d."""
     n, m = len(top), sum(top)
     N = conductor_for(n, m)
-    diffs = []  # v_i - v_j > 1 for 1 <= i < j <= n; a factor [1] = 1 drops out
+    half = N // 2
+    bits, inverse, den = _weyl_denominator_inverse(n, m)
+    width = bits * half
+    mask = (1 << width) - 1  # x^(N/2) = 2^width = -1 modulo mask + 2
+    value, shift = 1, 0
     for i in range(1, n):
-        d = 0
+        d = 0  # v_i - v_j for i < j, a sum of (a_l + 1) over i <= l < j, below N/2
         for a in top[i:]:
             d += a + 1
-            if d > 1:
-                diffs.append(d)
-    k = prod(diffs).bit_length() + 1
-    width = k * N
-    modulus = (1 << width) - 1
-    g = (1 << 2 * k) - 1  # x^2 - 1 at x = 2^k
-    value = 1
-    for d in diffs:  # times x^(d-1) [d] = (x^(2d) - 1)/(x^2 - 1)
-        value = ((value << 2 * k * d) - value) // g
-        while value >> width:
-            value = (value & modulus) + (value >> width)
-    shift = sum(diffs) - len(diffs)  # the x^(d-1) of each factor, undone below
-    mask = (1 << k) - 1
-    numerator = CyclotomicNumber(N, [value >> k * ((e + shift) % N) & mask for e in range(N)])
-    return numerator * _weyl_denominator_inverse(n, m)
+            shift += d
+            # times zeta^d - zeta^-d = zeta^-d (zeta^2d - 1); the zeta^-d waits
+            if 2 * d < half:
+                t = value << bits * 2 * d
+                value = (t & mask) - (t >> width) - value
+            else:  # x^2d = -x^(2d - N/2)
+                t = value << bits * (2 * d - half)
+                value = (t >> width) - (t & mask) - value
+    # biased by 2^(bits - 1), every slot of the product lies in [0, 2^bits)
+    low = 1 << bits - 1
+    value = (value * inverse + low * mask // ((1 << bits) - 1)) % (mask + 2)
+    slot = (1 << bits) - 1
+    coeffs = [(value >> bits * e & slot) - low for e in range(half)] + [0] * half
+    r = shift % N  # times zeta^-shift: the slot at e moves to e - shift
+    return CyclotomicNumber(N, coeffs[r:] + coeffs[:r], den)
 
 
 @cache
-def _weyl_denominator_inverse(n: int, m: int) -> CyclotomicNumber:
-    """1 / prod_{k < n} [k]^(n-k), the Weyl denominator of rank n at level m."""
-    den = CyclotomicNumber.one(conductor_for(n, m))
+def _weyl_denominator_inverse(n: int, m: int) -> tuple[int, int, int]:
+    """1 / V(rho) as (bits, packed Q, c) with 1 / V(rho) = Q / c, where
+    V(rho) = prod_{k < n} [k]^(n-k) (zeta - 1/zeta)^F is the Weyl
+    denominator of rank n at level m: Q's coefficients packed into slots
+    of ``bits`` bits, wide enough for its product with the F binomials of
+    l1 norm 2 each."""
+    N = conductor_for(n, m)
+    F = n * (n - 1) // 2
+    den = (CyclotomicNumber.zeta(N) - CyclotomicNumber.zeta(N, -1)) ** F
     for k in range(2, n):
         den = den * qint(k, n, m) ** (n - k)
-    return den.inverse()
+    coeffs = den.inverse().coefficients()
+    common = lcm(*(c.denominator for c in coeffs))
+    nums = [int(c * common) for c in coeffs]
+    bits = F + max(map(abs, nums)).bit_length() + 1
+    return bits, sum(c << bits * e for e, c in enumerate(nums)), common
 
 
 def _qdim_float(lam: Partition, n: int, m: int):
@@ -194,16 +221,16 @@ class DimensionReport(Record):
 @cache
 def dimension_report(n: int, m: int) -> DimensionReport:
     """The record of rank n, level m: dimensions from ``qdim_weight``, and
-    graded totals that square each orbit's dimension once and scale it by
-    the orbit's count in the class, both read from ``weight_table.orbit``."""
+    graded totals that count each orbit's weights in the class, read from
+    ``weight_table.orbit``, and sum the counted squares of the orbit
+    dimensions as packed integers."""
     table = weight_table(n, m)
     orbit = table.orbit
     dims = tuple(map(qdim_weight, table.weights))
-    squares = {p: dims[p] * dims[p] for p, o in enumerate(orbit) if o == p}
-    zero = CyclotomicNumber.zero(conductor_for(n, m))
-    graded = tuple(sum((squares[o] * k for o, k in Counter(orbit[q] for q in cls).items()), zero)
-                   for cls in table.classes)
-    return DimensionReport(n, m, dims, graded, sum(graded, zero))
+    N = conductor_for(n, m)
+    graded = tuple(packed_sums(N, dims, dims, (
+        Counter((orbit[q], orbit[q]) for q in cls).items() for cls in table.classes)))
+    return DimensionReport(n, m, dims, graded, sum(graded, CyclotomicNumber.zero(N)))
 
 
 def qdim_product_string(lam: Partition, n: int) -> str:

@@ -14,6 +14,7 @@ from levelrank.cyclotomic import (
     conductor_for,
     cyclotomic_polynomial,
     euler_phi,
+    packed_sums,
     qint,
     qint_real,
 )
@@ -349,3 +350,35 @@ def test_galois_rejects_exponents_sharing_a_factor_with_n(N, k, data):
     p = data.draw(st.sampled_from([p for p in range(2, N + 1) if N % p == 0]))
     with pytest.raises(ValueError, match="prime to"):
         x.galois(p * k)
+
+
+# -- packed sums of products ----------------------------------------------------
+
+@pytest.mark.parametrize("kind", ["odd", "twice odd", "4k"])
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_packed_sums_match_the_field_sums(kind, data):
+    """Row by row, ``packed_sums`` is the plain field sum of k * x_i * y_j:
+    negative, large and non-integral coefficients, zero factors, empty
+    rows, repeated terms, and one packed side when ``ys is xs``."""
+    N = data.draw(st.sampled_from(_REDUCTION_CONDUCTORS[kind]))
+    element = st.one_of(
+        st.just(CyclotomicNumber.zero(N)),
+        st.builds(lambda c, d: CyclotomicNumber(N, c, d),
+                  st.lists(st.integers(), max_size=N), st.integers(1, 12)))
+    xs = data.draw(st.lists(element, min_size=1, max_size=4))
+    ys = xs if data.draw(st.booleans()) else data.draw(st.lists(element, min_size=1, max_size=4))
+    term = st.tuples(st.tuples(st.integers(0, len(xs) - 1), st.integers(0, len(ys) - 1)),
+                     st.integers(1, 2**30))
+    rows = data.draw(st.lists(st.lists(term, max_size=6), max_size=4))
+    zero = CyclotomicNumber.zero(N)
+    assert packed_sums(N, xs, ys, rows) == [
+        sum((xs[i] * ys[j] * k for (i, j), k in row), zero) for row in rows]
+
+
+def test_packed_sums_of_nothing():
+    x = CyclotomicNumber(12, [1, -2, 3], 5)
+    assert packed_sums(12, [x], [x], []) == []
+    assert packed_sums(12, [x], [x], [[], [((0, 0), 3)]]) == [0, x * x * 3]
+    with pytest.raises(ValueError, match="conductor mismatch"):
+        packed_sums(8, [x], [x], [[((0, 0), 1)]])

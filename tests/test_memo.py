@@ -10,7 +10,7 @@ from importlib import import_module
 import levelrank
 from levelrank import branching, fusion, partitions, qdim, smatrix, symfunc, verify, weights
 from levelrank.branching import verify_exhaustion
-from levelrank.cyclotomic import CyclotomicNumber, conductor_for, qint
+from levelrank.cyclotomic import conductor_for, qint
 from levelrank.fusion import fuse
 from levelrank.partitions import Partition
 from levelrank.qdim import graded_dim
@@ -111,16 +111,18 @@ def test_one_hook_content_product_per_rotation_orbit(monkeypatch):
 def test_one_product_per_orbit_pair_in_the_exhaustion_sweep(monkeypatch):
     """From cold caches, ``suite_exhaustion(6)`` forms each product of an
     orbit pair (orbit of a, orbit of tau_i(a)) at most once per (n, m): the
-    products made inside the paired sums number the distinct orbit pairs."""
+    terms that the paired sums hand to ``packed_sums`` number the distinct
+    orbit pairs."""
     for table in _memo_tables().values():
         table.cache_clear()
     case, products = [], Counter()
-    mul, paired_sum = CyclotomicNumber.__mul__, branching._paired_sum.__wrapped__
+    packed, paired_sum = branching.packed_sums, branching._paired_sum.__wrapped__
 
-    def counting_mul(self, other):
-        if case and isinstance(other, CyclotomicNumber):
-            products[case[0]] += 1
-        return mul(self, other)
+    def counting_packed(conductor, xs, ys, rows):
+        rows = [list(row) for row in rows]
+        if case:
+            products[case[0]] += sum(map(len, rows))
+        return packed(conductor, xs, ys, rows)
 
     def counting_sum(n, m, counts):
         case.append((n, m))
@@ -129,7 +131,7 @@ def test_one_product_per_orbit_pair_in_the_exhaustion_sweep(monkeypatch):
         finally:
             case.pop()
 
-    monkeypatch.setattr(CyclotomicNumber, "__mul__", counting_mul)
+    monkeypatch.setattr(branching, "packed_sums", counting_packed)
     monkeypatch.setattr(branching, "_paired_sum", cache(counting_sum))
     assert all(verify.suite_exhaustion(6))
 

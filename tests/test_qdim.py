@@ -1,6 +1,5 @@
 import hashlib
 import json
-from math import prod
 
 import mpmath
 import pytest
@@ -192,12 +191,29 @@ def test_cancelled_route_matches_field_product_property(n, m, data):
 
 
 def test_weyl_product_beyond_64_bits():
-    """At (9, 9), the weight (1, ..., 1) has prod(v_i - v_j) above 2^64, so
-    its packed numerator needs more than 64 bits per coefficient."""
-    a = LevelWeight((1,) * 9)
-    diffs = [2 * (j - i) for i in range(9) for j in range(i + 1, 9)]
-    assert prod(diffs) > 2 ** 64
-    assert qdim_weight(a) == field_product(a.to_partition(), 9, 9)
+    """Rank 10 has the widest slots of the tests: F = 45 factors, so
+    slots of F + 1 + 16 = 62 bits at (10, 10), where the numerator of
+    1 / V(rho) has coefficients of up to 16 bits, 1240 bits in all. The
+    weight (1, ..., 1) has v_i - v_j = 2(j - i), so every factor has
+    d >= 2, and each binomial x^(2d) - 1 with 2d >= N/2 = 20 folds back
+    with a sign; the other weights spread their differences unevenly, are
+    a simple current or sit at level 2."""
+    for components in [(1,) * 10, (3, 0, 0, 2, 0, 1, 0, 0, 4, 0),
+                       (0, 0, 0, 0, 0, 0, 0, 0, 0, 10), (1, 0, 0, 0, 0, 1, 0, 0, 0, 0)]:
+        a = LevelWeight(components)
+        assert qdim_weight(a) == field_product(a.to_partition(), 10, a.level), components
+    assert qdim._weyl_denominator_inverse(10, 10)[0] == 62
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_level_zero_and_level_one_dimensions_are_one(n):
+    """At level 0 the one weight has v = rho, and at level 1 every weight is
+    a rotation of the vacuum, so V(v) / V(rho) is 1 however the rotation
+    back by -sum d falls, up to rank 10."""
+    assert qdim_partition(Partition(()), n, 0) == 1
+    for k in range(n):
+        lam = Partition((1,) * k)
+        assert qdim_partition(lam, n, 1) == 1 == field_product(lam, n, 1), k
 
 
 def test_cold_box_inverts_one_denominator(monkeypatch):
