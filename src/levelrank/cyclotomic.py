@@ -367,28 +367,28 @@ def packed_sums(conductor: int, xs: Sequence[CyclotomicNumber], ys: Sequence[Cyc
     rows = [list(row) for row in rows]
 
     def scaled(factors, keys):
+        """The common denominator of the named factors, and each numerator over it."""
         for i in keys:
             if factors[i]._conductor != conductor:
                 raise ValueError(f"conductor mismatch: {factors[i]._conductor} vs {conductor}")
         den = lcm(*(factors[i]._den for i in keys))
         return den, {i: [c * (den // factors[i]._den) for c in factors[i]._num] for i in keys}
 
-    def norm(side):
-        return max((sum(map(abs, num)) for num in side[1].values()), default=0)
-
-    def pack(side):
-        return {i: sum(c << bits * e for e, c in enumerate(num)) for i, num in side[1].items()}
+    def pack(nums):
+        return {i: sum(c << bits * e for e, c in enumerate(num)) for i, num in nums.items()}
 
     lkeys = {i for row in rows for (i, _), _ in row}
     rkeys = {j for row in rows for (_, j), _ in row}
     if ys is xs:
-        left = right = scaled(xs, lkeys | rkeys)
+        lden, lnums = rden, rnums = scaled(xs, lkeys | rkeys)
     else:
-        left, right = scaled(xs, lkeys), scaled(ys, rkeys)
+        (lden, lnums), (rden, rnums) = scaled(xs, lkeys), scaled(ys, rkeys)
     bound = max((sum(abs(k) for _, k in row) for row in rows), default=0)
-    bits = (bound * norm(left) * norm(right)).bit_length() + 1
-    lp = pack(left)
-    rp = lp if right is left else pack(right)
+    for nums in (lnums, rnums):
+        bound *= max((sum(map(abs, num)) for num in nums.values()), default=0)
+    bits = bound.bit_length() + 1
+    lp = pack(lnums)
+    rp = lp if rnums is lnums else pack(rnums)
     low = 1 << bits - 1
     size = 2 * euler_phi(conductor) - 1
     bias = low * ((1 << bits * size) - 1) // ((1 << bits) - 1)
@@ -399,7 +399,7 @@ def packed_sums(conductor: int, xs: Sequence[CyclotomicNumber], ys: Sequence[Cyc
         for (i, j), k in row:
             value += lp[i] * rp[j] * k
         out.append(CyclotomicNumber(conductor, [(value >> bits * e & slot) - low
-                                                for e in range(size)], left[0] * right[0]))
+                                                for e in range(size)], lden * rden))
     return out
 
 

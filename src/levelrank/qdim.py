@@ -120,7 +120,7 @@ def _qdim_exact(top: tuple[int, ...]) -> CyclotomicNumber:
     bits, inverse, den = _weyl_denominator_inverse(n, m)
     width = bits * half
     mask = (1 << width) - 1  # x^(N/2) = 2^width = -1 modulo mask + 2
-    value, shift = 1, 0
+    value, shift = 1, 0  # value is left unreduced: each factor adds below 2^(width + 1) to |value|
     for i in range(1, n):
         d = 0  # v_i - v_j for i < j, a sum of (a_l + 1) over i <= l < j, below N/2
         for a in top[i:]:
